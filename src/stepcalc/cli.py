@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import applications, expr, functions, series, tables
-from .nonarch import EPSILON, NoStandardPartError, deriv_at
-from .solver import IVP, IntegrationError, StepPlan, integrate
+from .nonarch import EPSILON, deriv_at
+from .solver import IVP, StepPlan, integrate
 from .svgplot import Series, line_plot
 
 
@@ -166,9 +166,8 @@ def cmd_deriv(args) -> int:
     names = expr.variables(tree)
     if len(names) != 1:
         raise ValueError(f"expression must contain exactly one variable, found {sorted(names)}")
-    point = Fraction(args.at)
     f = expr.evaluate_exact(tree, {names.pop(): EPSILON})
-    print(deriv_at(f, point))
+    print(deriv_at(f, args.at))
     return 0
 
 
@@ -277,6 +276,19 @@ def cmd_rectify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+def _option_type(convert, positive=False):
+    """An argparse ``type=``: a bad value is a usage error naming the option."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if positive and not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stepcalc",
@@ -297,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deriv", help="exact derivative of a rational expression")
     p.add_argument("expr", help="rational expression in one variable, e.g. 'x^2'")
-    p.add_argument("--at", required=True, help="evaluation point, integer or p/q")
+    p.add_argument("--at", required=True, type=_option_type(Fraction),
+                   help="evaluation point, integer or p/q")
     p.set_defaults(handler=cmd_deriv)
 
     p = sub.add_parser("fn", help="evaluate an ODE-defined function")
@@ -317,13 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("pi", help="sum the alternating series for pi")
-    p.add_argument("--terms", type=int, default=1000, help="number of terms")
+    p.add_argument("--terms", type=_option_type(int, positive=True), default=1000,
+                   help="number of terms")
     p.add_argument("--corrected", action="store_true",
                    help="average consecutive partial sums (end correction)")
-    p.add_argument("--discard", type=float, default=None,
+    p.add_argument("--discard", type=_option_type(float, positive=True), default=None,
                    help="discard threshold; sum until the next term is below it")
     p.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--max-terms", type=int, default=10**8)
+    p.add_argument("--max-terms", type=_option_type(int, positive=True), default=10**8)
     p.set_defaults(handler=cmd_pi)
 
     p = sub.add_parser("pendulum", help="pendulum period versus amplitude")
@@ -391,8 +405,7 @@ def main(argv=None) -> int:
     except expr.ExprSyntaxError as exc:
         print(f"stepcalc: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, ArithmeticError, NoStandardPartError,
-            IntegrationError, expr.ExprError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError, expr.ExprError) as exc:
         print(f"stepcalc: {exc}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,9 @@
 
 Nothing here touches the integration paths under test: pi is a frozen
 rational-arithmetic constant, e comes from the factorial series, K(k) from
-the arithmetic-geometric mean, and high-precision sine from a Taylor series
-in 50-digit decimal arithmetic.
+the arithmetic-geometric mean, high-precision sine from a Taylor series
+in 50-digit decimal arithmetic, and exact derivatives of factored rational
+functions from the logarithmic derivative.
 """
 
 from __future__ import annotations
@@ -67,3 +68,28 @@ def sqrt_decimal(x: Decimal, prec: int = 50) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = prec
         return x.sqrt()
+
+
+def factored_derivative(c: Fraction, factors, x0: Fraction) -> Fraction:
+    """d/dx of c * prod (x - r)**e at x0, by the logarithmic derivative.
+
+    ``factors`` holds (r, e) pairs with integer e of either sign.  Equal
+    roots are first merged into one net exponent, so a factor shared by
+    numerator and denominator cancels.  A negative net exponent at x0 is a
+    pole and raises ZeroDivisionError.
+    """
+    net: dict[Fraction, int] = {}
+    for r, e in factors:
+        net[Fraction(r)] = net.get(Fraction(r), 0) + e
+    x0 = Fraction(x0)
+    e0 = net.pop(x0, 0)
+    if e0 < 0:
+        raise ZeroDivisionError(f"pole at {x0}")
+    rest = Fraction(c)
+    for r, e in net.items():
+        rest *= (x0 - r) ** e
+    if e0 == 0:
+        # f'/f = sum of e / (x0 - r) over the factors
+        return rest * sum((Fraction(e) / (x0 - r) for r, e in net.items()), Fraction(0))
+    # f = (x - x0)**e0 * g with g(x0) = rest, so f'(x0) = g(x0) for e0 = 1, else 0
+    return rest if e0 == 1 else Fraction(0)

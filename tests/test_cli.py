@@ -1,4 +1,5 @@
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -104,6 +105,19 @@ class TestDeriv:
         code, _, err = run(capsys, "deriv", "x +", "--at", "1")
         assert code == 2
 
+    def test_large_powers(self, capsys):
+        for n in (2000, 400):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "deriv", f"x^{n}", "--at", "2")
+            assert time.perf_counter() - start < 5.0
+            assert code == 0 and out == f"{n * 2 ** (n - 1)}\n"
+
+    def test_bad_point_is_usage_error(self, capsys):
+        for point in ("abc", "nan", "1/0"):
+            code, _, err = run(capsys, "deriv", "x^2", f"--at={point}")
+            assert code == 2
+            assert "--at" in err
+
 
 class TestFn:
     def test_exp_one(self, capsys):
@@ -151,6 +165,13 @@ class TestPi:
         assert int(fields["terms_used"]) == 20000
         assert float(fields["discarded_bound"]) < 1e-4
         assert abs(float(fields["value"]) - oracles.PI) < 1e-4
+
+    def test_nonpositive_counts_are_usage_errors(self, capsys):
+        for argv in (("--terms", "0"), ("--terms", "-3"), ("--discard", "1e-3", "--max-terms", "0"),
+                     ("--discard", "0")):
+            code, _, err = run(capsys, "pi", *argv)
+            assert code == 2
+            assert f"argument {argv[-2]}" in err
 
 
 class TestPendulum:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from stepcalc.nonarch import (
     EPSILON,
     NoStandardPartError,
@@ -47,11 +48,6 @@ class TestPoly:
         common = Poly((1, 1))
         g = poly_gcd(common * Poly((2, 3)), common * Poly((-1, 0, 1)))
         assert g == common
-
-    def test_compose(self):
-        p = Poly((0, 0, 1))  # x^2
-        shifted = p.compose(Poly((3, 1)))  # (x+3)^2
-        assert shifted == Poly((9, 6, 1))
 
 
 class TestFieldOps:
@@ -128,6 +124,44 @@ class TestDerivAt:
     def test_true_pole_raises(self):
         with pytest.raises(ZeroDivisionError):
             deriv_at(ONE / EPSILON, 0)
+
+    def test_pole_left_after_cancellation_raises(self):
+        # (x - 1)/(x - 1)^2 cancels to 1/(x - 1), still a pole at 1
+        x = EPSILON
+        with pytest.raises(ZeroDivisionError):
+            deriv_at((x - 1) / (x - 1) ** 2, 1)
+
+    def test_quotients_against_log_derivative_oracle(self):
+        rng = random.Random(20261017)
+        roots = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+        seen = {"plain": 0, "removable": 0, "pole": 0}
+        for _ in range(300):
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            factors = [(rng.choice(roots), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+            # a non-constant denominator
+            factors += [(rng.choice(roots), -rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            # a factor shared by numerator and denominator, half the time at x0
+            shared = rng.choice(roots)
+            factors += [(shared, rng.randint(1, 3)), (shared, -rng.randint(1, 3))]
+            x0 = shared if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            num, den = Poly.constant(c), Poly.constant(1)
+            for r, e in factors:
+                for _ in range(abs(e)):
+                    if e > 0:
+                        num = num * Poly((-r, 1))
+                    else:
+                        den = den * Poly((-r, 1))
+            f = RatFunc(num, den)
+            try:
+                want = oracles.factored_derivative(c, factors, x0)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    deriv_at(f, x0)
+                seen["pole"] += 1
+                continue
+            assert deriv_at(f, x0) == want
+            seen["removable" if x0 == shared else "plain"] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 class TestFieldProperties:
