@@ -289,8 +289,16 @@ def _option_type(convert, positive=False):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exits 2; subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stepcalc",
         description="Limit-free calculus toolkit: ODE-defined functions, exact "
                     "infinitesimal derivatives, sine tables, series, and "
@@ -405,7 +413,7 @@ def main(argv=None) -> int:
     except expr.ExprSyntaxError as exc:
         print(f"stepcalc: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError, OSError, expr.ExprError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"stepcalc: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 from .nonarch import RatFunc
 
 
-class ExprError(Exception):
+class ExprError(ValueError):
     """Base for expression errors; carries a byte offset into the source."""
 
     def __init__(self, message: str, pos: int):

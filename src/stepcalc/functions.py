@@ -33,16 +33,16 @@ class OdeFunction:
 
     def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
         self._check(x)
+        plan = StepPlan(self.default_h if h is None else h, x)
         if x == self.ivp.t0:
             return self.ivp.y0[self.output]
-        plan = StepPlan(h or self.default_h, x)
-        _, state = integrate_final(self.ivp, plan, method or self.default_method)
+        _, state = integrate_final(self.ivp, plan, self.default_method if method is None else method)
         return state[self.output]
 
     def trajectory(self, x: float, method: str | None = None, h: float | None = None) -> Trajectory:
         self._check(x)
-        plan = StepPlan(h or self.default_h, x)
-        return integrate(self.ivp, plan, method or self.default_method)
+        plan = StepPlan(self.default_h if h is None else h, x)
+        return integrate(self.ivp, plan, self.default_method if method is None else method)
 
 
 def make_exp() -> OdeFunction:
@@ -51,13 +51,13 @@ def make_exp() -> OdeFunction:
     return OdeFunction("exp", ivp, 0)
 
 
-def _circle_rhs(t, y):
+def circle_rhs(t, y):
     return (y[1], -y[0])
 
 
 def make_sincos() -> tuple[OdeFunction, OdeFunction]:
     """sin and cos as the solution pair of y1' = y2, y2' = -y1, y(0) = (0, 1)."""
-    ivp = IVP(2, _circle_rhs, 0.0, (0.0, 1.0))
+    ivp = IVP(2, circle_rhs, 0.0, (0.0, 1.0))
     return OdeFunction("sin", ivp, 0), OdeFunction("cos", ivp, 1)
 
 

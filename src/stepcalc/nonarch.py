@@ -109,17 +109,15 @@ class Poly:
         rem = list(self.coeffs)
         d = other.degree
         lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
+        while len(rem) > d:  # rem never has a trailing zero here
             k = len(rem) - 1 - d
             factor = rem[-1] / lead
             q[k] = factor
             for j, c in enumerate(other.coeffs):
                 rem[k + j] -= factor * c
             rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
         return Poly(tuple(q)), Poly(tuple(rem))
 
     def __mod__(self, other: "Poly") -> "Poly":

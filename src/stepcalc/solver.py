@@ -5,6 +5,13 @@ classical fourth-order Runge-Kutta update.  Steps are laid out on a uniform
 grid from ``t0`` toward ``t_end``; the final step is shortened so the last
 node lands on ``t_end`` bit-exactly.  Backward integration (``t_end < t0``)
 uses the same machinery with a negated step.
+
+Failures: ``IVP`` and ``StepPlan`` reject non-finite times and states and a
+step size that is not positive with ``ValueError``.  During integration, an
+``ArithmeticError`` or ``ValueError`` from the right-hand side (expression
+errors included), a right-hand side of the wrong length, and a non-finite
+final state each raise ``IntegrationError``; any other exception propagates
+unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ RHS = Callable[[float, Sequence[float]], Sequence[float]]
 
 
 class IntegrationError(RuntimeError):
-    """A right-hand-side evaluation failed; carries the failing time."""
+    """An integration failed; carries the start time of the failing step
+    (the final time when the final state is non-finite)."""
 
     def __init__(self, t: float, cause: Exception):
         super().__init__(f"integration failed at t={t!r}: {cause}")
@@ -40,7 +48,12 @@ class IVP:
             raise ValueError("dim must be positive")
         if len(self.y0) != self.dim:
             raise ValueError(f"y0 has length {len(self.y0)}, expected {self.dim}")
-        object.__setattr__(self, "y0", tuple(float(v) for v in self.y0))
+        y0 = tuple(float(v) for v in self.y0)
+        if not math.isfinite(self.t0):
+            raise ValueError(f"initial time t0 must be finite, got {self.t0!r}")
+        if not all(map(math.isfinite, y0)):
+            raise ValueError(f"initial state y0 must be finite, got {y0!r}")
+        object.__setattr__(self, "y0", y0)
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,8 @@ class StepPlan:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("step size h must be positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"end time t_end must be finite, got {self.t_end!r}")
 
 
 @dataclass(frozen=True)
@@ -81,51 +96,17 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _call_rhs(rhs: RHS, dim: int, t: float, y: Sequence[float]) -> tuple[float, ...]:
-    try:
-        out = tuple(rhs(t, y))
-    except (ArithmeticError, ValueError) as exc:
-        raise IntegrationError(t, exc) from exc
-    except Exception as exc:  # expr evaluation errors, etc.
-        if type(exc).__module__.startswith("stepcalc"):
-            raise IntegrationError(t, exc) from exc
-        raise
-    if len(out) != dim:
-        raise IntegrationError(t, ValueError(f"rhs returned {len(out)} components, expected {dim}"))
-    return out
-
-
-def _euler_step(rhs: RHS, dim: int, t: float, y: Vector, h: float) -> Vector:
-    k = _call_rhs(rhs, dim, t, y)
-    return tuple(yi + h * ki for yi, ki in zip(y, k))
-
-
-def _rk4_step(rhs: RHS, dim: int, t: float, y: Vector, h: float) -> Vector:
-    k1 = _call_rhs(rhs, dim, t, y)
-    k2 = _call_rhs(rhs, dim, t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k1)))
-    k3 = _call_rhs(rhs, dim, t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k2)))
-    k4 = _call_rhs(rhs, dim, t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
-    return tuple(
-        yi + h / 6 * (a + 2 * b + 2 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
-
-
-_STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
-
-
 def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True) -> Trajectory:
     """Integrate from t0 to t_end on a uniform grid.
 
     With ``record=False`` only the first and last nodes are kept (streaming
     mode for long integrations).
     """
-    try:
-        step_fn = _STEPPERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
+    rhs = ivp.rhs
     t0, t_end = ivp.t0, plan.t_end
-    y = ivp.y0
+    t, y = t0, ivp.y0
     if t_end == t0:
         return Trajectory((t0,), (y,))
     span = t_end - t0
@@ -133,14 +114,29 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     hs = math.copysign(plan.h, span)
     times = [t0]
     states = [y]
-    t = t0
-    for k in range(n):
-        t_next = t_end if k == n - 1 else t0 + (k + 1) * hs
-        y = step_fn(ivp.rhs, ivp.dim, t, y, t_next - t)
-        t = t_next
-        if record:
-            times.append(t)
-            states.append(y)
+    try:
+        for k in range(n):
+            t_next = t_end if k == n - 1 else t0 + (k + 1) * hs
+            h = t_next - t
+            k1 = rhs(t, y)
+            if method == "euler":
+                y = tuple([yi + h * a for yi, a in zip(y, k1, strict=True)])
+            else:
+                k2 = rhs(t + h / 2, [yi + h / 2 * a for yi, a in zip(y, k1, strict=True)])
+                k3 = rhs(t + h / 2, [yi + h / 2 * b for yi, b in zip(y, k2, strict=True)])
+                k4 = rhs(t + h, [yi + h * c for yi, c in zip(y, k3, strict=True)])
+                y = tuple([
+                    yi + h / 6 * (a + 2 * b + 2 * c + d)
+                    for yi, a, b, c, d in zip(y, k1, k2, k3, k4, strict=True)
+                ])
+            t = t_next
+            if record:
+                times.append(t)
+                states.append(y)
+    except (ArithmeticError, ValueError) as exc:
+        raise IntegrationError(t, exc) from exc
+    if not all(map(math.isfinite, y)):
+        raise IntegrationError(t, ArithmeticError(f"state is not finite: {y!r}"))
     if not record:
         times.append(t)
         states.append(y)
@@ -151,14 +147,6 @@ def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[floa
     """Final node only; O(1) memory."""
     traj = integrate(ivp, plan, method, record=False)
     return traj.times[-1], traj.states[-1]
-
-
-def integrate_euler(ivp: IVP, plan: StepPlan) -> Trajectory:
-    return integrate(ivp, plan, "euler")
-
-
-def integrate_rk4(ivp: IVP, plan: StepPlan) -> Trajectory:
-    return integrate(ivp, plan, "rk4")
 
 
 def find_zero_crossings(

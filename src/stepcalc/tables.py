@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .solver import IVP, StepPlan, integrate_final
-from .functions import _circle_rhs
+from .functions import circle_rhs
 
 #: Grid step in arcminutes (3 degrees 45 minutes) and in degrees.
 STEP_ARCMIN = 225.0
@@ -86,7 +86,7 @@ def generate_sine_table(
     values = []
     for k in range(1, ENTRY_COUNT + 1):
         target = k * math.pi / 48.0  # k * 225 arcmin in radians
-        ivp = IVP(2, _circle_rhs, t, state)
+        ivp = IVP(2, circle_rhs, t, state)
         t, state = integrate_final(ivp, StepPlan(h, target), method)
         values.append(radius * state[0])
     return SineTable(radius, tuple(values))

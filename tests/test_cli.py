@@ -78,6 +78,14 @@ class TestSolve:
         assert code == 2
         assert "y2" in err
 
+    def test_expression_error_in_rhs_is_integration_failure(self, capsys, tmp_path):
+        path = tmp_path / "pole.ivp"
+        path.write_text(EXP_SPEC.replace("rhs_1 = y1", "rhs_1 = 1/(t - 0.5)")
+                        .replace("h = 0.001", "h = 0.25"))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        assert "integration failed" in err
+
 
 class TestDeriv:
     def test_square(self, capsys):
@@ -254,3 +262,22 @@ class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+class TestErrorContract:
+    def test_failures_are_one_stderr_line(self, capsys, tmp_path):
+        nan_spec = tmp_path / "nan.ivp"
+        nan_spec.write_text(EXP_SPEC.replace("y0 = 1", "y0 = nan"))
+        cases = [
+            (1, ("fn", "exp", "nan")),
+            (1, ("fn", "exp", "inf")),
+            (1, ("fn", "exp", "1000", "--h", "0.1")),  # overflows to inf
+            (1, ("fn", "exp", "0.5", "--h", "0")),
+            (1, ("solve", str(nan_spec))),
+            (2, ("pi", "--terms", "0")),
+            (2, ("frobnicate",)),
+        ]
+        for expected, argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (expected, ""), argv
+            assert err.startswith("stepcalc") and err.count("\n") == 1, argv
