@@ -17,6 +17,12 @@ from .solver import IVP, StepPlan, Trajectory, find_zero_crossings, integrate, i
 STANDARD_GRAVITY = 9.80665
 EARTH_RADIUS = 6371000.0
 
+#: Default step sizes, read by the library and by the CLI.
+PENDULUM_H = 1e-4
+ELLIPTIC_H = 1e-5
+BALLISTICS_H = 1e-3
+MERIDIONAL_H = 1e-4
+
 
 @dataclass(frozen=True)
 class PendulumSpec:
@@ -82,7 +88,7 @@ def pendulum_ivp(spec: PendulumSpec) -> IVP:
     return IVP(2, rhs, 0.0, (spec.theta0, 0.0))
 
 
-def pendulum_period_ode(spec: PendulumSpec, h: float = 1e-4, method: str = "rk4") -> float:
+def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     """Measure the full period by integrating the motion.
 
     The angular velocity starts at zero (release from rest) and vanishes
@@ -93,15 +99,15 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = 1e-4, method: str = "rk4"
     ivp = pendulum_ivp(spec)
     t_end = 3.0 * spec.small_angle_period()
     for _ in range(8):
-        traj = integrate(ivp, StepPlan(h, t_end), method)
-        crossings = [t for t in find_zero_crossings(traj, 1, ivp, method, h) if t > ivp.t0]
+        traj = integrate(ivp, StepPlan(h, t_end))
+        crossings = [t for t in find_zero_crossings(traj, 1, ivp, h=h) if t > ivp.t0]
         if len(crossings) >= 2:
             return 2.0 * (crossings[1] - crossings[0])
         t_end *= 2.0
     raise RuntimeError(f"no turning points found up to t={t_end}; amplitude {spec.theta0}")
 
 
-def elliptic_F(phi: float, k: float, h: float = 1e-5, method: str = "rk4") -> float:
+def elliptic_F(phi: float, k: float, h: float = ELLIPTIC_H) -> float:
     """Incomplete elliptic integral of the first kind, by direct quadrature.
 
     The integrand 1/sqrt(1 - k^2 sin^2 t) is integrated as an ODE from 0 to
@@ -119,18 +125,18 @@ def elliptic_F(phi: float, k: float, h: float = 1e-5, method: str = "rk4") -> fl
         return (1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2),)
 
     ivp = IVP(1, rhs, 0.0, (0.0,))
-    return integrate_final(ivp, StepPlan(h, phi), method)[1][0]
+    return integrate_final(ivp, StepPlan(h, phi))[1][0]
 
 
-def elliptic_K(k: float, h: float = 1e-5, method: str = "rk4") -> float:
+def elliptic_K(k: float, h: float = ELLIPTIC_H) -> float:
     """Complete elliptic integral of the first kind."""
-    return elliptic_F(math.pi / 2, k, h, method)
+    return elliptic_F(math.pi / 2, k, h)
 
 
-def pendulum_period_elliptic(spec: PendulumSpec, h: float = 1e-5) -> float:
+def pendulum_period_elliptic(spec: PendulumSpec) -> float:
     """Exact-period route: T = 4 sqrt(L/g) K(sin(theta0/2))."""
     k = math.sin(spec.theta0 / 2.0)
-    return 4.0 * math.sqrt(spec.length / spec.gravity) * elliptic_K(k, h)
+    return 4.0 * math.sqrt(spec.length / spec.gravity) * elliptic_K(k)
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +155,32 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
     return IVP(4, rhs, 0.0, y0)
 
 
-def ballistics_trajectory(spec: BallisticsSpec, h: float = 1e-3,
-                          t_end: float | None = None, method: str = "rk4") -> Trajectory:
+def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:
     """Flight trajectory over a window sure to contain the landing.
 
     Drag never extends the vacuum flight time, so 1.5x the vacuum time plus
     margin suffices; the window is widened if the landing is not seen.
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
-    if t_end is None:
-        t_end = 1.5 * vacuum_time + 1.0
+    t_end = 1.5 * vacuum_time + 1.0
     ivp = ballistics_ivp(spec)
     for _ in range(6):
-        traj = integrate(ivp, StepPlan(h, t_end), method)
+        traj = integrate(ivp, StepPlan(h, t_end))
         if traj.states[-1][1] < 0.0:
             return traj
         t_end *= 2.0
     raise RuntimeError("projectile never landed within the integration window")
 
 
-def ballistics_range(spec: BallisticsSpec, h: float = 1e-3, method: str = "rk4") -> float:
+def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
     """Horizontal distance to the landing point (descending zero of height)."""
-    traj = ballistics_trajectory(spec, h, method=method)
+    traj = ballistics_trajectory(spec, h)
     ivp = ballistics_ivp(spec)
-    crossings = [t for t in find_zero_crossings(traj, 1, ivp, method, h) if t > 0.0]
+    crossings = [t for t in find_zero_crossings(traj, 1, ivp, h=h) if t > 0.0]
     if not crossings:
         raise RuntimeError("no landing detected")
     t_land = crossings[0]
-    _, state = integrate_final(ivp, StepPlan(h, t_land), method)
+    _, state = integrate_final(ivp, StepPlan(h, t_land))
     return state[0]
 
 
@@ -205,6 +209,8 @@ def rectify(curve: Callable[[float], tuple[float, float]],
         x, y = curve(t_start + span * i / segments)
         total += math.hypot(x - px, y - py)
         px, py = x, y
+    if not math.isfinite(total):
+        raise ValueError(f"polyline length is not finite: {total!r}")
     return total
 
 
@@ -223,13 +229,13 @@ def _wrap_longitude(dl: float) -> float:
     return wrapped
 
 
-def meridional_parts(lat: float, h: float = 1e-4, method: str = "rk4") -> float:
+def meridional_parts(lat: float, h: float = MERIDIONAL_H) -> float:
     """Mercator vertical coordinate of a latitude, by ODE integration."""
-    return make_inv_gudermannian()(lat, method=method, h=h)
+    return make_inv_gudermannian()(lat, h=h)
 
 
 def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
-              h: float = 1e-4) -> tuple[float, float]:
+              h: float = MERIDIONAL_H) -> tuple[float, float]:
     """Constant-bearing course and distance between two points on a sphere.
 
     The bearing is atan2 of the wrapped longitude difference against the

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import applications, expr, functions, series, tables
 from .nonarch import EPSILON, deriv_at
 from .solver import IVP, StepPlan, integrate
-from .svgplot import Series, line_plot
+from .svgplot import DEFAULT_HEIGHT, DEFAULT_WIDTH, Series, line_plot
 
 
 def _fmt(x: float) -> str:
@@ -32,10 +32,7 @@ class SpecFileError(Exception):
         self.line = line
 
 
-_SPEC_SCALARS = ("t0", "t_end", "h")
-
-
-def load_spec_file(path: str) -> tuple[IVP, StepPlan, str, list[expr.Expr]]:
+def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     """Parse a line-oriented "key = value" IVP description.
 
     Required keys: dim, rhs_1 .. rhs_dim, t0, y0, t_end, h, method.  Each
@@ -97,6 +94,8 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str, list[expr.Expr]]:
     h, h_line = take_float("h")
     if not h > 0:
         raise SpecFileError("h must be positive", h_line)
+    if not math.isfinite(h):
+        raise SpecFileError(f"h must be finite, got {h!r}", h_line)
 
     value, lineno = take("y0")
     try:
@@ -121,7 +120,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str, list[expr.Expr]]:
         env["t"] = t
         return [expr.evaluate(tree, env) for tree in rhs_exprs]
 
-    return IVP(dim, rhs, t0, y0), StepPlan(h, t_end), method, rhs_exprs
+    return IVP(dim, rhs, t0, y0), StepPlan(h, t_end), method
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -148,7 +147,7 @@ def _parse_components(text: str | None, dim: int) -> list[int]:
 # Subcommand handlers
 
 def cmd_solve(args) -> int:
-    ivp, plan, method, _ = load_spec_file(args.spec)
+    ivp, plan, method = load_spec_file(args.spec)
     traj = integrate(ivp, plan, method)
     _write_text(args.out, traj.to_csv())
     if args.svg:
@@ -311,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--svg", help="also write a static SVG line plot to this path")
     p.add_argument("--components", help="1-based components to plot, e.g. 1,3")
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=480)
+    p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
+    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("deriv", help="exact derivative of a rational expression")
@@ -325,15 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="exp, sin, cos, sn, cn, dn or invgd")
     p.add_argument("x", type=float)
     p.add_argument("--k", type=float, default=0.5, help="elliptic modulus for sn/cn/dn")
-    p.add_argument("--method", choices=("euler", "rk4"), default=None)
-    p.add_argument("--h", type=float, default=None, help="step size")
+    p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
+    p.add_argument("--h", type=float, default=functions.DEFAULT_H, help="step size")
     p.add_argument("--out", help="write the CSV trajectory here")
     p.set_defaults(handler=cmd_fn)
 
     p = sub.add_parser("table", help="generate the 24-entry R-sine table as CSV")
     p.add_argument("--radius", type=float, default=tables.DEFAULT_RADIUS)
     p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
-    p.add_argument("--h", type=float, default=1e-5, help="step size, radians")
+    p.add_argument("--h", type=float, default=tables.DEFAULT_H, help="step size, radians")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(handler=cmd_table)
 
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discard", type=_option_type(float, positive=True), default=None,
                    help="discard threshold; sum until the next term is below it")
     p.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--max-terms", type=_option_type(int, positive=True), default=10**8)
+    p.add_argument("--max-terms", type=_option_type(int, positive=True), default=series.DEFAULT_MAX_TERMS)
     p.set_defaults(handler=cmd_pi)
 
     p = sub.add_parser("pendulum", help="pendulum period versus amplitude")
@@ -353,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=float, default=1.0, help="length, meters")
     p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
     p.add_argument("--method", choices=("ode", "elliptic"), default="elliptic")
-    p.add_argument("--h", type=float, default=1e-4, help="step size for the ode method")
+    p.add_argument("--h", type=float, default=applications.PENDULUM_H,
+                   help="step size for the ode method")
     p.add_argument("--sweep", action="store_true",
                    help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0")
     p.add_argument("--sweep-points", type=int, default=20)
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", type=float, required=True, help="launch speed, m/s")
     p.add_argument("--alpha", type=float, required=True, help="launch angle, degrees")
     p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
-    p.add_argument("--h", type=float, default=1e-3, help="step size, seconds")
+    p.add_argument("--h", type=float, default=applications.BALLISTICS_H, help="step size, seconds")
     p.add_argument("--out", help="write the CSV trajectory here")
     p.set_defaults(handler=cmd_ballistics)
 
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lat2", type=float, required=True, help="degrees")
     p.add_argument("--lon2", type=float, required=True, help="degrees")
     p.add_argument("--radius", type=float, default=applications.EARTH_RADIUS)
-    p.add_argument("--h", type=float, default=1e-4,
+    p.add_argument("--h", type=float, default=applications.MERIDIONAL_H,
                    help="step size for the meridional-parts integration")
     p.set_defaults(handler=cmd_lox)
 
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True, help="modulus in [0, 1)")
     p.add_argument("--phi", type=float, default=None,
                    help="amplitude in [0, pi/2]; omit for the complete integral")
-    p.add_argument("--h", type=float, default=1e-5)
+    p.add_argument("--h", type=float, default=applications.ELLIPTIC_H)
     p.set_defaults(handler=cmd_ellipk)
 
     p = sub.add_parser("rectify", help="polyline length of a parametric curve")

@@ -8,18 +8,19 @@ Grammar, precedence low to high:
     power           ::= atom ("^" unary)?        # right-associative
     atom            ::= NUMBER | IDENT | IDENT "(" additive ")" | "(" additive ")"
 
-Unary minus binds looser than "^", so ``-3^2`` is ``-(3^2)``.  Identifiers
-are ASCII letters followed by letters, digits or underscores.  Built-in
-calls are ``sin cos tan exp ln sqrt abs``, all unary.
+Unary minus binds looser than "^", so ``-3^2`` is ``-(3^2)``.  Numbers are
+ASCII digits; identifiers are ASCII letters followed by ASCII letters,
+digits or underscores.  Built-in calls are ``sin cos tan exp ln sqrt abs``,
+all unary.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .nonarch import RatFunc
 
@@ -48,16 +49,9 @@ class NotRationalError(ExprError):
 # ---------------------------------------------------------------------------
 # Tokens
 
-_SINGLE = {
-    "+": "plus",
-    "-": "minus",
-    "*": "star",
-    "/": "slash",
-    "^": "caret",
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-}
+# Operator and punctuation tokens take their character as their kind.
+_SINGLE = "+-*/^(),"
+_IDENT_CHARS = string.ascii_letters + string.digits + "_"
 
 
 @dataclass(frozen=True)
@@ -77,31 +71,31 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             continue
         if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, i))
+            tokens.append(Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in string.digits:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in string.digits:
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in string.digits:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in string.digits:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in string.digits:
                         j += 1
             tokens.append(Token("number", source[i:j], i))
             i = j
             continue
-        if ch.isalpha():
+        if ch in string.ascii_letters:
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in _IDENT_CHARS:
                 j += 1
             tokens.append(Token("identifier", source[i:j], i))
             i = j
@@ -196,23 +190,23 @@ class _Parser:
 
     def parse_additive(self) -> Expr:
         node = self.parse_multiplicative()
-        while self.peek().kind in ("plus", "minus"):
+        while self.peek().kind in ("+", "-"):
             tok = self.advance()
             rhs = self.parse_multiplicative()
-            node = BinOp("+" if tok.kind == "plus" else "-", node, rhs, tok.pos)
+            node = BinOp(tok.kind, node, rhs, tok.pos)
         return node
 
     def parse_multiplicative(self) -> Expr:
         node = self.parse_unary()
-        while self.peek().kind in ("star", "slash"):
+        while self.peek().kind in ("*", "/"):
             tok = self.advance()
             rhs = self.parse_unary()
-            node = BinOp("*" if tok.kind == "star" else "/", node, rhs, tok.pos)
+            node = BinOp(tok.kind, node, rhs, tok.pos)
         return node
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "minus":
+        if tok.kind == "-":
             self.advance()
             return Neg(self.parse_unary(), tok.pos)
         return self.parse_power()
@@ -220,7 +214,7 @@ class _Parser:
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         tok = self.peek()
-        if tok.kind == "caret":
+        if tok.kind == "^":
             self.advance()
             exponent = self.parse_unary()
             return BinOp("^", base, exponent, tok.pos)
@@ -233,13 +227,13 @@ class _Parser:
             return Num(float(tok.text), tok.text, tok.pos)
         if tok.kind == "identifier":
             self.advance()
-            if self.peek().kind == "lparen":
+            if self.peek().kind == "(":
                 self.advance()
                 args = [self.parse_additive()]
-                while self.peek().kind == "comma":
+                while self.peek().kind == ",":
                     self.advance()
                     args.append(self.parse_additive())
-                self.expect("rparen", "')'")
+                self.expect(")", "')'")
                 if tok.text not in BUILTINS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
                 if len(args) != 1:
@@ -248,10 +242,10 @@ class _Parser:
                     )
                 return Call(tok.text, args[0], tok.pos)
             return Var(tok.text, tok.pos)
-        if tok.kind == "lparen":
+        if tok.kind == "(":
             self.advance()
             node = self.parse_additive()
-            self.expect("rparen", "')'")
+            self.expect(")", "')'")
             return node
         got = tok.text or "end of input"
         raise ExprSyntaxError(f"expected a number, name or '(', found {got!r}", tok.pos)
@@ -310,13 +304,6 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _exact_literal(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(Decimal(text))
-
-
 def evaluate_exact(expr: Expr, env: Mapping[str, RatFunc]) -> RatFunc:
     """Evaluate over the exact rational-function field.
 
@@ -324,7 +311,7 @@ def evaluate_exact(expr: Expr, env: Mapping[str, RatFunc]) -> RatFunc:
     :class:`NotRationalError`, and exponents must be constant integers.
     """
     if isinstance(expr, Num):
-        return RatFunc.from_fraction(_exact_literal(expr.text))
+        return RatFunc.from_fraction(Fraction(expr.text))
     if isinstance(expr, Var):
         try:
             return env[expr.name]

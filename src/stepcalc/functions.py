@@ -14,6 +14,8 @@ from typing import Callable
 
 from .solver import IVP, StepPlan, Trajectory, integrate, integrate_final
 
+DEFAULT_H = 1e-3  # step size of every ODE-defined function
+
 
 @dataclass(frozen=True)
 class OdeFunction:
@@ -22,8 +24,6 @@ class OdeFunction:
     name: str
     ivp: IVP
     output: int
-    default_method: str = "rk4"
-    default_h: float = 1e-3
     domain: Callable[[float], bool] | None = None
     domain_message: str = ""
 
@@ -31,18 +31,17 @@ class OdeFunction:
         if self.domain is not None and not self.domain(x):
             raise ValueError(f"{self.name}: {self.domain_message or 'argument outside domain'}: {x!r}")
 
-    def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
+    def __call__(self, x: float, method: str = "rk4", h: float = DEFAULT_H) -> float:
         self._check(x)
-        plan = StepPlan(self.default_h if h is None else h, x)
+        plan = StepPlan(h, x)
         if x == self.ivp.t0:
             return self.ivp.y0[self.output]
-        _, state = integrate_final(self.ivp, plan, self.default_method if method is None else method)
+        _, state = integrate_final(self.ivp, plan, method)
         return state[self.output]
 
-    def trajectory(self, x: float, method: str | None = None, h: float | None = None) -> Trajectory:
+    def trajectory(self, x: float, method: str = "rk4", h: float = DEFAULT_H) -> Trajectory:
         self._check(x)
-        plan = StepPlan(self.default_h if h is None else h, x)
-        return integrate(self.ivp, plan, self.default_method if method is None else method)
+        return integrate(self.ivp, StepPlan(h, x), method)
 
 
 def make_exp() -> OdeFunction:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+DEFAULT_MAX_TERMS = 10**8  # cap on the terms a discard policy sums
+
 
 class AlternationError(ValueError):
     """The series violated its asserted alternating/shrinking structure."""
@@ -33,7 +35,7 @@ class DiscardPolicy:
 
     mode: str  # "absolute" or "relative"
     threshold: float
-    max_terms: int = 10**8
+    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
         if self.mode not in ("absolute", "relative"):

@@ -6,12 +6,12 @@ grid from ``t0`` toward ``t_end``; the final step is shortened so the last
 node lands on ``t_end`` bit-exactly.  Backward integration (``t_end < t0``)
 uses the same machinery with a negated step.
 
-Failures: ``IVP`` and ``StepPlan`` reject non-finite times and states and a
-step size that is not positive with ``ValueError``.  During integration, an
-``ArithmeticError`` or ``ValueError`` from the right-hand side (expression
-errors included), a right-hand side of the wrong length, and a non-finite
-final state each raise ``IntegrationError``; any other exception propagates
-unchanged.
+Failures: ``IVP`` and ``StepPlan`` reject non-finite times, states and step
+sizes and a step size that is not positive with ``ValueError``.  During
+integration, an ``ArithmeticError`` or ``ValueError`` from the right-hand
+side (expression errors included), a right-hand side of the wrong length,
+and a non-finite final state each raise ``IntegrationError``; any other
+exception propagates unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from typing import Callable, Sequence
 
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
+
+CROSSING_TOL = 1e-10  # zero-crossing bisection stops at this width in t
+CROSSING_MAX_ITER = 60  # or after this many bisections
 
 
 class IntegrationError(RuntimeError):
@@ -66,6 +69,8 @@ class StepPlan:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("step size h must be positive")
+        if not math.isfinite(self.h):
+            raise ValueError(f"step size h must be finite, got {self.h!r}")
         if not math.isfinite(self.t_end):
             raise ValueError(f"end time t_end must be finite, got {self.t_end!r}")
 
@@ -153,17 +158,14 @@ def find_zero_crossings(
     traj: Trajectory,
     component: int,
     ivp: IVP,
-    method: str = "rk4",
     h: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> list[float]:
     """Refined times where a state component crosses zero.
 
     A node holding an exact zero counts as one crossing (it terminates the
     previous sign run); sign changes between adjacent nodes are refined by
-    bisection on re-integration from the bracketing node, to ``tol`` in t or
-    ``max_iter`` bisections, whichever comes first.
+    bisection on RK4 re-integration from the bracketing node, to
+    ``CROSSING_TOL`` in t or ``CROSSING_MAX_ITER`` bisections.
     """
     if not 0 <= component < traj.dim:
         raise ValueError(f"component {component} out of range for dim {traj.dim}")
@@ -180,9 +182,8 @@ def find_zero_crossings(
             continue
         crossings.append(
             _refine_crossing(
-                ivp, method, h, component,
-                traj.times[i], traj.states[i], traj.times[i + 1],
-                a, tol, max_iter,
+                ivp, h, component,
+                traj.times[i], traj.states[i], traj.times[i + 1], a,
             )
         )
     if values and values[-1] == 0.0:
@@ -192,25 +193,22 @@ def find_zero_crossings(
 
 def _refine_crossing(
     ivp: IVP,
-    method: str,
     h: float,
     component: int,
     t_lo: float,
     y_lo: Vector,
     t_hi: float,
     f_lo: float,
-    tol: float,
-    max_iter: int,
 ) -> float:
     local = IVP(ivp.dim, ivp.rhs, t_lo, y_lo)
     lo, hi = t_lo, t_hi
     lo_negative = f_lo < 0.0
-    for _ in range(max_iter):
-        if abs(hi - lo) <= tol:
+    for _ in range(CROSSING_MAX_ITER):
+        if abs(hi - lo) <= CROSSING_TOL:
             break
         mid = 0.5 * (lo + hi)
         step = min(h, abs(mid - t_lo)) or h
-        value = integrate_final(local, StepPlan(step, mid), method)[1][component]
+        value = integrate_final(local, StepPlan(step, mid))[1][component]
         if value == 0.0:
             return mid
         if (value < 0.0) == lo_negative:

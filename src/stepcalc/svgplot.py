@@ -15,6 +15,8 @@ _MARGIN_RIGHT = 20
 _MARGIN_TOP = 20
 _MARGIN_BOTTOM = 45
 _TICKS = 5
+DEFAULT_WIDTH = 640
+DEFAULT_HEIGHT = 480
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ def _bounds(values) -> tuple[float, float]:
     return lo, hi
 
 
-def line_plot(series: Sequence[Series], width: int = 640, height: int = 480,
-              x_label: str = "t") -> str:
+def line_plot(series: Sequence[Series], width: int = DEFAULT_WIDTH,
+              height: int = DEFAULT_HEIGHT) -> str:
     """Render series as an SVG 1.1 document string."""
     if not series:
         raise ValueError("at least one series is required")
@@ -84,7 +86,7 @@ def line_plot(series: Sequence[Series], width: int = 640, height: int = 480,
         )
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 8}" font-size="12" '
-        f'text-anchor="middle">{x_label}</text>'
+        'text-anchor="middle">t</text>'
     )
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]

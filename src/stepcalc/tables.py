@@ -23,6 +23,7 @@ ENTRY_COUNT = 24
 
 #: Historical radius anchor.
 DEFAULT_RADIUS = 1e7
+DEFAULT_H = 1e-5  # integration step, radians
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class SineTable:
 
 
 def generate_sine_table(
-    radius: float = DEFAULT_RADIUS, method: str = "rk4", h: float = 1e-5
+    radius: float = DEFAULT_RADIUS, method: str = "rk4", h: float = DEFAULT_H
 ) -> SineTable:
     """Tabulate R*sin by one pass of ODE integration across the quadrant.
 
@@ -81,6 +82,8 @@ def generate_sine_table(
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius!r}")
     t = 0.0
     state = (0.0, 1.0)
     values = []

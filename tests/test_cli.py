@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import oracles
-from stepcalc.cli import main
+from stepcalc import applications, functions, series, svgplot, tables
+from stepcalc.cli import build_parser, main
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
 
 EXP_SPEC = """\
@@ -268,12 +269,23 @@ class TestErrorContract:
     def test_failures_are_one_stderr_line(self, capsys, tmp_path):
         nan_spec = tmp_path / "nan.ivp"
         nan_spec.write_text(EXP_SPEC.replace("y0 = 1", "y0 = nan"))
+        inf_h_spec = tmp_path / "inf_h.ivp"
+        inf_h_spec.write_text(EXP_SPEC.replace("h = 0.001", "h = inf"))
+        curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
         cases = [
             (1, ("fn", "exp", "nan")),
             (1, ("fn", "exp", "inf")),
             (1, ("fn", "exp", "1000", "--h", "0.1")),  # overflows to inf
             (1, ("fn", "exp", "0.5", "--h", "0")),
             (1, ("solve", str(nan_spec))),
+            (1, ("ellipk", "--k", "0.5", "--h", "inf")),
+            (1, ("fn", "exp", "1", "--h", "inf")),
+            (1, ("table", "--radius", "inf")),
+            (1, ("rectify", "--x-expr", "1e308*t", *curve)),  # overflows to nan
+            (1, ("rectify", "--x-expr", "1e999", *curve)),
+            (2, ("solve", str(inf_h_spec))),
+            (2, ("deriv", "²", "--at", "1")),
+            (2, ("deriv", "x²", "--at", "1")),
             (2, ("pi", "--terms", "0")),
             (2, ("frobnicate",)),
         ]
@@ -281,3 +293,25 @@ class TestErrorContract:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (expected, ""), argv
             assert err.startswith("stepcalc") and err.count("\n") == 1, argv
+        assert f"{inf_h_spec}:7:" in run(capsys, "solve", str(inf_h_spec))[2]
+        assert "unexpected character" in run(capsys, "deriv", "x²", "--at", "1")[2]
+
+
+class TestDefaults:
+    def test_cli_defaults_are_the_library_constants(self):
+        parser = build_parser()
+        expected = [
+            (("solve", "x.ivp"), {"width": svgplot.DEFAULT_WIDTH, "height": svgplot.DEFAULT_HEIGHT}),
+            (("fn", "exp", "1"), {"h": functions.DEFAULT_H}),
+            (("table",), {"h": tables.DEFAULT_H}),
+            (("pi",), {"max_terms": series.DEFAULT_MAX_TERMS}),
+            (("pendulum", "--theta0", "1"), {"h": applications.PENDULUM_H}),
+            (("ballistics", "--mass", "1", "--v0", "1", "--alpha", "1"),
+             {"h": applications.BALLISTICS_H}),
+            (("lox", "--lat1", "0", "--lon1", "0", "--lat2", "1", "--lon2", "1"),
+             {"h": applications.MERIDIONAL_H}),
+            (("ellipk", "--k", "0.5"), {"h": applications.ELLIPTIC_H}),
+        ]
+        for argv, defaults in expected:
+            args = vars(parser.parse_args(argv))
+            assert {key: args[key] for key in defaults} == defaults, argv

@@ -5,6 +5,7 @@ import pytest
 from stepcalc.expr import (
     BinOp,
     Call,
+    ExprError,
     ExprEvalError,
     ExprSyntaxError,
     Neg,
@@ -77,7 +78,7 @@ class TestParseAndEvaluate:
 class TestErrorPositions:
     @pytest.mark.parametrize(
         "source",
-        ["2*+3", "2**3", "(1+2", "1+", "sin 3", "3..5", "1 @ 2", "2 3"],
+        ["2*+3", "2**3", "(1+2", "1+", "sin 3", "3..5", "1 @ 2", "2 3", "x\u00b2", "\u0663"],
     )
     def test_rejected_with_meaningful_position(self, source):
         with pytest.raises(ExprSyntaxError) as err:
@@ -148,6 +149,22 @@ class TestRoundTrip:
                 continue
             assert evaluate(parse(to_source(tree)), env) == want
             assert evaluate(parse(paren(tree)), env) == want
+
+
+class TestFuzz:
+    # ASCII pieces plus a superscript two, an Arabic-Indic three and an e-acute
+    PIECES = list("0123456789.eE+-*/^(), xyt") + ["sin(", "sqrt(", "ln(", "\u00b2", "\u0663", "\u00e9"]
+
+    def test_only_expression_errors_escape(self):
+        rng = random.Random(20261018)
+        env = {"x": 0.7, "y": -1.3, "t": 2.0}
+        for _ in range(2000):
+            source = "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 14)))[:14]
+            try:
+                # float evaluation only: an exact power such as 9^99^9 has no bounded cost
+                evaluate(parse(source), env)
+            except ExprError:
+                pass
 
 
 class TestExactEvaluation:

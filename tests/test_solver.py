@@ -132,6 +132,8 @@ class TestErrors:
                 IVP(2, EXP_IVP.rhs, 0.0, (1.0, bad))
             with pytest.raises(ValueError, match="t_end"):
                 StepPlan(0.1, bad)
+            with pytest.raises(ValueError, match="step size h"):
+                StepPlan(bad, 1.0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

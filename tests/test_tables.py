@@ -57,8 +57,9 @@ class TestGeneration:
             assert abs(a - b) < 1e-4
 
     def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            generate_sine_table(0.0)
+        for radius in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                generate_sine_table(radius)
 
     def test_csv_shape(self, table):
         lines = table.to_csv().strip().split("\n")
