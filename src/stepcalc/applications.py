@@ -19,9 +19,13 @@ EARTH_RADIUS = 6371000.0
 
 #: Default step sizes, read by the library and by the CLI.
 PENDULUM_H = 1e-4
-ELLIPTIC_H = 1e-5
 BALLISTICS_H = 1e-3
 MERIDIONAL_H = 1e-4
+
+#: Step doubling of elliptic_F: relative agreement of two passes, and the
+#: step budget of all passes together.
+ELLIPTIC_TOL = 1e-12
+ELLIPTIC_MAX_STEPS = 2**18
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,12 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     The angular velocity starts at zero (release from rest) and vanishes
     again at each turning point, one half-period apart; the period is twice
     the gap between the first two turning points after release.  The
-    integration window is widened until both are seen.
+    integration window ends two steps past an upper bound on the period, so
+    that both are bracketed by grid nodes, and is widened until both are
+    seen (a coarse ``h`` can move them).
     """
     ivp = pendulum_ivp(spec)
-    t_end = 3.0 * spec.small_angle_period()
+    t_end = _pendulum_period_bound(spec) + 2.0 * h
     for _ in range(8):
         traj = integrate(ivp, StepPlan(h, t_end))
         crossings = [t for t in find_zero_crossings(traj, 1, ivp, h=h) if t > ivp.t0]
@@ -107,11 +113,30 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     raise RuntimeError(f"no turning points found up to t={t_end}; amplitude {spec.theta0}")
 
 
-def elliptic_F(phi: float, k: float, h: float = ELLIPTIC_H) -> float:
+def _pendulum_period_bound(spec: PendulumSpec) -> float:
+    """An upper bound on the period, from T = T0 / AGM(1, k'), k' = cos(theta0/2).
+
+    Every geometric mean b of the AGM iteration is at most the AGM, so T0/b
+    bounds T: b = sqrt(k') gives T0/sqrt(k'), one step more gives 1.646 T0
+    at theta0 = 2.5, where T = 1.643 T0.  Iterating until the two means agree
+    to 0.1 % keeps the overshoot below that, also near theta0 = pi.
+    """
+    a, b = 1.0, math.cos(spec.theta0 / 2.0)
+    while a - b > 1e-3 * b:
+        a, b = (a + b) / 2.0, math.sqrt(a * b)
+    return spec.small_angle_period() / b
+
+
+def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
     """Incomplete elliptic integral of the first kind, by direct quadrature.
 
     The integrand 1/sqrt(1 - k^2 sin^2 t) is integrated as an ODE from 0 to
-    phi; no transformation tricks on the product path.
+    phi by RK4 (composite Simpson here) in equal steps; no transformation
+    tricks on the product path.  With ``h``, one pass of ceil(phi/h) steps.
+    Without, the step count doubles from 8 until two passes agree to
+    ``ELLIPTIC_TOL``, or raises ``ArithmeticError`` past
+    ``ELLIPTIC_MAX_STEPS`` (k near 1).  The complete integral converges
+    geometrically, its integrand being even and pi-periodic.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus k must lie in [0, 1), got {k!r}")
@@ -125,10 +150,24 @@ def elliptic_F(phi: float, k: float, h: float = ELLIPTIC_H) -> float:
         return (1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2),)
 
     ivp = IVP(1, rhs, 0.0, (0.0,))
-    return integrate_final(ivp, StepPlan(h, phi))[1][0]
+    if h is not None:
+        return integrate_final(ivp, StepPlan.divided(0.0, phi, h))[1][0]
+    n, used = 8, 8
+    previous = integrate_final(ivp, StepPlan(phi / n, phi, n))[1][0]
+    while used + 2 * n <= ELLIPTIC_MAX_STEPS:
+        n *= 2
+        used += n
+        value = integrate_final(ivp, StepPlan(phi / n, phi, n))[1][0]
+        if abs(value - previous) <= ELLIPTIC_TOL * abs(value):
+            return value
+        previous = value
+    raise ArithmeticError(
+        f"elliptic integral at k={k!r} did not converge to {ELLIPTIC_TOL:g} "
+        f"within {ELLIPTIC_MAX_STEPS} steps"
+    )
 
 
-def elliptic_K(k: float, h: float = ELLIPTIC_H) -> float:
+def elliptic_K(k: float, h: float | None = None) -> float:
     """Complete elliptic integral of the first kind."""
     return elliptic_F(math.pi / 2, k, h)
 

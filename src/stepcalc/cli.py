@@ -61,9 +61,12 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     def take_float(key: str) -> tuple[float, int]:
         value, lineno = take(key)
         try:
-            return float(value), lineno
+            number = float(value)
         except ValueError:
             raise SpecFileError(f"{key}: not a number: {value!r}", lineno) from None
+        if not math.isfinite(number):
+            raise SpecFileError(f"{key} must be finite, got {number!r}", lineno)
+        return number, lineno
 
     value, lineno = take("dim")
     try:
@@ -94,8 +97,6 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     h, h_line = take_float("h")
     if not h > 0:
         raise SpecFileError("h must be positive", h_line)
-    if not math.isfinite(h):
-        raise SpecFileError(f"h must be finite, got {h!r}", h_line)
 
     value, lineno = take("y0")
     try:
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fn", help="evaluate an ODE-defined function")
     p.add_argument("name", help="exp, sin, cos, sn, cn, dn or invgd")
     p.add_argument("x", type=float)
-    p.add_argument("--k", type=float, default=0.5, help="elliptic modulus for sn/cn/dn")
+    p.add_argument("--k", type=float, default=functions.DEFAULT_K, help="elliptic modulus for sn/cn/dn")
     p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
     p.add_argument("--h", type=float, default=functions.DEFAULT_H, help="step size")
     p.add_argument("--out", help="write the CSV trajectory here")
@@ -384,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True, help="modulus in [0, 1)")
     p.add_argument("--phi", type=float, default=None,
                    help="amplitude in [0, pi/2]; omit for the complete integral")
-    p.add_argument("--h", type=float, default=applications.ELLIPTIC_H)
+    p.add_argument("--h", type=float, default=None,
+                   help="one pass of equal steps of at most this size; by default the step "
+                        f"count doubles until two passes agree to {applications.ELLIPTIC_TOL:g}")
     p.set_defaults(handler=cmd_ellipk)
 
     p = sub.add_parser("rectify", help="polyline length of a parametric curve")

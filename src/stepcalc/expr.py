@@ -9,9 +9,11 @@ Grammar, precedence low to high:
     atom            ::= NUMBER | IDENT | IDENT "(" additive ")" | "(" additive ")"
 
 Unary minus binds looser than "^", so ``-3^2`` is ``-(3^2)``.  Numbers are
-ASCII digits; identifiers are ASCII letters followed by ASCII letters,
-digits or underscores.  Built-in calls are ``sin cos tan exp ln sqrt abs``,
-all unary.
+ASCII digits and must be finite doubles (``1e999`` is a syntax error);
+identifiers are ASCII letters followed by ASCII letters, digits or
+underscores.  Built-in calls are ``sin cos tan exp ln sqrt abs``, all unary.
+Parentheses, calls, unary minus and exponents nest at most ``MAX_DEPTH``
+levels deep.
 """
 
 from __future__ import annotations
@@ -168,10 +170,14 @@ BUILTINS = {
 }
 
 
+MAX_DEPTH = 100  # nesting levels; keeps the recursive parser and walkers off Python's stack limit
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -205,11 +211,18 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Expr:
+        # every nesting (parentheses, call, unary minus, exponent) passes here
         tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", tok.pos)
         if tok.kind == "-":
             self.advance()
-            return Neg(self.parse_unary(), tok.pos)
-        return self.parse_power()
+            node = Neg(self.parse_unary(), tok.pos)
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -224,7 +237,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text), tok.text, tok.pos)
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {tok.text!r} overflows a double", tok.pos)
+            return Num(value, tok.text, tok.pos)
         if tok.kind == "identifier":
             self.advance()
             if self.peek().kind == "(":

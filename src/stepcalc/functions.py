@@ -15,6 +15,7 @@ from typing import Callable
 from .solver import IVP, StepPlan, Trajectory, integrate, integrate_final
 
 DEFAULT_H = 1e-3  # step size of every ODE-defined function
+DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def make_inv_gudermannian() -> OdeFunction:
     )
 
 
-def by_name(name: str, k: float = 0.5) -> OdeFunction:
+def by_name(name: str, k: float = DEFAULT_K) -> OdeFunction:
     """Look up an ODE-defined function for the CLI; ``k`` applies to sn/cn/dn."""
     if name == "exp":
         return make_exp()

@@ -3,11 +3,16 @@
 Two methods: the plain first-order step-by-step recurrence (Euler) and the
 classical fourth-order Runge-Kutta update.  Steps are laid out on a uniform
 grid from ``t0`` toward ``t_end``; the final step is shortened so the last
-node lands on ``t_end`` bit-exactly.  Backward integration (``t_end < t0``)
+node lands on ``t_end`` bit-exactly.  A plan with a step count instead
+divides the span into that many equal steps (``StepPlan.divided``); the
+fixed-interval quadratures use it, because for a periodic integrand the
+equal-division grid converges geometrically where a shortened last step
+falls back to the method's order.  Backward integration (``t_end < t0``)
 uses the same machinery with a negated step.
 
 Failures: ``IVP`` and ``StepPlan`` reject non-finite times, states and step
-sizes and a step size that is not positive with ``ValueError``.  During
+sizes and a step size that is not positive with ``ValueError``, and so does
+``integrate`` for a plan of more than ``MAX_STEPS`` steps.  During
 integration, an ``ArithmeticError`` or ``ValueError`` from the right-hand
 side (expression errors included), a right-hand side of the wrong length,
 and a non-finite final state each raise ``IntegrationError``; any other
@@ -25,6 +30,7 @@ RHS = Callable[[float, Sequence[float]], Sequence[float]]
 
 CROSSING_TOL = 1e-10  # zero-crossing bisection stops at this width in t
 CROSSING_MAX_ITER = 60  # or after this many bisections
+MAX_STEPS = 10**7  # step budget of one integration run
 
 
 class IntegrationError(RuntimeError):
@@ -61,10 +67,16 @@ class IVP:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Step size and target time for one integration run."""
+    """Step size and target time for one integration run.
+
+    Without ``steps``, steps of ``h`` run from t0 and the last one is
+    shortened to land on ``t_end``.  With ``steps``, the span is divided
+    into that many equal steps, and ``h`` is their size.
+    """
 
     h: float
     t_end: float
+    steps: int | None = None
 
     def __post_init__(self):
         if not self.h > 0:
@@ -73,6 +85,24 @@ class StepPlan:
             raise ValueError(f"step size h must be finite, got {self.h!r}")
         if not math.isfinite(self.t_end):
             raise ValueError(f"end time t_end must be finite, got {self.t_end!r}")
+        if self.steps is not None and not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"step count must lie in [1, {MAX_STEPS}], got {self.steps!r}")
+
+    @classmethod
+    def divided(cls, t0: float, t_end: float, h: float) -> "StepPlan":
+        """Equal steps over [t0, t_end], as many as steps of at most ``h`` need."""
+        cls(h, t_end)  # rejects a bad h or t_end before it is used
+        span = abs(t_end - t0)
+        n = _step_count(span, h)
+        return cls(span / n, t_end, n)
+
+
+def _step_count(span: float, h: float) -> int:
+    """Steps of at most ``h`` that cover ``span``; at least one, at most
+    ``MAX_STEPS``."""
+    if span / h > MAX_STEPS:
+        raise ValueError(f"step size h={h!r} needs more than {MAX_STEPS} steps over a span of {span!r}")
+    return max(1, math.ceil(span / h))
 
 
 @dataclass(frozen=True)
@@ -102,7 +132,7 @@ class Trajectory:
 
 
 def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True) -> Trajectory:
-    """Integrate from t0 to t_end on a uniform grid.
+    """Integrate from t0 to t_end on the plan's grid.
 
     With ``record=False`` only the first and last nodes are kept (streaming
     mode for long integrations).
@@ -115,8 +145,12 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     if t_end == t0:
         return Trajectory((t0,), (y,))
     span = t_end - t0
-    n = max(1, math.ceil(abs(span) / plan.h))
-    hs = math.copysign(plan.h, span)
+    if plan.steps is None:
+        n = _step_count(abs(span), plan.h)
+        hs = math.copysign(plan.h, span)
+    else:
+        n = plan.steps
+        hs = span / n
     times = [t0]
     states = [y]
     try:

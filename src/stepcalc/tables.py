@@ -23,7 +23,9 @@ ENTRY_COUNT = 24
 
 #: Historical radius anchor.
 DEFAULT_RADIUS = 1e7
-DEFAULT_H = 1e-5  # integration step, radians
+#: Integration step, radians: the largest h of 1, 1.25, 1.5, 2, 2.5, 5 x 10^-3
+#: whose table stays within 1e-14 relative of R*sin (8.7e-15; 1.25e-3 gives 2.0e-14).
+DEFAULT_H = 1e-3
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,9 @@ def generate_sine_table(
 ) -> SineTable:
     """Tabulate R*sin by one pass of ODE integration across the quadrant.
 
-    The integration is segmented at the 24 grid angles so every sample lands
-    on its node exactly; the state carries over between segments.
+    The integration is segmented at the 24 grid angles, each segment in
+    equal steps of at most ``h``, so every sample lands on its node exactly;
+    the state carries over between segments.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -90,7 +93,7 @@ def generate_sine_table(
     for k in range(1, ENTRY_COUNT + 1):
         target = k * math.pi / 48.0  # k * 225 arcmin in radians
         ivp = IVP(2, circle_rhs, t, state)
-        t, state = integrate_final(ivp, StepPlan(h, target), method)
+        t, state = integrate_final(ivp, StepPlan.divided(t, target, h), method)
         values.append(radius * state[0])
     return SineTable(radius, tuple(values))
 

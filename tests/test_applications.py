@@ -3,7 +3,9 @@ import math
 import pytest
 
 import oracles
+from stepcalc import applications, solver
 from stepcalc.applications import (
+    PENDULUM_H,
     BallisticsSpec,
     GeoPoint,
     PendulumSpec,
@@ -21,6 +23,20 @@ from stepcalc.applications import (
     unit_circle,
     vacuum_range,
 )
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """The plan of every solver.integrate call, recorded by a wrapper."""
+    seen = []
+    integrate = solver.integrate
+
+    def recording(ivp, plan, *args, **kwargs):
+        seen.append(plan)
+        return integrate(ivp, plan, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "integrate", recording)
+    return seen
 
 
 class TestPendulum:
@@ -51,6 +67,26 @@ class TestPendulum:
         assert abs(ratio - expected) < 5e-5  # 4 significant figures
         assert f"{ratio:.4f}" == "1.1803"
 
+    def test_ode_period_bits_unchanged_by_the_window(self):
+        # values of the fixed 3*T0 window that was widened by doubling; the
+        # window now ends just past an upper bound on the period, and the
+        # grid nodes before its end are the same
+        cases = [
+            (0.25, PENDULUM_H, "2.0142750083923335"),
+            (1.0, PENDULUM_H, "2.139502939414978"),
+            (2.5, PENDULUM_H, "3.29649515171051"),
+            (3.1, 1e-2, "6.718452346920968"),  # beyond 3*T0
+        ]
+        for theta0, h, expected in cases:
+            assert repr(pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)) == expected
+
+    def test_window_bound_is_a_tight_upper_bound(self):
+        for theta0 in (1e-3, 0.5, 2.5, 3.0, 3.14159, math.pi - 1e-12):
+            spec = PendulumSpec(1.0, theta0=theta0)
+            period = spec.small_angle_period() / oracles.agm(1.0, math.cos(theta0 / 2.0))
+            bound = applications._pendulum_period_bound(spec)
+            assert period <= bound <= 1.001 * period, theta0
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PendulumSpec(0.0)
@@ -68,6 +104,20 @@ class TestEllipticIntegrals:
 
     def test_against_agm_oracle(self):
         assert abs(elliptic_K(0.8) - oracles.elliptic_K_agm(0.8)) < 1e-8
+
+    def test_default_doubling_against_agm_with_few_steps(self, plans):
+        old_steps = 157080  # one pass at the former default h = 1e-5
+        for k in (0.0, 0.5, 0.8, 0.95, 0.98, 0.9975, 0.999, 0.9999):
+            plans.clear()
+            assert abs(elliptic_K(k) - oracles.elliptic_K_agm(k)) <= 1e-13, k
+            steps = [p.steps for p in plans]
+            assert steps == [8 * 2**i for i in range(len(steps))], k
+            assert sum(steps) <= old_steps / (100 if k <= 0.98 else 10), k
+
+    def test_explicit_step_is_one_equal_division_pass(self, plans):
+        value = elliptic_F(1.0, 0.5, h=0.3)
+        assert [(p.steps, p.h, p.t_end) for p in plans] == [(4, 0.25, 1.0)]
+        assert abs(value - elliptic_F(1.0, 0.5)) < 1e-4
 
     def test_domain(self):
         with pytest.raises(ValueError):

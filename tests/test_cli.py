@@ -193,6 +193,11 @@ class TestPendulum:
         ratio = float(lines[-1].split(",")[2])
         assert f"{ratio:.4f}" == "1.1803"
 
+    def test_sweep_under_one_second(self, capsys):
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "pendulum", "--theta0", str(math.pi / 2), "--sweep")
+        assert code == 0 and time.perf_counter() - start < 1.0
+
     def test_methods_agree(self, capsys):
         args = ("pendulum", "--theta0", "1.0")
         _, out_e, _ = run(capsys, *args)
@@ -236,6 +241,14 @@ class TestEllipk:
         assert code == 0
         assert abs(float(out) - oracles.elliptic_K_agm(0.8)) < 1e-8
 
+    def test_refuses_near_unit_modulus(self, capsys):
+        # step doubling converges ever slower as k -> 1; past its step budget
+        # the answer is refused rather than printed with unknown error
+        code, out, err = run(capsys, "ellipk", "--k", "0.999999999999")
+        assert (code, out) == (1, "")
+        assert err.startswith("stepcalc: ") and err.count("\n") == 1
+        assert "did not converge" in err
+
 
 class TestRectify:
     def test_default_unit_circle(self, capsys):
@@ -271,6 +284,10 @@ class TestErrorContract:
         nan_spec.write_text(EXP_SPEC.replace("y0 = 1", "y0 = nan"))
         inf_h_spec = tmp_path / "inf_h.ivp"
         inf_h_spec.write_text(EXP_SPEC.replace("h = 0.001", "h = inf"))
+        inf_t0_spec = tmp_path / "inf_t0.ivp"
+        inf_t0_spec.write_text(EXP_SPEC.replace("t0 = 0", "t0 = inf"))
+        inf_t_end_spec = tmp_path / "inf_t_end.ivp"
+        inf_t_end_spec.write_text(EXP_SPEC.replace("t_end = 1", "t_end = -inf"))
         curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
         cases = [
             (1, ("fn", "exp", "nan")),
@@ -280,10 +297,15 @@ class TestErrorContract:
             (1, ("solve", str(nan_spec))),
             (1, ("ellipk", "--k", "0.5", "--h", "inf")),
             (1, ("fn", "exp", "1", "--h", "inf")),
+            (1, ("fn", "exp", "1", "--h", "1e-300")),  # beyond the step budget
             (1, ("table", "--radius", "inf")),
             (1, ("rectify", "--x-expr", "1e308*t", *curve)),  # overflows to nan
-            (1, ("rectify", "--x-expr", "1e999", *curve)),
+            (2, ("rectify", "--x-expr", "1e999", *curve)),  # overflowing literal
+            (2, ("rectify", "--x-expr", "1e999*0+t", *curve)),
+            (2, ("rectify", "--x-expr", "(" * 3000 + "t" + ")" * 3000, *curve)),
             (2, ("solve", str(inf_h_spec))),
+            (2, ("solve", str(inf_t0_spec))),
+            (2, ("solve", str(inf_t_end_spec))),
             (2, ("deriv", "²", "--at", "1")),
             (2, ("deriv", "x²", "--at", "1")),
             (2, ("pi", "--terms", "0")),
@@ -294,6 +316,10 @@ class TestErrorContract:
             assert (code, out) == (expected, ""), argv
             assert err.startswith("stepcalc") and err.count("\n") == 1, argv
         assert f"{inf_h_spec}:7:" in run(capsys, "solve", str(inf_h_spec))[2]
+        assert f"{inf_t0_spec}:4:" in run(capsys, "solve", str(inf_t0_spec))[2]
+        assert f"{inf_t_end_spec}:6:" in run(capsys, "solve", str(inf_t_end_spec))[2]
+        assert "h=1e-300" in run(capsys, "fn", "exp", "1", "--h", "1e-300")[2]
+        assert "100 levels" in run(capsys, "deriv", "(" * 3000 + "x" + ")" * 3000, "--at", "1")[2]
         assert "unexpected character" in run(capsys, "deriv", "x²", "--at", "1")[2]
 
 
@@ -310,7 +336,8 @@ class TestDefaults:
              {"h": applications.BALLISTICS_H}),
             (("lox", "--lat1", "0", "--lon1", "0", "--lat2", "1", "--lon2", "1"),
              {"h": applications.MERIDIONAL_H}),
-            (("ellipk", "--k", "0.5"), {"h": applications.ELLIPTIC_H}),
+            (("ellipk", "--k", "0.5"), {"h": None}),
+            (("fn", "sn", "1"), {"k": functions.DEFAULT_K}),
         ]
         for argv, defaults in expected:
             args = vars(parser.parse_args(argv))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from stepcalc.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     ExprError,
@@ -78,7 +79,8 @@ class TestParseAndEvaluate:
 class TestErrorPositions:
     @pytest.mark.parametrize(
         "source",
-        ["2*+3", "2**3", "(1+2", "1+", "sin 3", "3..5", "1 @ 2", "2 3", "x\u00b2", "\u0663"],
+        ["2*+3", "2**3", "(1+2", "1+", "sin 3", "3..5", "1 @ 2", "2 3", "x\u00b2", "\u0663",
+         "1e999", "2*1e999"],
     )
     def test_rejected_with_meaningful_position(self, source):
         with pytest.raises(ExprSyntaxError) as err:
@@ -94,6 +96,18 @@ class TestErrorPositions:
                 parse(prefix)
             except ExprSyntaxError as exc:
                 assert (exc.pos, exc.message) != (pos, err.value.message)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("wrap", [lambda s: f"({s})", lambda s: f"-{s}",
+                                      lambda s: f"sin({s})", lambda s: f"1^{s}"])
+    def test_depth_limit(self, wrap):
+        source = "x"
+        for _ in range(MAX_DEPTH - 1):
+            source = wrap(source)
+        evaluate(parse(source), {"x": 0.5})
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(wrap(source))
 
 
 def random_tree(rng: random.Random, depth: int):

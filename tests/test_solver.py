@@ -5,6 +5,7 @@ import pytest
 import oracles
 from stepcalc.solver import (
     IVP,
+    MAX_STEPS,
     IntegrationError,
     StepPlan,
     find_zero_crossings,
@@ -89,6 +90,49 @@ class TestGridAndDirection:
         traj = integrate(EXP_IVP, StepPlan(0.1, 0.0), "rk4")
         assert traj.times == (0.0,)
         assert traj.states == ((1.0,),)
+
+
+class TestEqualDivision:
+    def test_divided_plan_splits_the_span_evenly(self):
+        plan = StepPlan.divided(0.0, 0.3, 0.07)  # ceil(0.3/0.07) = 5 steps
+        assert (plan.steps, plan.h, plan.t_end) == (5, 0.3 / 5, 0.3)
+        traj = integrate(EXP_IVP, plan, "euler")
+        assert traj.times == (0.0, *(k * (0.3 / 5) for k in range(1, 5)), 0.3)
+        factor = 1.0 + 0.3 / 5
+        assert traj.states[-1][0] == pytest.approx(factor**5, rel=1e-14)
+
+    def test_backward_division(self):
+        back = IVP(1, EXP_IVP.rhs, 1.0, (math.e,))
+        traj = integrate(back, StepPlan.divided(1.0, 0.0, 0.3), "rk4")
+        assert traj.times == (1.0, 0.75, 0.5, 0.25, 0.0)
+
+    def test_rk4_on_a_quadrature_is_composite_simpson(self):
+        # for y' = f(t), one RK4 step is Simpson's rule on the step
+        f = math.cos
+        n = 6
+        got = integrate_final(IVP(1, lambda t, y: (f(t),), 0.0, (0.0,)),
+                              StepPlan(1.0 / n, 1.0, n))[1][0]
+        h = 1.0 / n
+        simpson = sum(h / 6 * (f(k * h) + 4 * f((k + 0.5) * h) + f((k + 1) * h)) for k in range(n))
+        assert got == pytest.approx(simpson, rel=1e-15)
+
+
+class TestStepBudget:
+    def test_too_many_steps_rejected_before_the_loop(self):
+        calls = []
+        ivp = IVP(1, lambda t, y: calls.append(t) or (y[0],), 0.0, (1.0,))
+        for plan in (StepPlan(1e-300, 1.0), StepPlan(5e-324, 1e308)):
+            with pytest.raises(ValueError, match=r"step size h=.* needs more than"):
+                integrate(ivp, plan)
+        assert calls == []
+        with pytest.raises(ValueError, match="step size h=1e-300"):
+            StepPlan.divided(0.0, 1.0, 1e-300)
+        with pytest.raises(ValueError, match="step count"):
+            StepPlan(1.0, 1.0, MAX_STEPS + 1)
+
+    def test_budget_is_inclusive(self):
+        # exactly MAX_STEPS steps is a valid plan; only the count is checked here
+        assert StepPlan.divided(0.0, float(MAX_STEPS), 1.0).steps == MAX_STEPS
 
 
 class TestErrors:

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from stepcalc.tables import (
+    DEFAULT_H,
     ENTRY_COUNT,
     STEP_DEG,
     SineTable,
@@ -55,6 +56,16 @@ class TestGeneration:
         fine = generate_sine_table(RADIUS, "rk4", 5e-5)
         for a, b in zip(coarse.values, fine.values):
             assert abs(a - b) < 1e-4
+
+    def test_default_step_is_the_largest_within_the_error_budget(self):
+        # budget: 1e-14 relative to R*sin; the next larger candidate step fails it
+        def worst(h):
+            tab = generate_sine_table(RADIUS, "rk4", h)
+            return max(abs(v / RADIUS - s) / s for v, s in
+                       zip(tab.values, (sine_oracle_deg(k * STEP_DEG) for k in range(1, 25))))
+
+        assert worst(DEFAULT_H) <= 1e-14
+        assert worst(1.25 * DEFAULT_H) > 1e-14
 
     def test_invalid_radius(self):
         for radius in (0.0, math.inf, math.nan):
