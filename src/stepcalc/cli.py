@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import applications, expr, functions, series, tables
 from .nonarch import EPSILON, deriv_at
-from .solver import IVP, StepPlan, integrate
+from .solver import IVP, MAX_STEPS, StepPlan, integrate
 from .svgplot import DEFAULT_HEIGHT, DEFAULT_WIDTH, Series, line_plot
 
 
@@ -114,12 +114,10 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
         key = sorted(entries)[0]
         raise SpecFileError(f"unknown key {key!r}", entries[key][1])
 
-    names = [f"y{i}" for i in range(1, dim + 1)]
+    components = expr.compile_float(rhs_exprs, ["t"] + [f"y{i}" for i in range(1, dim + 1)])
 
     def rhs(t, y):
-        env = dict(zip(names, y))
-        env["t"] = t
-        return [expr.evaluate(tree, env) for tree in rhs_exprs]
+        return components(t, *y)
 
     return IVP(dim, rhs, t0, y0), StepPlan(h, t_end), method
 
@@ -255,13 +253,7 @@ def cmd_rectify(args) -> int:
     if args.x_expr or args.y_expr:
         if not (args.x_expr and args.y_expr):
             raise ValueError("provide both --x-expr and --y-expr, or neither")
-        x_tree = expr.parse(args.x_expr)
-        y_tree = expr.parse(args.y_expr)
-
-        def curve(t):
-            env = {"t": t}
-            return expr.evaluate(x_tree, env), expr.evaluate(y_tree, env)
-
+        curve = expr.compile_float([expr.parse(args.x_expr), expr.parse(args.y_expr)], ["t"])
         t_start, t_end = args.t0, args.t1
     else:
         curve = applications.unit_circle
@@ -276,7 +268,7 @@ def cmd_rectify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _option_type(convert, positive=False):
+def _option_type(convert, positive=False, at_most=None):
     """An argparse ``type=``: a bad value is a usage error naming the option."""
     def parse(text: str):
         try:
@@ -285,6 +277,8 @@ def _option_type(convert, positive=False):
             raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
         if positive and not value > 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {text!r}")
         return value
     return parse
 
@@ -338,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("pi", help="sum the alternating series for pi")
-    p.add_argument("--terms", type=_option_type(int, positive=True), default=1000,
+    p.add_argument("--terms", type=_option_type(int, positive=True, at_most=series.DEFAULT_MAX_TERMS),
+                   default=1000,
                    help="number of terms")
     p.add_argument("--corrected", action="store_true",
                    help="average consecutive partial sums (end correction)")
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step size for the ode method")
     p.add_argument("--sweep", action="store_true",
                    help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0")
-    p.add_argument("--sweep-points", type=int, default=20)
+    p.add_argument("--sweep-points", type=_option_type(int, positive=True), default=20)
     p.add_argument("--out", help="write sweep CSV here instead of stdout")
     p.set_defaults(handler=cmd_pendulum)
 
@@ -391,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ellipk)
 
     p = sub.add_parser("rectify", help="polyline length of a parametric curve")
-    p.add_argument("--segments", "-n", type=int, default=1024)
+    p.add_argument("--segments", "-n", type=_option_type(int, positive=True, at_most=MAX_STEPS),
+                   default=1024)
     p.add_argument("--x-expr", help="x(t) expression; default is the unit circle")
     p.add_argument("--y-expr", help="y(t) expression")
     p.add_argument("--t0", type=float, default=None)

@@ -13,7 +13,14 @@ ASCII digits and must be finite doubles (``1e999`` is a syntax error);
 identifiers are ASCII letters followed by ASCII letters, digits or
 underscores.  Built-in calls are ``sin cos tan exp ln sqrt abs``, all unary.
 Parentheses, calls, unary minus and exponents nest at most ``MAX_DEPTH``
-levels deep.
+levels deep, and a parsed tree is at most ``MAX_TREE_DEPTH`` nodes deep, so
+long operator chains such as ``x+x+...+x`` are bounded too.
+
+``evaluate`` walks a tree over doubles and is the reference evaluator.
+``compile_float`` turns trees into one Python function, generated once as
+straight-line code, for callers that evaluate the same trees many times; on
+any failure that function re-runs ``evaluate``, so errors and their
+positions are the walker's.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .nonarch import RatFunc
 
@@ -170,7 +177,8 @@ BUILTINS = {
 }
 
 
-MAX_DEPTH = 100  # nesting levels; keeps the recursive parser and walkers off Python's stack limit
+MAX_DEPTH = 100  # nesting levels; keeps the recursive parser off Python's stack limit
+MAX_TREE_DEPTH = 400  # nodes on a root-to-leaf path; keeps the recursive walkers off it
 
 
 class _Parser:
@@ -273,7 +281,45 @@ def parse(source: str) -> Expr:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+    _check_tree_depth(node)
     return node
+
+
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def _postorder(tree: Expr) -> list[Expr]:
+    """The nodes children first, left to right: the order in which
+    ``evaluate`` finishes them.  Iterative, so any tree fits the stack."""
+    nodes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(_children(node))
+    nodes.reverse()
+    return nodes
+
+
+def _check_tree_depth(tree: Expr) -> None:
+    """Refuse a tree deeper than ``MAX_TREE_DEPTH`` at the first node, in
+    evaluation order, that is too deep (the operator that makes a chain too
+    long)."""
+    depths: list[int] = []
+    for node in _postorder(tree):
+        below = len(depths) - len(_children(node))
+        depth = 1 + max(depths[below:], default=0)
+        if depth > MAX_TREE_DEPTH:
+            raise ExprSyntaxError(f"expression tree nests deeper than {MAX_TREE_DEPTH} levels", node.pos)
+        del depths[below:]
+        depths.append(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +364,72 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
                 raise ExprEvalError("power with a complex result", expr.pos)
             return out
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """One function ``f(*values)`` returning ``evaluate`` of every tree, in
+    order, with ``params[i]`` bound to ``values[i]`` (floats).
+
+    The trees must come from ``parse``.  They become straight-line Python
+    source with one local per operator node, over names a user identifier
+    cannot spell: ``_p<i>`` for the parameters, ``_<k>`` for the locals,
+    ``_<name>`` for the built-ins.  Literals print as ``repr(float)``.  The
+    float operations are the walker's, on the same operands in the same
+    order, so results are bit-identical.  A power whose exponent is not an
+    integer-valued literal is passed through ``float``, which raises on a
+    complex result.  On any exception the function re-runs ``evaluate``,
+    which raises the positioned ``ExprEvalError``; a tree with a name
+    outside ``params`` is always walked.
+    """
+    def walk(*values: float) -> tuple[float, ...]:
+        env = dict(zip(params, values))
+        return tuple([evaluate(tree, env) for tree in trees])
+
+    index = {name: i for i, name in enumerate(params)}
+    lines: list[str] = []
+    results: list[str] = []
+    for tree in trees:
+        operands: list[str] = []  # a literal, a parameter or a local per finished node
+        for node in _postorder(tree):
+            if isinstance(node, Num):
+                operands.append(repr(node.value))
+                continue
+            if isinstance(node, Var):
+                if node.name not in index:
+                    return walk
+                operands.append(f"_p{index[node.name]}")
+                continue
+            if isinstance(node, Neg):
+                code = f"-{operands.pop()}"
+            elif isinstance(node, Call):
+                code = f"_{node.name}({operands.pop()})"
+            else:
+                right = operands.pop()
+                left = operands.pop()
+                if node.op != "^":
+                    code = f"{left} {node.op} {right}"
+                elif isinstance(node.right, Num) and node.right.value.is_integer():
+                    code = f"{left} ** {right}"  # an integral exponent gives no complex result
+                else:
+                    code = f"_float({left} ** {right})"
+            local = f"_{len(lines)}"
+            lines.append(f"        {local} = {code}")
+            operands.append(local)
+        results.append(operands.pop())
+    args = ", ".join(f"_p{i}" for i in range(len(params)))
+    source = "\n".join([
+        f"def _compiled({args}):",
+        "    try:",
+        *lines,
+        f"        return ({''.join(f'{result}, ' for result in results)})",
+        "    except _Exception:",
+        "        pass",
+        f"    return _walk({args})",
+    ])
+    namespace = {"__builtins__": {}, "_float": float, "_Exception": Exception, "_walk": walk}
+    namespace.update((f"_{name}", fn) for name, fn in BUILTINS.items())
+    exec(compile(source, "<stepcalc.expr.compile_float>", "exec"), namespace)
+    return namespace["_compiled"]
 
 
 def evaluate_exact(expr: Expr, env: Mapping[str, RatFunc]) -> RatFunc:

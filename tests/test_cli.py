@@ -7,7 +7,9 @@ import pytest
 import oracles
 from stepcalc import applications, functions, series, svgplot, tables
 from stepcalc.cli import build_parser, main
+from stepcalc.expr import MAX_TREE_DEPTH
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
+from stepcalc.solver import MAX_STEPS
 
 EXP_SPEC = """\
 # exponential growth
@@ -175,6 +177,13 @@ class TestPi:
         assert float(fields["discarded_bound"]) < 1e-4
         assert abs(float(fields["value"]) - oracles.PI) < 1e-4
 
+    def test_terms_bounded(self, capsys):
+        limit = series.DEFAULT_MAX_TERMS
+        assert build_parser().parse_args(["pi", "--terms", str(limit)]).terms == limit
+        # refused while parsing arguments, so no summing starts
+        code, out, err = run(capsys, "pi", "--terms", str(limit + 1))
+        assert (code, out) == (2, "") and "argument --terms" in err
+
     def test_nonpositive_counts_are_usage_errors(self, capsys):
         for argv in (("--terms", "0"), ("--terms", "-3"), ("--discard", "1e-3", "--max-terms", "0"),
                      ("--discard", "0")):
@@ -266,6 +275,21 @@ class TestRectify:
         code, _, _ = run(capsys, "rectify", "--x-expr", "t")
         assert code == 1
 
+    def test_segment_bounds_are_inclusive(self, capsys):
+        # 0, negative counts and MAX_STEPS + 1 are usage errors (TestErrorContract)
+        assert run(capsys, "rectify", "-n", "1")[0] == 0
+        assert build_parser().parse_args(["rectify", "-n", str(MAX_STEPS)]).segments == MAX_STEPS
+
+    def test_expression_chain_bound(self, capsys):
+        # a 300-term chain keeps working; one past the tree bound is a usage error
+        chain = "+".join(["t"] * 300)
+        code, out, _ = run(capsys, "rectify", "--x-expr", chain, "--y-expr", "0",
+                           "--t0", "0", "--t1", "1", "-n", "4")
+        assert code == 0 and float(out) == 300.0
+        code, _, err = run(capsys, "rectify", "--x-expr", "+".join(["t"] * (MAX_TREE_DEPTH + 1)),
+                           "--y-expr", "0", "--t0", "0", "--t1", "1")
+        assert code == 2 and err.count("\n") == 1
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -310,6 +334,16 @@ class TestErrorContract:
             (2, ("deriv", "x²", "--at", "1")),
             (2, ("pi", "--terms", "0")),
             (2, ("frobnicate",)),
+            (1, ("rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")),
+            (1, ("rectify", "--x-expr", "abs((0-1)^0.5)", *curve)),
+            (2, ("deriv", "+".join(["x"] * 3000), "--at", "1")),  # a chain deeper than the tree bound
+            (2, ("rectify", "--x-expr", "+".join(["t"] * 3000), *curve)),
+            (2, ("pendulum", "--theta0", "1", "--sweep", "--sweep-points", "0")),
+            (2, ("pendulum", "--theta0", "1", "--sweep", "--sweep-points", "-2")),
+            (2, ("rectify", "-n", "0")),
+            (2, ("rectify", "-n", "-3")),
+            (2, ("rectify", "-n", str(MAX_STEPS + 1))),
+            (2, ("pi", "--terms", "100000000000")),  # refused before any summing
         ]
         for expected, argv in cases:
             code, out, err = run(capsys, *argv)
@@ -321,6 +355,17 @@ class TestErrorContract:
         assert "h=1e-300" in run(capsys, "fn", "exp", "1", "--h", "1e-300")[2]
         assert "100 levels" in run(capsys, "deriv", "(" * 3000 + "x" + ")" * 3000, "--at", "1")[2]
         assert "unexpected character" in run(capsys, "deriv", "x²", "--at", "1")[2]
+        assert run(capsys, "rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")[2] == (
+            "stepcalc: unbound variable 'y' (at position 0)\n")
+        assert run(capsys, "rectify", "--x-expr", "abs((0-1)^0.5)", *curve)[2] == (
+            "stepcalc: power with a complex result (at position 9)\n")
+        chain = run(capsys, "deriv", "+".join(["x"] * 3000), "--at", "1")[2]
+        assert f"nests deeper than {MAX_TREE_DEPTH} levels" in chain
+        assert "argument --sweep-points" in run(capsys, "pendulum", "--theta0", "1", "--sweep",
+                                                "--sweep-points", "0")[2]
+        assert "argument --segments/-n" in run(capsys, "rectify", "-n", "0")[2]
+        assert "argument --segments/-n" in run(capsys, "rectify", "-n", str(MAX_STEPS + 1))[2]
+        assert "argument --terms" in run(capsys, "pi", "--terms", "100000000000")[2]
 
 
 class TestDefaults:

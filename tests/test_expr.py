@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
 
+from stepcalc import expr
 from stepcalc.expr import (
+    BUILTINS,
     MAX_DEPTH,
+    MAX_TREE_DEPTH,
     BinOp,
     Call,
     ExprError,
@@ -13,6 +17,7 @@ from stepcalc.expr import (
     NotRationalError,
     Num,
     Var,
+    compile_float,
     evaluate,
     evaluate_exact,
     parse,
@@ -110,6 +115,40 @@ class TestNestingLimit:
             parse(wrap(source))
 
 
+class TestTreeDepthLimit:
+    """Operator chains are built by loops in the parser; the tree they make
+    is bounded so that the recursive walkers stay within Python's limit."""
+
+    @staticmethod
+    def walk_all(source):
+        tree = parse(source)
+        assert evaluate(tree, {"x": 0.5}) == evaluate(parse(to_source(tree)), {"x": 0.5})
+        assert compile_float([tree], ["x"])(0.5) == (evaluate(tree, {"x": 0.5}),)
+        assert variables(tree) == {"x"}
+        evaluate_exact(tree, {"x": EPSILON})
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_chain_at_the_bound_works(self, op):
+        self.walk_all(op.join(["x"] * 300))
+        self.walk_all(op.join(["x"] * MAX_TREE_DEPTH))
+
+    def test_nesting_and_chains_add_up(self):
+        # 90 unary minuses, a power and a chain: the depths add along one path
+        inner = "+".join(["x"] * (MAX_TREE_DEPTH - 91))
+        self.walk_all("-" * 90 + f"({inner})^2")
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_TREE_DEPTH} levels"):
+            parse("-" * 90 + f"({inner} + x)^2")
+
+    def test_too_deep_chain_names_the_first_operator_past_the_bound(self):
+        source = "+".join(["x"] * 3000)
+        with pytest.raises(ExprSyntaxError, match=f"tree nests deeper than {MAX_TREE_DEPTH} levels") as err:
+            parse(source)
+        # term k starts at 2(k - 1); the '+' before term MAX_TREE_DEPTH + 1 is one earlier
+        assert err.value.pos == 2 * MAX_TREE_DEPTH - 1
+        with pytest.raises(ExprSyntaxError):
+            parse("+".join(["x"] * (MAX_TREE_DEPTH + 1)))
+
+
 def random_tree(rng: random.Random, depth: int):
     choices = ["num", "var"]
     if depth > 0:
@@ -204,3 +243,109 @@ class TestExactEvaluation:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(NotRationalError):
             evaluate_exact(parse("x^0.5"), {"x": EPSILON})
+
+
+def random_float_tree(rng: random.Random, depth: int):
+    """Trees over every operator, built-in and variable the solver uses,
+    with literals that make domain errors, overflow and complex powers
+    likely."""
+    kind = rng.choice(["num", "var"] + (["bin", "bin", "bin", "neg", "call"] if depth > 0 else []))
+    if kind == "num":
+        value = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 1e-3, 1e3, 1e300])
+        return Num(value, repr(value))
+    if kind == "var":
+        return Var(rng.choice(["t", "y1", "y2", "y3", "y4"]))
+    if kind == "neg":
+        return Neg(random_float_tree(rng, depth - 1))
+    if kind == "call":
+        return Call(rng.choice(sorted(BUILTINS)), random_float_tree(rng, depth - 1))
+    op = rng.choice(["+", "-", "*", "/", "^"])
+    return BinOp(op, random_float_tree(rng, depth - 1), random_float_tree(rng, depth - 1))
+
+
+def outcome(fn, *args):
+    """Bit patterns of the results, or the exception's type and message."""
+    try:
+        return tuple(x.hex() for x in fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestCompileFloat:
+    PARAMS = ["t", "y1", "y2", "y3", "y4"]
+    VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 0.7, 1e-300, 1e200, -1e200, 700.0]
+
+    def walked(self, trees, *values):
+        env = dict(zip(self.PARAMS, values))
+        return tuple(evaluate(tree, env) for tree in trees)
+
+    def test_matches_the_walker_on_random_trees(self):
+        rng = random.Random(20261018)
+        failures = successes = 0
+        for _ in range(400):
+            # the walker's trees come from the parser, as the CLI's do
+            trees = [parse(to_source(random_float_tree(rng, 4))) for _ in range(rng.randint(1, 4))]
+            compiled = compile_float(trees, self.PARAMS)
+            for _ in range(5):
+                values = [rng.choice(self.VALUES) for _ in self.PARAMS]
+                want = outcome(self.walked, trees, *values)
+                assert outcome(compiled, *values) == want, [to_source(t) for t in trees]
+                if isinstance(want[0], type):
+                    failures += 1
+                else:
+                    successes += 1
+        assert failures > 200 and successes > 500
+
+    @pytest.mark.parametrize("source, message", [
+        ("y1 / (t - t)", "division by zero (at position 3)"),
+        ("ln(0-1)", "ln: ln of a non-positive number (at position 0)"),
+        ("sqrt(0-1)", "sqrt: sqrt of a negative number (at position 0)"),
+        ("(0-1)^0.5", "power with a complex result (at position 5)"),
+        ("abs((0-1)^0.5)", "power with a complex result (at position 9)"),
+        ("abs(y1^0.5)", "power with a complex result (at position 6)"),
+        ("abs((0-1)^(1/2))", "power with a complex result (at position 9)"),
+        ("exp(1000)", "exp: math range error (at position 0)"),
+        ("0^(0-1)", "power: 0.0 cannot be raised to a negative power (at position 1)"),
+        ("10^400", "power: (34, 'Numerical result out of range') (at position 2)"),
+        ("t + zz", "unbound variable 'zz' (at position 4)"),
+    ])
+    def test_failures_raise_the_walkers_error(self, source, message):
+        trees = [parse("t"), parse(source)]
+        compiled = compile_float(trees, ["t", "y1"])
+        with pytest.raises(ExprEvalError) as err:
+            compiled(1.0, -1.0)
+        assert str(err.value) == message
+        assert outcome(compiled, 1.0, -1.0) == outcome(self.walked, trees, 1.0, -1.0)
+
+    def test_components_in_order_with_parameters_by_position(self):
+        compiled = compile_float([parse("y2"), parse("t - y1"), parse("2"), parse("-t^2")],
+                                 ["y1", "t", "y2"])
+        assert compiled(1.0, 5.0, 7.0) == (7.0, 4.0, 2.0, -25.0)
+
+    def test_integral_powers_of_negative_bases_stay_real(self):
+        compiled = compile_float([parse("t^2"), parse("t^3"), parse("t^0"), parse("t^-1")], ["t"])
+        assert compiled(-2.0) == ((-2.0) ** 2, (-2.0) ** 3, 1.0, -0.5)
+
+    def test_globals_hold_no_builtins(self):
+        compiled = compile_float([parse("sin(t)^0.5 + y1")], ["t", "y1"])
+        namespace = compiled.__globals__
+        assert namespace["__builtins__"] == {}
+        assert all(name.startswith("_") for name in namespace)
+        assert {namespace[f"_{name}"] for name in BUILTINS} == set(BUILTINS.values())
+
+    def test_walker_runs_only_on_failure(self, monkeypatch):
+        calls = []
+        walker = expr.evaluate
+
+        def counted(tree, env):
+            calls.append(tree)
+            return walker(tree, env)
+
+        monkeypatch.setattr(expr, "evaluate", counted)
+        compiled = compile_float([parse("1 / t"), parse("t^0.5")], ["t"])
+        for t in (0.5, 1.0, 4.0):
+            assert compiled(t) == (1 / t, math.sqrt(t))
+        assert calls == []
+        with pytest.raises(ExprEvalError, match="division by zero"):
+            compiled(0.0)
+        assert calls
