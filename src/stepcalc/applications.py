@@ -35,12 +35,15 @@ class PendulumSpec:
     theta0: float = 0.5  # amplitude, radians
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("length must be positive")
-        if not self.gravity > 0:
-            raise ValueError("gravity must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"length must be finite and positive, got {self.length!r}")
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError(f"gravity must be finite and positive, got {self.gravity!r}")
         if not 0.0 < self.theta0 < math.pi:
             raise ValueError("amplitude must lie in (0, pi)")
+        if not 0.0 < self.small_angle_period() < math.inf:
+            raise ValueError("small-angle period must be finite and positive, "
+                             f"got {self.small_angle_period()!r}")
 
     def small_angle_period(self) -> float:
         return 2.0 * math.pi * math.sqrt(self.length / self.gravity)
@@ -78,6 +81,8 @@ class GeoPoint:
     def __post_init__(self):
         if not abs(self.lat) < math.pi / 2:
             raise ValueError("latitude must lie strictly between the poles")
+        if not math.isfinite(self.lon):
+            raise ValueError(f"longitude must be finite, got {self.lon!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +287,8 @@ def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
     latitude difference.  Equal latitudes degenerate to parallel sailing and
     are special-cased (the general formula is 0/0 there).
     """
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     dlon = _wrap_longitude(p2.lon - p1.lon)
     dlat = p2.lat - p1.lat
     if dlat == 0.0:

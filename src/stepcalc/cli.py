@@ -20,6 +20,9 @@ from .solver import IVP, MAX_STEPS, StepPlan, integrate
 from .svgplot import DEFAULT_HEIGHT, DEFAULT_WIDTH, Series, line_plot
 
 
+MAX_SWEEP_POINTS = 10**4  # pendulum --sweep-points; each point is one elliptic_K quadrature
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -352,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step size for the ode method")
     p.add_argument("--sweep", action="store_true",
                    help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0")
-    p.add_argument("--sweep-points", type=_option_type(int, positive=True), default=20)
+    p.add_argument("--sweep-points", type=_option_type(int, positive=True, at_most=MAX_SWEEP_POINTS),
+                   default=20)
     p.add_argument("--out", help="write sweep CSV here instead of stdout")
     p.set_defaults(handler=cmd_pendulum)
 

@@ -13,8 +13,8 @@ ASCII digits and must be finite doubles (``1e999`` is a syntax error);
 identifiers are ASCII letters followed by ASCII letters, digits or
 underscores.  Built-in calls are ``sin cos tan exp ln sqrt abs``, all unary.
 Parentheses, calls, unary minus and exponents nest at most ``MAX_DEPTH``
-levels deep, and a parsed tree is at most ``MAX_TREE_DEPTH`` nodes deep, so
-long operator chains such as ``x+x+...+x`` are bounded too.
+levels deep, which bounds only the recursive parser.  The tree walkers are
+iterative, so operator chains such as ``x+x+...+x`` may be of any length.
 
 ``evaluate`` walks a tree over doubles and is the reference evaluator.
 ``compile_float`` turns trees into one Python function, generated once as
@@ -29,7 +29,7 @@ import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .nonarch import RatFunc
 
@@ -178,7 +178,6 @@ BUILTINS = {
 
 
 MAX_DEPTH = 100  # nesting levels; keeps the recursive parser off Python's stack limit
-MAX_TREE_DEPTH = 400  # nodes on a root-to-leaf path; keeps the recursive walkers off it
 
 
 class _Parser:
@@ -281,7 +280,6 @@ def parse(source: str) -> Expr:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
-    _check_tree_depth(node)
     return node
 
 
@@ -292,34 +290,36 @@ def _children(node: Expr) -> tuple[Expr, ...]:
         return (node.operand,)
     if isinstance(node, Call):
         return (node.arg,)
-    return ()
+    if isinstance(node, (Num, Var)):
+        return ()
+    raise TypeError(f"not an expression node: {node!r}")
 
 
-def _postorder(tree: Expr) -> list[Expr]:
-    """The nodes children first, left to right: the order in which
-    ``evaluate`` finishes them.  Iterative, so any tree fits the stack."""
+def _postorder(tree: Expr, children: Callable[[Expr], tuple[Expr, ...]] = _children) -> list[Expr]:
+    """The nodes children first, left to right: the order in which a recursive
+    walker would finish them.  Iterative, so any tree fits the stack."""
     nodes = []
     stack = [tree]
     while stack:
         node = stack.pop()
         nodes.append(node)
-        stack.extend(_children(node))
+        stack.extend(children(node))
     nodes.reverse()
     return nodes
 
 
-def _check_tree_depth(tree: Expr) -> None:
-    """Refuse a tree deeper than ``MAX_TREE_DEPTH`` at the first node, in
-    evaluation order, that is too deep (the operator that makes a chain too
-    long)."""
-    depths: list[int] = []
-    for node in _postorder(tree):
-        below = len(depths) - len(_children(node))
-        depth = 1 + max(depths[below:], default=0)
-        if depth > MAX_TREE_DEPTH:
-            raise ExprSyntaxError(f"expression tree nests deeper than {MAX_TREE_DEPTH} levels", node.pos)
-        del depths[below:]
-        depths.append(depth)
+def _fold(tree: Expr, visit: Callable[..., Any],
+          children: Callable[[Expr], tuple[Expr, ...]] = _children) -> Any:
+    """``visit(node, *child_values)`` for every node in ``_postorder``; the
+    value of the root.  A node that ``children`` calls a leaf is visited
+    where a recursive walker would enter it, and its subtree is not."""
+    values: list[Any] = []
+    for node in _postorder(tree, children):
+        split = len(values) - len(children(node))
+        value = visit(node, *values[split:])
+        del values[split:]
+        values.append(value)
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,43 +327,41 @@ def _check_tree_depth(tree: Expr) -> None:
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     """Evaluate over doubles, delegating built-ins to the host library."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(env[expr.name])
-        except KeyError:
-            raise ExprEvalError(f"unbound variable {expr.name!r}", expr.pos) from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env)
-    if isinstance(expr, Call):
-        arg = evaluate(expr.arg, env)
-        try:
-            return float(BUILTINS[expr.name](arg))
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(f"{expr.name}: {exc}", expr.pos) from None
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0.0:
-                raise ExprEvalError("division by zero", expr.pos)
-            return left / right
-        if expr.op == "^":
+    def visit(node: Expr, *operands: float) -> float:
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
             try:
-                out = left ** right
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise ExprEvalError(f"power: {exc}", expr.pos) from None
-            if isinstance(out, complex):
-                raise ExprEvalError("power with a complex result", expr.pos)
-            return out
-    raise TypeError(f"not an expression node: {expr!r}")
+                return float(env[node.name])
+            except KeyError:
+                raise ExprEvalError(f"unbound variable {node.name!r}", node.pos) from None
+        if isinstance(node, Neg):
+            return -operands[0]
+        if isinstance(node, Call):
+            try:
+                return float(BUILTINS[node.name](operands[0]))
+            except (ValueError, OverflowError) as exc:
+                raise ExprEvalError(f"{node.name}: {exc}", node.pos) from None
+        left, right = operands
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if right == 0.0:
+                raise ExprEvalError("division by zero", node.pos)
+            return left / right
+        try:  # "^"
+            out = left ** right
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ExprEvalError(f"power: {exc}", node.pos) from None
+        if isinstance(out, complex):
+            raise ExprEvalError("power with a complex result", node.pos)
+        return out
+
+    return _fold(expr, visit)
 
 
 def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple[float, ...]]:
@@ -385,37 +383,32 @@ def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[...,
         env = dict(zip(params, values))
         return tuple([evaluate(tree, env) for tree in trees])
 
-    index = {name: i for i, name in enumerate(params)}
+    if not set().union(*map(variables, trees)) <= set(params):
+        return walk
+    index = {name: f"_p{i}" for i, name in enumerate(params)}
     lines: list[str] = []
-    results: list[str] = []
-    for tree in trees:
-        operands: list[str] = []  # a literal, a parameter or a local per finished node
-        for node in _postorder(tree):
-            if isinstance(node, Num):
-                operands.append(repr(node.value))
-                continue
-            if isinstance(node, Var):
-                if node.name not in index:
-                    return walk
-                operands.append(f"_p{index[node.name]}")
-                continue
-            if isinstance(node, Neg):
-                code = f"-{operands.pop()}"
-            elif isinstance(node, Call):
-                code = f"_{node.name}({operands.pop()})"
-            else:
-                right = operands.pop()
-                left = operands.pop()
-                if node.op != "^":
-                    code = f"{left} {node.op} {right}"
-                elif isinstance(node.right, Num) and node.right.value.is_integer():
-                    code = f"{left} ** {right}"  # an integral exponent gives no complex result
-                else:
-                    code = f"_float({left} ** {right})"
-            local = f"_{len(lines)}"
-            lines.append(f"        {local} = {code}")
-            operands.append(local)
-        results.append(operands.pop())
+
+    def emit(node: Expr, *operands: str) -> str:
+        # a literal or a parameter, or a new local assigned by one more line
+        if isinstance(node, Num):
+            return repr(node.value)
+        if isinstance(node, Var):
+            return index[node.name]
+        if isinstance(node, Neg):
+            code = f"-{operands[0]}"
+        elif isinstance(node, Call):
+            code = f"_{node.name}({operands[0]})"
+        elif node.op != "^":
+            code = f"{operands[0]} {node.op} {operands[1]}"
+        elif isinstance(node.right, Num) and node.right.value.is_integer():
+            code = f"{operands[0]} ** {operands[1]}"  # an integral exponent gives no complex result
+        else:
+            code = f"_float({operands[0]} ** {operands[1]})"
+        local = f"_{len(lines)}"
+        lines.append(f"        {local} = {code}")
+        return local
+
+    results = [_fold(tree, emit) for tree in trees]
     args = ", ".join(f"_p{i}" for i in range(len(params)))
     source = "\n".join([
         f"def _compiled({args}):",
@@ -438,57 +431,43 @@ def evaluate_exact(expr: Expr, env: Mapping[str, RatFunc]) -> RatFunc:
     Only rational operations are admitted; a transcendental call raises
     :class:`NotRationalError`, and exponents must be constant integers.
     """
-    if isinstance(expr, Num):
-        return RatFunc.from_fraction(Fraction(expr.text))
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise ExprEvalError(f"unbound variable {expr.name!r}", expr.pos) from None
-    if isinstance(expr, Neg):
-        return -evaluate_exact(expr.operand, env)
-    if isinstance(expr, Call):
-        raise NotRationalError("not a rational expression", expr.pos)
-    if isinstance(expr, BinOp):
-        left = evaluate_exact(expr.left, env)
-        if expr.op == "^":
-            exponent = evaluate_exact(expr.right, env)
-            if exponent.den.degree != 0 or exponent.num.degree > 0:
-                raise NotRationalError("exponent must be a constant integer", expr.pos)
-            q = exponent.std()
-            if q.denominator != 1:
-                raise NotRationalError("exponent must be a constant integer", expr.pos)
+    def visit(node: Expr, *operands: RatFunc) -> RatFunc:
+        if isinstance(node, Num):
+            return RatFunc.from_fraction(Fraction(node.text))
+        if isinstance(node, Var):
             try:
-                return left ** int(q)
+                return env[node.name]
+            except KeyError:
+                raise ExprEvalError(f"unbound variable {node.name!r}", node.pos) from None
+        if isinstance(node, Neg):
+            return -operands[0]
+        if isinstance(node, Call):
+            raise NotRationalError("not a rational expression", node.pos)
+        left, right = operands
+        if node.op == "^":
+            if right.den.degree != 0 or right.num.degree > 0 or right.std().denominator != 1:
+                raise NotRationalError("exponent must be a constant integer", node.pos)
+            try:
+                return left ** int(right.std())
             except ZeroDivisionError:
-                raise ExprEvalError("zero raised to a negative power", expr.pos) from None
-        right = evaluate_exact(expr.right, env)
-        if expr.op == "+":
+                raise ExprEvalError("zero raised to a negative power", node.pos) from None
+        if node.op == "+":
             return left + right
-        if expr.op == "-":
+        if node.op == "-":
             return left - right
-        if expr.op == "*":
+        if node.op == "*":
             return left * right
-        if expr.op == "/":
-            if right.is_zero:
-                raise ExprEvalError("division by zero", expr.pos)
-            return left / right
-    raise TypeError(f"not an expression node: {expr!r}")
+        if right.is_zero:  # "/"
+            raise ExprEvalError("division by zero", node.pos)
+        return left / right
+
+    # a call is refused where a recursive walk would reach it, before its argument
+    return _fold(expr, visit, lambda node: () if isinstance(node, Call) else _children(node))
 
 
 def variables(expr: Expr) -> set[str]:
     """Names of all free variables in the tree."""
-    if isinstance(expr, Num):
-        return set()
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, Call):
-        return variables(expr.arg)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return {node.name for node in _postorder(expr) if isinstance(node, Var)}
 
 
 # ---------------------------------------------------------------------------
@@ -497,40 +476,36 @@ def variables(expr: Expr) -> set[str]:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
-def _print(expr: Expr) -> tuple[str, int]:
-    if isinstance(expr, Num):
-        return expr.text, _PREC["atom"]
-    if isinstance(expr, Var):
-        return expr.name, _PREC["atom"]
-    if isinstance(expr, Call):
-        inner, _ = _print(expr.arg)
-        return f"{expr.name}({inner})", _PREC["atom"]
-    if isinstance(expr, Neg):
-        inner, prec = _print(expr.operand)
+def _print(node: Expr, *operands: tuple[str, int]) -> tuple[str, int]:
+    if isinstance(node, Num):
+        return node.text, _PREC["atom"]
+    if isinstance(node, Var):
+        return node.name, _PREC["atom"]
+    if isinstance(node, Call):
+        return f"{node.name}({operands[0][0]})", _PREC["atom"]
+    if isinstance(node, Neg):
+        inner, prec = operands[0]
         # unary minus binds looser than ^, so -(x^2) prints without parens
         if prec < _PREC["neg"]:
             inner = f"({inner})"
         return f"-{inner}", _PREC["neg"]
-    if isinstance(expr, BinOp):
-        lhs, lp = _print(expr.left)
-        rhs, rp = _print(expr.right)
-        prec = _PREC[expr.op]
-        if expr.op == "^":
-            # right-associative; the base must be an atom
-            if lp < _PREC["atom"]:
-                lhs = f"({lhs})"
-            if rp < prec:
-                rhs = f"({rhs})"
-        else:
-            # left-associative
-            if lp < prec:
-                lhs = f"({lhs})"
-            if rp <= prec:
-                rhs = f"({rhs})"
-        return f"{lhs} {expr.op} {rhs}", prec
-    raise TypeError(f"not an expression node: {expr!r}")
+    (lhs, lp), (rhs, rp) = operands
+    prec = _PREC[node.op]
+    if node.op == "^":
+        # right-associative; the base must be an atom
+        if lp < _PREC["atom"]:
+            lhs = f"({lhs})"
+        if rp < prec:
+            rhs = f"({rhs})"
+    else:
+        # left-associative
+        if lp < prec:
+            lhs = f"({lhs})"
+        if rp <= prec:
+            rhs = f"({rhs})"
+    return f"{lhs} {node.op} {rhs}", prec
 
 
 def to_source(expr: Expr) -> str:
     """Render with the fewest parentheses that preserve the tree."""
-    return _print(expr)[0]
+    return _fold(expr, _print)[0]

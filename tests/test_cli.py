@@ -1,4 +1,6 @@
 import math
+import random
+import re
 import time
 import xml.etree.ElementTree as ET
 
@@ -6,8 +8,7 @@ import pytest
 
 import oracles
 from stepcalc import applications, functions, series, svgplot, tables
-from stepcalc.cli import build_parser, main
-from stepcalc.expr import MAX_TREE_DEPTH
+from stepcalc.cli import MAX_SWEEP_POINTS, build_parser, main
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
 from stepcalc.solver import MAX_STEPS
 
@@ -207,6 +208,11 @@ class TestPendulum:
         code, _, _ = run(capsys, "pendulum", "--theta0", str(math.pi / 2), "--sweep")
         assert code == 0 and time.perf_counter() - start < 1.0
 
+    def test_sweep_points_bound_is_inclusive(self):
+        # MAX_SWEEP_POINTS + 1 is a usage error (TestErrorContract); no point runs here
+        argv = ["pendulum", "--theta0", "1", "--sweep", "--sweep-points", str(MAX_SWEEP_POINTS)]
+        assert build_parser().parse_args(argv).sweep_points == MAX_SWEEP_POINTS
+
     def test_methods_agree(self, capsys):
         args = ("pendulum", "--theta0", "1.0")
         _, out_e, _ = run(capsys, *args)
@@ -280,15 +286,12 @@ class TestRectify:
         assert run(capsys, "rectify", "-n", "1")[0] == 0
         assert build_parser().parse_args(["rectify", "-n", str(MAX_STEPS)]).segments == MAX_STEPS
 
-    def test_expression_chain_bound(self, capsys):
-        # a 300-term chain keeps working; one past the tree bound is a usage error
-        chain = "+".join(["t"] * 300)
-        code, out, _ = run(capsys, "rectify", "--x-expr", chain, "--y-expr", "0",
-                           "--t0", "0", "--t1", "1", "-n", "4")
-        assert code == 0 and float(out) == 300.0
-        code, _, err = run(capsys, "rectify", "--x-expr", "+".join(["t"] * (MAX_TREE_DEPTH + 1)),
-                           "--y-expr", "0", "--t0", "0", "--t1", "1")
-        assert code == 2 and err.count("\n") == 1
+    def test_long_expression_chain(self, capsys):
+        # operator chains have no length bound; only nesting does (TestErrorContract)
+        for n in (300, 3000):
+            code, out, _ = run(capsys, "rectify", "--x-expr", "+".join(["t"] * n), "--y-expr", "0",
+                               "--t0", "0", "--t1", "1", "-n", "4")
+            assert (code, out) == (0, f"{n}\n")
 
 
 class TestUsageErrors:
@@ -313,6 +316,7 @@ class TestErrorContract:
         inf_t_end_spec = tmp_path / "inf_t_end.ivp"
         inf_t_end_spec.write_text(EXP_SPEC.replace("t_end = 1", "t_end = -inf"))
         curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
+        lox = ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "20")
         cases = [
             (1, ("fn", "exp", "nan")),
             (1, ("fn", "exp", "inf")),
@@ -336,14 +340,26 @@ class TestErrorContract:
             (2, ("frobnicate",)),
             (1, ("rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")),
             (1, ("rectify", "--x-expr", "abs((0-1)^0.5)", *curve)),
-            (2, ("deriv", "+".join(["x"] * 3000), "--at", "1")),  # a chain deeper than the tree bound
-            (2, ("rectify", "--x-expr", "+".join(["t"] * 3000), *curve)),
             (2, ("pendulum", "--theta0", "1", "--sweep", "--sweep-points", "0")),
             (2, ("pendulum", "--theta0", "1", "--sweep", "--sweep-points", "-2")),
             (2, ("rectify", "-n", "0")),
             (2, ("rectify", "-n", "-3")),
             (2, ("rectify", "-n", str(MAX_STEPS + 1))),
             (2, ("pi", "--terms", "100000000000")),  # refused before any summing
+            (2, ("pendulum", "--theta0", "1", "--sweep", "--sweep-points", str(MAX_SWEEP_POINTS + 1))),
+            (1, (*lox, "--lon2", "nan")),
+            (1, (*lox, "--lon2", "inf")),
+            (1, (*lox, "--lon2", "30", "--radius", "inf")),
+            (1, (*lox, "--lon2", "30", "--radius", "nan")),
+            (1, (*lox, "--lon2", "30", "--radius", "-1")),
+            (1, (*lox, "--lon2", "30", "--radius", "0")),
+            (1, ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "10", "--lon2", "30", "--radius", "-1")),
+            (1, ("pendulum", "--theta0", "1", "--length", "inf")),
+            (1, ("pendulum", "--theta0", "1", "--length", "nan")),
+            (1, ("pendulum", "--theta0", "1", "--g", "inf")),
+            (1, ("pendulum", "--theta0", "1", "--length", "1e300", "--g", "1e-300")),  # period overflows
+            (1, ("pendulum", "--theta0", "1", "--length", "1e-300", "--g", "1e300")),  # period underflows
+            (1, ("pendulum", "--theta0", "1", "--method", "ode", "--g", "inf")),
         ]
         for expected, argv in cases:
             code, out, err = run(capsys, *argv)
@@ -359,13 +375,19 @@ class TestErrorContract:
             "stepcalc: unbound variable 'y' (at position 0)\n")
         assert run(capsys, "rectify", "--x-expr", "abs((0-1)^0.5)", *curve)[2] == (
             "stepcalc: power with a complex result (at position 9)\n")
-        chain = run(capsys, "deriv", "+".join(["x"] * 3000), "--at", "1")[2]
-        assert f"nests deeper than {MAX_TREE_DEPTH} levels" in chain
+        # only nesting is bounded: a chain of any length is no error
+        assert run(capsys, "deriv", "+".join(["x"] * 3000), "--at", "1") == (0, "3000\n", "")
         assert "argument --sweep-points" in run(capsys, "pendulum", "--theta0", "1", "--sweep",
                                                 "--sweep-points", "0")[2]
         assert "argument --segments/-n" in run(capsys, "rectify", "-n", "0")[2]
         assert "argument --segments/-n" in run(capsys, "rectify", "-n", str(MAX_STEPS + 1))[2]
         assert "argument --terms" in run(capsys, "pi", "--terms", "100000000000")[2]
+        assert "longitude must be finite" in run(capsys, *lox, "--lon2", "nan")[2]
+        assert "radius must be finite and positive" in run(capsys, *lox, "--lon2", "30", "--radius", "inf")[2]
+        assert "length must be finite" in run(capsys, "pendulum", "--theta0", "1", "--length", "inf")[2]
+        assert "gravity must be finite" in run(capsys, "pendulum", "--theta0", "1", "--g", "inf")[2]
+        assert "period must be finite" in run(capsys, "pendulum", "--theta0", "1", "--length", "1e300",
+                                              "--g", "1e-300")[2]
 
 
 class TestDefaults:
@@ -387,3 +409,95 @@ class TestDefaults:
         for argv, defaults in expected:
             args = vars(parser.parse_args(argv))
             assert {key: args[key] for key in defaults} == defaults, argv
+
+
+class TestFuzz:
+    """Seeded random argument vectors over every subcommand.  Each ends
+    within a time cap with exit 0, 1 or 2; a failure prints one stderr line
+    and nothing on stdout, and a success prints only finite numbers."""
+
+    EDGES = ["0", "-1", "1e300", "-1e300", "1e-300", "inf", "-inf", "nan", "abc"]
+    COMMANDS = ["solve", "deriv", "fn", "table", "pi", "pendulum", "ballistics", "lox", "ellipk", "rectify"]
+    NON_FINITE = re.compile(r"(?<![A-Za-z_])[-+]?(inf|infinity|nan)(?![A-Za-z_])", re.IGNORECASE)
+
+    @classmethod
+    def draw(cls, rng, command, spec_path):
+        def value(*typical):
+            return rng.choice(typical) if rng.random() < 0.75 else rng.choice(cls.EDGES)
+
+        def chain(names):
+            n = rng.choice([1, 2, 3, 30, 300, 3000])
+            terms = [rng.choice(names) for _ in range(n)]
+            return terms[0] + "".join(rng.choice("+-") + term for term in terms[1:])
+
+        def options(*pairs, keep=0.8):
+            argv = []
+            for option, text in pairs:
+                if rng.random() < keep:
+                    argv += [option, text] if text is not None else [option]
+            return argv
+
+        step = ("--h", value("0.01"))  # coarse, so a run of typical values stays short
+        if command == "solve":
+            dim = rng.choice([1, 2])
+            names = ["t"] + [f"y{i}" for i in range(1, dim + 1)]
+            lines = [f"dim = {dim}", f"t0 = {value('0', '0.5')}", f"t_end = {value('1', '2')}",
+                     f"h = {value('0.01')}", f"method = {rng.choice(['rk4', 'euler'])}",
+                     "y0 = " + ",".join(value("1", "0.5") for _ in range(dim))]
+            lines += [f"rhs_{i} = {chain(names)}" for i in range(1, dim + 1)]
+            spec_path.write_text("\n".join(lines) + "\n")
+            return ["solve", str(spec_path)]
+        if command == "deriv":
+            return ["deriv", chain(["x", "x", "2", "x*x"]),
+                    *options(("--at", value("1", "1/2", "-3")), keep=0.95)]
+        if command == "fn":
+            name = rng.choice(["exp", "sin", "cos", "sn", "cn", "dn", "invgd", "bogus"])
+            return ["fn", name, value("1", "0.5", "-2"), *step,
+                    *options(("--k", value("0.5")), ("--method", rng.choice(["rk4", "euler"])))]
+        if command == "table":
+            return ["table", *step, *options(("--radius", value("1", "1e7")),
+                                             ("--method", rng.choice(["rk4", "euler"])))]
+        if command == "pi":
+            argv = ["pi", *options(("--terms", value("10", "1000")), ("--corrected", None))]
+            if rng.random() < 0.5:
+                # with --max-terms: at the default cap a tiny threshold sums 10^8 terms
+                argv += ["--discard", value("0.01", "1e-3"), "--max-terms", value("10", "1000"),
+                         *options(("--mode", rng.choice(["absolute", "relative"])))]
+            return argv
+        if command == "pendulum":
+            return ["pendulum", *step, *options(
+                ("--theta0", value("1", "0.5", "3")), ("--length", value("1", "2.5")),
+                ("--g", value("9.8", "1")), ("--method", rng.choice(["ode", "elliptic"])),
+                ("--sweep", None), ("--sweep-points", value("1", "5", "20")))]
+        if command == "ballistics":
+            return ["ballistics", *step, *options(
+                ("--mass", value("1", "10")), ("--drag", value("0", "0.1")), ("--v0", value("10", "100")),
+                ("--alpha", value("45", "30")), ("--g", value("9.8")), keep=0.9)]
+        if command == "lox":
+            return ["lox", *step, *options(
+                ("--lat1", value("10", "45", "-30")), ("--lon1", value("0", "30", "-170")),
+                ("--lat2", value("10", "60", "-80")), ("--lon2", value("0", "30", "170")),
+                ("--radius", value("1", "6371000")), keep=0.9)]
+        if command == "ellipk":
+            return ["ellipk", *options(("--k", value("0.5", "0.9")), keep=0.95),
+                    *options(("--phi", value("1", "0.5")), step, keep=0.5)]
+        return ["rectify", *options(
+            ("-n", value("4", "16", "1024")), ("--x-expr", chain(["t", "t", "2", "t*t"])),
+            ("--y-expr", chain(["t", "1"])), ("--t0", value("0", "1")), ("--t1", value("1", "10")))]
+
+    def test_every_run_ends_in_a_contracted_outcome(self, capsys, tmp_path):
+        rng = random.Random(20261018)
+        codes = set()
+        for i in range(300):
+            argv = self.draw(rng, self.COMMANDS[i % len(self.COMMANDS)], tmp_path / f"{i}.ivp")
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 5.0, argv
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+            if code:
+                assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+            else:
+                assert not self.NON_FINITE.search(out), (argv, out[:200])
+            codes.add(code)
+        assert codes == {0, 1, 2}

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -7,7 +8,6 @@ from stepcalc import expr
 from stepcalc.expr import (
     BUILTINS,
     MAX_DEPTH,
-    MAX_TREE_DEPTH,
     BinOp,
     Call,
     ExprError,
@@ -115,38 +115,50 @@ class TestNestingLimit:
             parse(wrap(source))
 
 
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
 class TestTreeDepthLimit:
-    """Operator chains are built by loops in the parser; the tree they make
-    is bounded so that the recursive walkers stay within Python's limit."""
+    """Only nesting is bounded, by ``MAX_DEPTH`` for the recursive parser.
+    Operator chains are built by loops in the parser, and the walkers are
+    iterative, so a chain of any length walks within Python's stack."""
 
     @staticmethod
-    def walk_all(source):
+    def walk_floats(source):
         tree = parse(source)
-        assert evaluate(tree, {"x": 0.5}) == evaluate(parse(to_source(tree)), {"x": 0.5})
+        printed = to_source(tree)
+        assert to_source(parse(printed)) == printed
+        assert evaluate(parse(printed), {"x": 0.5}) == evaluate(tree, {"x": 0.5})
         assert compile_float([tree], ["x"])(0.5) == (evaluate(tree, {"x": 0.5}),)
         assert variables(tree) == {"x"}
-        evaluate_exact(tree, {"x": EPSILON})
+        return tree
+
+    def walk_all(self, source):
+        return evaluate_exact(self.walk_floats(source), {"x": EPSILON})
 
     @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
     def test_chain_at_the_bound_works(self, op):
         self.walk_all(op.join(["x"] * 300))
-        self.walk_all(op.join(["x"] * MAX_TREE_DEPTH))
+        self.walk_all(op.join(["x"] * 400))
 
     def test_nesting_and_chains_add_up(self):
-        # 90 unary minuses, a power and a chain: the depths add along one path
-        inner = "+".join(["x"] * (MAX_TREE_DEPTH - 91))
-        self.walk_all("-" * 90 + f"({inner})^2")
-        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_TREE_DEPTH} levels"):
-            parse("-" * 90 + f"({inner} + x)^2")
+        # 5000-term chains, and 90 unary minuses, a power and a chain on one path
+        n = 5000
+        assert self.walk_all("+".join(["x"] * n)) == n * EPSILON
+        assert self.walk_all("-".join(["x"] * n)) == (2 - n) * EPSILON
+        inner = "+".join(["x"] * n)
+        assert self.walk_all("-" * 90 + f"({inner})^2") == (n * EPSILON) ** 2
 
-    def test_too_deep_chain_names_the_first_operator_past_the_bound(self):
-        source = "+".join(["x"] * 3000)
-        with pytest.raises(ExprSyntaxError, match=f"tree nests deeper than {MAX_TREE_DEPTH} levels") as err:
-            parse(source)
-        # term k starts at 2(k - 1); the '+' before term MAX_TREE_DEPTH + 1 is one earlier
-        assert err.value.pos == 2 * MAX_TREE_DEPTH - 1
-        with pytest.raises(ExprSyntaxError):
-            parse("+".join(["x"] * (MAX_TREE_DEPTH + 1)))
+    def test_product_and_quotient_chains_walk_in_floats(self):
+        # exact products of 1000 factors cost by degree, so these walk over doubles only
+        assert evaluate(self.walk_floats("*".join(["x"] * 1000)), {"x": 0.5}) == 0.5 ** 1000
+        assert evaluate(self.walk_floats("/".join(["x"] * 1000)), {"x": 0.5}) == 0.5 ** -998
 
 
 def random_tree(rng: random.Random, depth: int):
@@ -243,6 +255,15 @@ class TestExactEvaluation:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(NotRationalError):
             evaluate_exact(parse("x^0.5"), {"x": EPSILON})
+
+    def test_call_refused_before_its_argument(self):
+        # the argument is not walked, so its own failure does not come first
+        for source in ("sin(1/0)", "sin(x^0.5)", "x + exp(0^(0-1))"):
+            with pytest.raises(NotRationalError, match="not a rational expression") as err:
+                evaluate_exact(parse(source), {"x": EPSILON})
+            assert source[err.value.pos:].startswith(("sin", "exp"))
+        with pytest.raises(ExprEvalError, match="division by zero"):
+            evaluate_exact(parse("1/0 + sin(x)"), {"x": EPSILON})
 
 
 def random_float_tree(rng: random.Random, depth: int):
