@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import applications, expr, functions, series, tables
-from .nonarch import EPSILON, deriv_at
+from .nonarch import Jet, deriv_by_series
 from .solver import IVP, MAX_STEPS, StepPlan, integrate
 from .svgplot import DEFAULT_HEIGHT, DEFAULT_WIDTH, Series, line_plot
 
@@ -167,8 +167,8 @@ def cmd_deriv(args) -> int:
     names = expr.variables(tree)
     if len(names) != 1:
         raise ValueError(f"expression must contain exactly one variable, found {sorted(names)}")
-    f = expr.evaluate_exact(tree, {names.pop(): EPSILON})
-    print(deriv_at(f, args.at))
+    name = names.pop()
+    print(deriv_by_series(lambda x: expr.evaluate_exact(tree, {name: x}, Jet), args.at))
     return 0
 
 

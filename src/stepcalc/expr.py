@@ -21,11 +21,20 @@ iterative, so operator chains such as ``x+x+...+x`` may be of any length.
 straight-line code, for callers that evaluate the same trees many times; on
 any failure that function re-runs ``evaluate``, so errors and their
 positions are the walker's.
+
+``evaluate_exact`` walks a tree over an exact field of rational functions
+of one variable: ``nonarch.RatFunc``, the reference, or ``nonarch.Jet``,
+which ``deriv`` uses.  The value type builds literals and supplies the zero
+test and the constant-integer exponent test, so one walker raises the same
+errors over both.  Numerator and denominator degrees are bounded by
+``MAX_EXACT_DEGREE``: a power that would pass it is refused before it is
+built, and any other operation as soon as its result passes it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -425,15 +434,32 @@ def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[...,
     return namespace["_compiled"]
 
 
-def evaluate_exact(expr: Expr, env: Mapping[str, RatFunc]) -> RatFunc:
-    """Evaluate over the exact rational-function field.
+#: Largest degree bound, of numerator or denominator, that exact evaluation
+#: builds.  The costliest inputs measured at a degree d (a divisor that
+#: vanishes identically, a dense removable singularity) grow faster than
+#: d^2; at this bound they take about 1 s on a 2-core x86_64 machine.
+MAX_EXACT_DEGREE = 2048
 
-    Only rational operations are admitted; a transcendental call raises
-    :class:`NotRationalError`, and exponents must be constant integers.
+_EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type = RatFunc) -> Any:
+    """Evaluate over an exact field of rational functions of one variable.
+
+    ``value_type`` is ``RatFunc``, canonical quotients, or ``Jet``,
+    truncated series at a point; literals become its ``from_fraction`` of
+    their exact decimal value.  Only rational operations are admitted: a
+    transcendental call raises :class:`NotRationalError`, and so does an
+    exponent whose ``constant_integer`` is None.  A divisor, or the base of
+    a negative power, that ``is_zero`` raises :class:`ExprEvalError`, and
+    so does a ``degree`` above ``MAX_EXACT_DEGREE``.
     """
-    def visit(node: Expr, *operands: RatFunc) -> RatFunc:
+    def too_high(node: Expr) -> ExprEvalError:
+        return ExprEvalError(f"degree above the exact limit of {MAX_EXACT_DEGREE}", node.pos)
+
+    def visit(node: Expr, *operands: Any) -> Any:
         if isinstance(node, Num):
-            return RatFunc.from_fraction(Fraction(node.text))
+            return value_type.from_fraction(Fraction(node.text))
         if isinstance(node, Var):
             try:
                 return env[node.name]
@@ -445,21 +471,20 @@ def evaluate_exact(expr: Expr, env: Mapping[str, RatFunc]) -> RatFunc:
             raise NotRationalError("not a rational expression", node.pos)
         left, right = operands
         if node.op == "^":
-            if right.den.degree != 0 or right.num.degree > 0 or right.std().denominator != 1:
+            k = right.constant_integer()
+            if k is None:
                 raise NotRationalError("exponent must be a constant integer", node.pos)
-            try:
-                return left ** int(right.std())
-            except ZeroDivisionError:
-                raise ExprEvalError("zero raised to a negative power", node.pos) from None
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right.is_zero:  # "/"
+            if k < 0 and left.is_zero:
+                raise ExprEvalError("zero raised to a negative power", node.pos)
+            if abs(k) * left.degree > MAX_EXACT_DEGREE:
+                raise too_high(node)
+            return left ** k
+        if node.op == "/" and right.is_zero:
             raise ExprEvalError("division by zero", node.pos)
-        return left / right
+        value = _EXACT_OPS[node.op](left, right)
+        if value.degree > MAX_EXACT_DEGREE:  # at most twice the limit was built
+            raise too_high(node)
+        return value
 
     # a call is refused where a recursive walk would reach it, before its argument
     return _fold(expr, visit, lambda node: () if isinstance(node, Call) else _children(node))

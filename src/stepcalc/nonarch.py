@@ -1,22 +1,32 @@
 """Exact arithmetic in a non-Archimedean ordered field of rational functions.
 
-Elements are quotients of univariate polynomials with exact rational
-coefficients.  The indeterminate plays the role of a positive infinitesimal:
-ordering is decided by the sign of the lowest-order coefficients, so the
-indeterminate is positive yet smaller than every positive rational.  The
-``std`` map discards infinitesimals (extracts the order-zero part), and
-``deriv_at`` computes exact derivatives of rational expressions with no
-limit concept: substitute ``x0 + eps``, discard eps^2 and higher at each
-step, and read off the coefficient of eps (Berz 1992).
+``RatFunc`` elements are quotients of univariate polynomials with exact
+rational coefficients.  The indeterminate plays the role of a positive
+infinitesimal: ordering is decided by the sign of the lowest-order
+coefficients, so the indeterminate is positive yet smaller than every
+positive rational.  The ``std`` map discards infinitesimals (extracts the
+order-zero part), and ``deriv_at`` computes exact derivatives of rational
+functions with no limit concept: substitute ``x0 + eps``, discard eps^2 and
+higher at each step, and read off the coefficient of eps (Berz 1992).
+``RatFunc`` values are immutable and canonically normalized by Euclid's gcd,
+so structural equality is semantic equality.
 
-All values are immutable and canonically normalized, so structural equality
-is semantic equality.
+``Jet`` is the same calculation without the canonical form: a rational
+function is kept as the Taylor coefficients of a numerator and a
+denominator at ``x0 + eps``, discarding eps^P and higher, with degree bounds
+that make its zero test exact (Taylor arithmetic in Q[eps]; Griewank and
+Walther, *Evaluating Derivatives*, ch. 13).  ``deriv_by_series`` reads the
+derivative off it, raising P only where the denominator vanishes at x0.
+No gcd is taken until the answer is reduced.  The command line uses this
+path; ``RatFunc`` and ``deriv_at`` are the reference the tests check it
+against.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -202,6 +212,16 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def degree(self) -> int:
+        return max(self.num.degree, self.den.degree)
+
+    def constant_integer(self) -> int | None:
+        """The value if the element is a constant integer, else None."""
+        if self.den.degree == 0 and self.num.degree <= 0 and self.std().denominator == 1:
+            return int(self.std())
+        return None
+
     def order(self) -> int:
         """Valuation: order(num) - order(den).  Positive means infinitesimal,
         negative means infinite."""
@@ -360,3 +380,216 @@ def deriv_at(f: RatFunc, x0: RationalLike) -> Fraction:
     if den0 == 0:
         raise ZeroDivisionError(f"pole at {x0}")
     return (num1 * den0 - num0 * den1) / (den0 * den0)
+
+
+# ---------------------------------------------------------------------------
+# Truncated series at a point
+
+def _coeff(a: list, i: int):
+    return a[i] if i < len(a) else 0
+
+
+def _pad(a: list, n: int) -> list:
+    return a + [0] * (n - len(a))
+
+
+def _mul(a: list, b: list, n: int) -> list:
+    """The first n Taylor coefficients of a product, skipping zero terms."""
+    out = [0] * n
+    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in terms:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _pow(a: list, k: int, n: int) -> list:
+    """The first n Taylor coefficients of a^k, k >= 0, by J. C. P. Miller's
+    recurrence on the part after the leading zeros (Knuth, TAOCP vol. 2,
+    §4.7): O(n len(a)) operations whatever k is.  The coefficients of an
+    integer series' power are integers, so each division is exact."""
+    if k == 0:
+        return [1]
+    v = next((i for i, c in enumerate(a) if c), len(a))
+    if k * v >= n:
+        return [0] * n
+    u = a[v:]
+    c = [u[0] ** k]
+    for m in range(1, n - k * v):
+        s = sum(((k + 1) * j - m) * u[j] * c[m - j] for j in range(1, min(m, len(u) - 1) + 1))
+        c.append(s // (m * u[0]))
+    return [0] * (k * v) + c
+
+
+class Jet:
+    """A rational function N/D of one variable x, kept as the Taylor
+    coefficients of N and D at x = x0 + eps, mod eps^order.
+
+    N and D are the polynomials the operations build: products and
+    quotients cross-multiply, sums over the same constant denominator add
+    numerators, and nothing is gcd-cancelled, so no coefficient is ever
+    divided.  A rational x0 or literal p/q enters as numerator p over
+    denominator q, so every coefficient is an integer.  The degrees of N
+    and D are at most ``dn`` and ``dd``, and ``num`` and ``den`` hold
+    ``min(order, degree + 1)`` coefficients each: a list that fits its
+    degree bound holds the whole polynomial.  D is never the zero
+    polynomial, because a divisor and the base of a negative power are
+    tested with ``is_zero`` first.
+
+    Each element keeps the operation and operands that built it.  A
+    numerator that vanishes to every kept order is tested exactly by
+    replaying that recipe at degree + 1 integer points, since a nonzero
+    polynomial of degree d has at most d roots.
+    """
+
+    __slots__ = ("num", "den", "dn", "dd", "order", "_op", "_args")
+
+    def __init__(self, num: list, den: list, dn: int, dd: int, order: int, op=None, args: tuple = ()):
+        self.num = num
+        self.den = den
+        self.dn = dn
+        self.dd = dd
+        self.order = order
+        self._op = op
+        self._args = args
+
+    @classmethod
+    def variable(cls, x0: RationalLike, order: int) -> "Jet":
+        """x at x0 + eps, mod eps^order: (p + q eps) / q for x0 = p/q."""
+        x0 = Fraction(x0)
+        return cls([x0.numerator, x0.denominator][:order], [x0.denominator], 1, 0, order)
+
+    @classmethod
+    def from_fraction(cls, q: RationalLike) -> "Jet":
+        """A constant; its one coefficient is the whole polynomial at any order."""
+        q = Fraction(q)
+        return cls([q.numerator], [q.denominator], 0, 0, 1)
+
+    @property
+    def degree(self) -> int:
+        return max(self.dn, self.dd)
+
+    def _product(self, other: "Jet", op, num: list, den: list, dn: int, dd: int) -> "Jet":
+        order = max(self.order, other.order)
+        return Jet(_mul(self.num, num, min(order, dn + 1)), _mul(self.den, den, min(order, dd + 1)),
+                   dn, dd, order, op, (self, other))
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        return self._product(other, operator.mul, other.num, other.den,
+                             self.dn + other.dn, self.dd + other.dd)
+
+    def __truediv__(self, other: "Jet") -> "Jet":
+        """The caller tests ``other.is_zero`` first."""
+        return self._product(other, operator.truediv, other.den, other.num,
+                             self.dn + other.dd, self.dd + other.dn)
+
+    def _sum(self, other: "Jet", op) -> "Jet":
+        order = max(self.order, other.order)
+        if self.dd == other.dd == 0 and self.den[0] == other.den[0]:
+            dn, dd, den = max(self.dn, other.dn), 0, self.den
+            left, right = self.num, other.num
+        else:
+            dn, dd = max(self.dn + other.dd, other.dn + self.dd), self.dd + other.dd
+            left = _mul(self.num, other.den, min(order, dn + 1))
+            right = _mul(other.num, self.den, min(order, dn + 1))
+            den = _mul(self.den, other.den, min(order, dd + 1))
+        n = min(order, dn + 1)
+        return Jet(list(map(op, _pad(left, n), _pad(right, n))), den, dn, dd, order, op, (self, other))
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return self._sum(other, operator.add)
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        return self._sum(other, operator.sub)
+
+    def __neg__(self) -> "Jet":
+        return Jet([-c for c in self.num], self.den, self.dn, self.dd, self.order, operator.neg, (self,))
+
+    def __pow__(self, k: int) -> "Jet":
+        """An integer power; for k < 0 the caller tests ``is_zero`` first."""
+        num, den, dn, dd = self.num, self.den, self.dn, self.dd
+        if k < 0:
+            num, den, dn, dd = den, num, dd, dn
+        n = abs(k)
+        return Jet(_pow(num, n, min(self.order, n * dn + 1)), _pow(den, n, min(self.order, n * dd + 1)),
+                   n * dn, n * dd, self.order, operator.pow, (self, k))
+
+    def _at(self, t: int) -> "Jet":
+        """The recipe of this element replayed at x = t, to one term: its
+        ``num`` and ``den`` are [N(t)] and [D(t)]."""
+        nodes, stack = [], [self]
+        while stack:  # children after parents; reversed, children first
+            jet = stack.pop()
+            nodes.append(jet)
+            stack.extend(a for a in jet._args if isinstance(a, Jet))
+        x = Jet.variable(t, 1)
+        values = {}
+        for jet in reversed(nodes):
+            if jet._op is None:  # a leaf: the variable (degree 1) or a constant
+                values[id(jet)] = x if jet.dn else jet
+            else:
+                values[id(jet)] = jet._op(*[values[id(a)] if isinstance(a, Jet) else a for a in jet._args])
+        return values[id(self)]
+
+    def _vanishes(self, coeffs: list, degree: int, value_at) -> bool:
+        """Whether the polynomial of degree <= ``degree`` whose leading
+        Taylor coefficients are ``coeffs``, and whose value in the replayed
+        element p is ``value_at(p)``, is the zero polynomial."""
+        if any(coeffs):
+            return False
+        if len(coeffs) > degree:
+            return True
+        return not any(value_at(self._at(t)) for t in range(degree + 1))
+
+    @property
+    def is_zero(self) -> bool:
+        """Exact: whether N is the zero polynomial."""
+        return self._vanishes(self.num, self.dn, lambda p: p.num[0])
+
+    def constant_integer(self) -> int | None:
+        """The value if the element is a constant integer, else None."""
+        w = next((i for i, c in enumerate(self.den) if c), None)
+        if w is None:  # D vanishes at x0 to every kept order; D has at most dd roots
+            p = next(p for p in map(self._at, range(self.dd + 1)) if p.den[0])
+            value = Fraction(p.num[0], p.den[0])
+        elif any(self.num[:w]):  # a pole at x0
+            return None
+        else:
+            value = Fraction(_coeff(self.num, w), self.den[w])
+        if value.denominator != 1:
+            return None
+        c = value.numerator
+        n = min(self.order, self.degree + 1)
+        rest = [a - c * b for a, b in zip(_pad(self.num, n), _pad(self.den, n))]
+        if not self._vanishes(rest, self.degree, lambda p: p.num[0] - c * p.den[0]):
+            return None
+        return c
+
+
+def deriv_by_series(f: Callable[[Jet], Jet], x0: RationalLike) -> Fraction:
+    """Exact f'(x0) at the rational ``x0``, where ``f`` builds a rational
+    function of its argument by rational operations on ``Jet`` values.
+
+    ``f`` runs at x0 + eps mod eps^P from P = 2.  With w the valuation of
+    D (the index of its first nonzero coefficient), f(x0) and f'(x0) are
+    read off the eps^w and eps^(w+1) coefficients of N and D, which needs
+    P >= w + 2; otherwise P grows and ``f`` runs again.  P stays at most
+    dd + 2, as w <= deg D <= dd.  A numerator of lower valuation than D is
+    a pole and raises ``ZeroDivisionError``, as ``deriv_at`` does.
+    """
+    x0 = Fraction(x0)
+    order = 2
+    while True:
+        y = f(Jet.variable(x0, order))
+        w = next((i for i, c in enumerate(y.den) if c), order)
+        if any(y.num[:w]):
+            raise ZeroDivisionError(f"pole at {x0}")
+        if w + 2 <= order:
+            break
+        order = w + 2 if w < order else min(2 * order, y.dd + 2)
+    d0 = y.den[w]
+    value = Fraction(_coeff(y.num, w), d0)
+    return Fraction(_coeff(y.num, w + 1), d0) - value * Fraction(_coeff(y.den, w + 1), d0)

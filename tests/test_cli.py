@@ -9,6 +9,8 @@ import pytest
 import oracles
 from stepcalc import applications, functions, series, svgplot, tables
 from stepcalc.cli import MAX_SWEEP_POINTS, build_parser, main
+from stepcalc.expr import MAX_EXACT_DEGREE
+from stepcalc.nonarch import EPSILON, RatFunc
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
 from stepcalc.solver import MAX_STEPS
 
@@ -123,6 +125,44 @@ class TestDeriv:
             code, out, _ = run(capsys, "deriv", f"x^{n}", "--at", "2")
             assert time.perf_counter() - start < 5.0
             assert code == 0 and out == f"{n * 2 ** (n - 1)}\n"
+
+    def test_vanishing_divisor_is_decided_quickly(self, capsys):
+        # its series vanishes in every kept term; the exact test must not
+        # expand it to full degree
+        start = time.perf_counter()
+        result = run(capsys, "deriv", "1/((x-1)^1000-(x-1)^1000)", "--at", "2/3")
+        assert time.perf_counter() - start < 2.0
+        assert result == (1, "", "stepcalc: division by zero (at position 1)\n")
+
+    def test_degree_limit_refuses_before_computing(self, capsys):
+        for source in ("x^1000000000", "x^1e300"):
+            start = time.perf_counter()
+            result = run(capsys, "deriv", source, "--at", "2")
+            assert time.perf_counter() - start < 0.1
+            assert result == (1, "", f"stepcalc: degree above the exact limit of {MAX_EXACT_DEGREE}"
+                                     " (at position 1)\n")
+
+    def test_builds_no_ratfunc(self, capsys, monkeypatch):
+        built = []
+        init = RatFunc.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(RatFunc, "__init__", counted)
+        requests = [  # one of each exact_deriv shape
+            ("x^200", "5/3"),
+            ("(x - 1/5)^3 * (x + 2/7)^2 / ((x - 1/2)^2 * (x - 1/3))", "3/7"),
+            ("((x - 1/2)^3 * (x + 1)) / ((x - 1/2)^2)", "1/2"),
+            ("3/2 * (x - 1)^4 * (x + 2) - (x - 1/3)^2", "-2"),
+        ]
+        for source, point in requests:
+            code, out, err = run(capsys, "deriv", source, "--at", point)
+            assert code == 0 and err == "", source
+        assert built == []
+        EPSILON * EPSILON
+        assert built  # the counter sees the reference path
 
     def test_bad_point_is_usage_error(self, capsys):
         for point in ("abc", "nan", "1/0"):
@@ -425,10 +465,10 @@ class TestFuzz:
         def value(*typical):
             return rng.choice(typical) if rng.random() < 0.75 else rng.choice(cls.EDGES)
 
-        def chain(names):
+        def chain(names, ops="+-"):
             n = rng.choice([1, 2, 3, 30, 300, 3000])
             terms = [rng.choice(names) for _ in range(n)]
-            return terms[0] + "".join(rng.choice("+-") + term for term in terms[1:])
+            return terms[0] + "".join(rng.choice(ops) + term for term in terms[1:])
 
         def options(*pairs, keep=0.8):
             argv = []
@@ -448,7 +488,9 @@ class TestFuzz:
             spec_path.write_text("\n".join(lines) + "\n")
             return ["solve", str(spec_path)]
         if command == "deriv":
-            return ["deriv", chain(["x", "x", "2", "x*x"]),
+            k = MAX_EXACT_DEGREE + rng.choice([-1, 0, 1])  # either side of the degree limit
+            names = ["x", "x", "2", "x*x", "x^(x-x+2)", "(x+1)^(2*x/x)", f"x^{k}", f"x^(0-{k})"]
+            return ["deriv", chain(names, "+-/"),
                     *options(("--at", value("1", "1/2", "-3")), keep=0.95)]
         if command == "fn":
             name = rng.choice(["exp", "sin", "cos", "sn", "cn", "dn", "invgd", "bogus"])

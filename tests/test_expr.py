@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from stepcalc.expr import (
     to_source,
     variables,
 )
-from stepcalc.nonarch import EPSILON, RatFunc
+from stepcalc.nonarch import EPSILON, Jet, RatFunc, deriv_at, deriv_by_series
 
 
 def ev(source, env=None):
@@ -264,6 +265,90 @@ class TestExactEvaluation:
             assert source[err.value.pos:].startswith(("sin", "exp"))
         with pytest.raises(ExprEvalError, match="division by zero"):
             evaluate_exact(parse("1/0 + sin(x)"), {"x": EPSILON})
+
+
+ROOTS = ["0", "1", "2", "1/2", "-3/2"]
+EXPONENTS = ["0", "1", "2", "3", "(0-1)", "(0-2)", "(x-x+2)", "(2*x/x)", "(1/2)", "x", "(x-x)",
+             "((x-1)^2/(x-1)^2)"]
+
+
+def random_rational_source(rng: random.Random, depth: int) -> str:
+    """A rational expression in x over factors (x - r) with r from ROOTS,
+    so points on ROOTS make shared roots, removable singularities, poles
+    and divisors that vanish identically."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["x", f"(x - {rng.choice(ROOTS)})", rng.choice(["0", "1", "3", "2/3", "0.5"])])
+    kind = rng.choice(["+", "-", "*", "/", "/", "^", "neg"])
+    if kind == "neg":
+        return f"-{random_rational_source(rng, depth - 1)}"
+    if kind == "^":
+        return f"({random_rational_source(rng, depth - 1)})^{rng.choice(EXPONENTS)}"
+    return f"({random_rational_source(rng, depth - 1)} {kind} {random_rational_source(rng, depth - 1)})"
+
+
+def exact_outcome(fn):
+    """The value, or the exception's type and message."""
+    try:
+        return fn()
+    except (ExprError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def by_series(source, x0):
+    """What ``stepcalc deriv`` computes."""
+    tree = parse(source)
+    return exact_outcome(lambda: deriv_by_series(lambda x: evaluate_exact(tree, {"x": x}, Jet), x0))
+
+
+def by_ratfunc(source, x0):
+    """The reference: the canonical rational function, then ``deriv_at``."""
+    tree = parse(source)
+    return exact_outcome(lambda: deriv_at(evaluate_exact(tree, {"x": EPSILON}), x0))
+
+
+class TestSeriesDerivative:
+    """The truncated-series path against canonical rational functions."""
+
+    @pytest.mark.parametrize("source, x0, expected", [
+        ("(x^2-1)/(x-1)", 1, 1),  # removable singularities
+        ("(x-1)^3/((x-1)^3*(x+2))", 1, Fraction(-1, 9)),
+        ("1/(x-1)", 1, (ZeroDivisionError, "pole at 1")),
+        ("1/(x-x)", 1, (ExprEvalError, "division by zero (at position 1)")),
+        ("(x-x)^(0-1)", 1, (ExprEvalError, "zero raised to a negative power (at position 5)")),
+        ("x^(x-x+2)", 3, 6),
+        ("x^x", 2, (NotRationalError, "exponent must be a constant integer (at position 1)")),
+        ("x^(1/2)", 2, (NotRationalError, "exponent must be a constant integer (at position 1)")),
+        ("x^((x-1)^2/(x-1)^2)", 1, 1),  # an exponent whose denominator vanishes at x0
+        ("x^((x-1)^3/(x-1)^2)", 1, (NotRationalError, "exponent must be a constant integer (at position 1)")),
+        ("x + sin(1/0)", 1, (NotRationalError, "not a rational expression (at position 4)")),
+        ("1/((x-1)^3-(x-1)^3)", Fraction(2, 3), (ExprEvalError, "division by zero (at position 1)")),
+        ("((x-1)^2*(x+1))^(0-1)*(x-1)^2", 1, Fraction(-1, 4)),
+    ])
+    def test_named_cases(self, source, x0, expected):
+        assert by_series(source, x0) == by_ratfunc(source, x0) == expected
+
+    def test_matches_ratfunc_on_random_trees(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(2400):
+            source = random_rational_source(rng, rng.randint(1, 4))
+            x0 = Fraction(rng.choice(ROOTS))
+            if rng.random() < 0.4:
+                x0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            got = by_series(source, x0)
+            assert got == by_ratfunc(source, x0), (source, x0)
+            kinds.add(got[0] if isinstance(got, tuple) else type(got))
+        assert kinds == {Fraction, ZeroDivisionError, ExprEvalError, NotRationalError}
+
+    def test_degree_limit(self):
+        limit = expr.MAX_EXACT_DEGREE
+        assert by_series(f"x^{limit}", 1) == limit
+        assert by_series(f"(x^{limit} + 1) / x", 1) == limit - 2
+        for source in (f"x^{limit + 1}", f"x^(0-{limit + 1})", f"x^{limit // 2} * x^{limit // 2} * x",
+                       "/".join(["x"] * (limit + 2))):
+            got = by_series(source, 2)
+            assert got[0] is ExprEvalError, source
+            assert got[1].startswith(f"degree above the exact limit of {limit} "), source
 
 
 def random_float_tree(rng: random.Random, depth: int):
