@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discard", type=_option_type(float, positive=True), default=None,
                    help="discard threshold; sum until the next term is below it")
     p.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--max-terms", type=_option_type(int, positive=True), default=series.DEFAULT_MAX_TERMS)
+    p.add_argument("--max-terms", type=_option_type(int, positive=True, at_most=series.DEFAULT_MAX_TERMS),
+                   default=series.DEFAULT_MAX_TERMS)
     p.set_defaults(handler=cmd_pi)
 
     p = sub.add_parser("pendulum", help="pendulum period versus amplitude")

@@ -189,6 +189,10 @@ BUILTINS = {
 MAX_DEPTH = 100  # nesting levels; keeps the recursive parser off Python's stack limit
 
 
+#: Binding strength of the binary operators below ``^``.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -210,20 +214,13 @@ class _Parser:
             raise ExprSyntaxError(f"expected {what}, found {got!r}", tok.pos)
         return self.advance()
 
-    def parse_additive(self) -> Expr:
-        node = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            tok = self.advance()
-            rhs = self.parse_multiplicative()
-            node = BinOp(tok.kind, node, rhs, tok.pos)
-        return node
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_binary(self, min_precedence: int = 1) -> Expr:
+        """Unary operands joined by ``+ - * /`` at ``min_precedence`` or
+        tighter, each operator grouping to the left (precedence climbing)."""
         node = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
+        while _PRECEDENCE.get(self.peek().kind, 0) >= min_precedence:
             tok = self.advance()
-            rhs = self.parse_unary()
-            node = BinOp(tok.kind, node, rhs, tok.pos)
+            node = BinOp(tok.kind, node, self.parse_binary(_PRECEDENCE[tok.kind] + 1), tok.pos)
         return node
 
     def parse_unary(self) -> Expr:
@@ -261,10 +258,10 @@ class _Parser:
             self.advance()
             if self.peek().kind == "(":
                 self.advance()
-                args = [self.parse_additive()]
+                args = [self.parse_binary()]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.parse_additive())
+                    args.append(self.parse_binary())
                 self.expect(")", "')'")
                 if tok.text not in BUILTINS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
@@ -276,7 +273,7 @@ class _Parser:
             return Var(tok.text, tok.pos)
         if tok.kind == "(":
             self.advance()
-            node = self.parse_additive()
+            node = self.parse_binary()
             self.expect(")", "')'")
             return node
         got = tok.text or "end of input"
@@ -285,7 +282,7 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     parser = _Parser(tokenize(source))
-    node = parser.parse_additive()
+    node = parser.parse_binary()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.pos)

@@ -15,11 +15,12 @@ so structural equality is semantic equality.
 function is kept as the Taylor coefficients of a numerator and a
 denominator at ``x0 + eps``, discarding eps^P and higher, with degree bounds
 that make its zero test exact (Taylor arithmetic in Q[eps]; Griewank and
-Walther, *Evaluating Derivatives*, ch. 13).  ``deriv_by_series`` reads the
-derivative off it, raising P only where the denominator vanishes at x0.
-No gcd is taken until the answer is reduced.  The command line uses this
-path; ``RatFunc`` and ``deriv_at`` are the reference the tests check it
-against.
+Walther, *Evaluating Derivatives*, ch. 13).  That one test decides a divisor,
+the base of a negative power and, applied to e - c, whether an exponent e is
+the constant integer c.  ``deriv_by_series`` reads the derivative off it,
+raising P only where the denominator vanishes at x0.  No gcd is taken until
+the answer is reduced.  The command line uses this path; ``RatFunc`` and
+``deriv_at`` are the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -439,10 +440,11 @@ class Jet:
     polynomial, because a divisor and the base of a negative power are
     tested with ``is_zero`` first.
 
-    Each element keeps the operation and operands that built it.  A
-    numerator that vanishes to every kept order is tested exactly by
-    replaying that recipe at degree + 1 integer points, since a nonzero
-    polynomial of degree d has at most d roots.
+    Each element keeps the operation and operands that built it.
+    ``is_zero`` is the one exact decision: a numerator that vanishes to
+    every kept order is tested by replaying that recipe at degree + 1
+    integer points, since a nonzero polynomial of degree d has at most d
+    roots.  ``constant_integer`` asks it whether ``self - c`` is zero.
     """
 
     __slots__ = ("num", "den", "dn", "dd", "order", "_op", "_args")
@@ -534,39 +536,29 @@ class Jet:
                 values[id(jet)] = jet._op(*[values[id(a)] if isinstance(a, Jet) else a for a in jet._args])
         return values[id(self)]
 
-    def _vanishes(self, coeffs: list, degree: int, value_at) -> bool:
-        """Whether the polynomial of degree <= ``degree`` whose leading
-        Taylor coefficients are ``coeffs``, and whose value in the replayed
-        element p is ``value_at(p)``, is the zero polynomial."""
-        if any(coeffs):
-            return False
-        if len(coeffs) > degree:
-            return True
-        return not any(value_at(self._at(t)) for t in range(degree + 1))
-
     @property
     def is_zero(self) -> bool:
-        """Exact: whether N is the zero polynomial."""
-        return self._vanishes(self.num, self.dn, lambda p: p.num[0])
+        """Exact: whether N is the zero polynomial.  A nonzero kept term
+        says no and a list that holds the whole polynomial says yes;
+        otherwise N is replayed at the dn + 1 integer points 0..dn, since a
+        nonzero polynomial of degree dn has at most dn roots."""
+        if any(self.num):
+            return False
+        if len(self.num) > self.dn:
+            return True
+        return not any(self._at(t).num[0] for t in range(self.dn + 1))
 
     def constant_integer(self) -> int | None:
-        """The value if the element is a constant integer, else None."""
-        w = next((i for i, c in enumerate(self.den) if c), None)
-        if w is None:  # D vanishes at x0 to every kept order; D has at most dd roots
-            p = next(p for p in map(self._at, range(self.dd + 1)) if p.den[0])
-            value = Fraction(p.num[0], p.den[0])
-        elif any(self.num[:w]):  # a pole at x0
+        """The value if the element is a constant integer, else None.
+
+        The candidate c is N/D at x0, or, where D(x0) = 0, at the first of
+        the integer points 0..dd where D does not vanish (D has at most dd
+        roots); the element is c exactly when ``self - c`` is zero."""
+        p = self if self.den[0] else next(p for p in map(self._at, range(self.dd + 1)) if p.den[0])
+        c = Fraction(p.num[0], p.den[0])
+        if c.denominator != 1 or not (self - Jet.from_fraction(c)).is_zero:
             return None
-        else:
-            value = Fraction(_coeff(self.num, w), self.den[w])
-        if value.denominator != 1:
-            return None
-        c = value.numerator
-        n = min(self.order, self.degree + 1)
-        rest = [a - c * b for a, b in zip(_pad(self.num, n), _pad(self.den, n))]
-        if not self._vanishes(rest, self.degree, lambda p: p.num[0] - c * p.den[0]):
-            return None
-        return c
+        return c.numerator
 
 
 def deriv_by_series(f: Callable[[Jet], Jet], x0: RationalLike) -> Fraction:

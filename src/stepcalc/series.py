@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-DEFAULT_MAX_TERMS = 10**8  # cap on the terms a discard policy sums
+DEFAULT_MAX_TERMS = 10**6  # cap on the terms a discard policy sums
 
 
 class AlternationError(ValueError):

@@ -127,8 +127,10 @@ class TestDeriv:
             assert code == 0 and out == f"{n * 2 ** (n - 1)}\n"
 
     def test_vanishing_divisor_is_decided_quickly(self, capsys):
-        # its series vanishes in every kept term; the exact test must not
-        # expand it to full degree
+        # its series vanishes in every kept term, so the zero test replays it
+        # at integer points; expanding this one in full would take only a
+        # few ms, and what is slow to expand is a dense product such as
+        # (x+1)^1024*(x+2)^1024-(x+2)^1024*(x+1)^1024 (over 9 s)
         start = time.perf_counter()
         result = run(capsys, "deriv", "1/((x-1)^1000-(x-1)^1000)", "--at", "2/3")
         assert time.perf_counter() - start < 2.0
@@ -224,6 +226,15 @@ class TestPi:
         # refused while parsing arguments, so no summing starts
         code, out, err = run(capsys, "pi", "--terms", str(limit + 1))
         assert (code, out) == (2, "") and "argument --terms" in err
+        code, out, err = run(capsys, "pi", "--discard", "1e-300", "--max-terms", str(limit + 1))
+        assert (code, out) == (2, "") and "argument --max-terms" in err
+
+    def test_default_term_cap_ends_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "pi", "--discard", "1e-300")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert "terms_used=1000000 " in out and out.endswith("(term cap reached)\n")
 
     def test_nonpositive_counts_are_usage_errors(self, capsys):
         for argv in (("--terms", "0"), ("--terms", "-3"), ("--discard", "1e-3", "--max-terms", "0"),
@@ -502,9 +513,8 @@ class TestFuzz:
         if command == "pi":
             argv = ["pi", *options(("--terms", value("10", "1000")), ("--corrected", None))]
             if rng.random() < 0.5:
-                # with --max-terms: at the default cap a tiny threshold sums 10^8 terms
-                argv += ["--discard", value("0.01", "1e-3"), "--max-terms", value("10", "1000"),
-                         *options(("--mode", rng.choice(["absolute", "relative"])))]
+                argv += ["--discard", value("0.01", "1e-3"), *options(
+                    ("--max-terms", value("10", "1000")), ("--mode", rng.choice(["absolute", "relative"])))]
             return argv
         if command == "pendulum":
             return ["pendulum", *step, *options(

@@ -323,6 +323,11 @@ class TestSeriesDerivative:
         ("x + sin(1/0)", 1, (NotRationalError, "not a rational expression (at position 4)")),
         ("1/((x-1)^3-(x-1)^3)", Fraction(2, 3), (ExprEvalError, "division by zero (at position 1)")),
         ("((x-1)^2*(x+1))^(0-1)*(x-1)^2", 1, Fraction(-1, 4)),
+        ("x^(1/(x-1))", 1, (NotRationalError, "exponent must be a constant integer (at position 1)")),
+        ("x^((x+1)/(x+1)*3)", -1, 3),  # the exponent's D vanishes at x0: c is read elsewhere
+        ("x^((2*x+1)/(2*x+1)*3/2)", 1, (NotRationalError, "exponent must be a constant integer (at position 1)")),
+        ("x^(x/(x-x))", 2, (ExprEvalError, "division by zero (at position 4)")),
+        ("x^((x-1)^2/(x-1)^2*(0-2))", 1, -2),
     ])
     def test_named_cases(self, source, x0, expected):
         assert by_series(source, x0) == by_ratfunc(source, x0) == expected
