@@ -7,6 +7,7 @@ rectification by inscribed chords, and rhumb-line navigation on the sphere.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +19,7 @@ STANDARD_GRAVITY = 9.80665
 EARTH_RADIUS = 6371000.0
 
 #: Default step sizes, read by the library and by the CLI.
-PENDULUM_H = 1e-4
+PENDULUM_H = 5e-4
 BALLISTICS_H = 1e-3
 MERIDIONAL_H = 1e-4
 
@@ -111,7 +112,7 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     t_end = _pendulum_period_bound(spec) + 2.0 * h
     for _ in range(8):
         traj = integrate(ivp, StepPlan(h, t_end))
-        crossings = [t for t in find_zero_crossings(traj, 1, ivp, h=h) if t > ivp.t0]
+        crossings = [t for t in find_zero_crossings(traj, 1, ivp) if t > ivp.t0]
         if len(crossings) >= 2:
             return 2.0 * (crossings[1] - crossings[0])
         t_end *= 2.0
@@ -202,11 +203,13 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
 def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:
     """Flight trajectory over a window sure to contain the landing.
 
-    Drag never extends the vacuum flight time, so 1.5x the vacuum time plus
-    margin suffices; the window is widened if the landing is not seen.
+    Drag never lengthens the flight, so the window ends two steps past the
+    vacuum flight time, the landing then lying between two grid nodes; it is
+    doubled if the landing is not seen.  The CSV of ``ballistics --out`` is
+    this trajectory.
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
-    t_end = 1.5 * vacuum_time + 1.0
+    t_end = vacuum_time + 2.0 * h
     ivp = ballistics_ivp(spec)
     for _ in range(6):
         traj = integrate(ivp, StepPlan(h, t_end))
@@ -217,15 +220,21 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
 
 
 def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
-    """Horizontal distance to the landing point (descending zero of height)."""
+    """Horizontal distance to the landing point (descending zero of height).
+
+    The landing state is one RK4 step from the grid node before the landing
+    time, as in the locator that found that time (a landing on a node is
+    that node's state again).
+    """
     traj = ballistics_trajectory(spec, h)
     ivp = ballistics_ivp(spec)
-    crossings = [t for t in find_zero_crossings(traj, 1, ivp, h=h) if t > 0.0]
+    crossings = [t for t in find_zero_crossings(traj, 1, ivp) if t > 0.0]
     if not crossings:
         raise RuntimeError("no landing detected")
     t_land = crossings[0]
-    _, state = integrate_final(ivp, StepPlan(h, t_land))
-    return state[0]
+    i = bisect.bisect_left(traj.times, t_land) - 1
+    node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])
+    return integrate_final(node, StepPlan(t_land - traj.times[i], t_land))[1][0]
 
 
 def vacuum_range(spec: BallisticsSpec) -> float:

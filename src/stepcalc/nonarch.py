@@ -217,6 +217,11 @@ class RatFunc:
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
 
+    @property
+    def bits(self) -> int:
+        """Bit length of the largest numerator or denominator of a coefficient."""
+        return max(max(abs(c.numerator), c.denominator).bit_length() for c in self.num.coeffs + self.den.coeffs)
+
     def constant_integer(self) -> int | None:
         """The value if the element is a constant integer, else None."""
         if self.den.degree == 0 and self.num.degree <= 0 and self.std().denominator == 1:
@@ -473,6 +478,11 @@ class Jet:
     @property
     def degree(self) -> int:
         return max(self.dn, self.dd)
+
+    @property
+    def bits(self) -> int:
+        """Bit length of the largest kept coefficient of N or D."""
+        return max(abs(c).bit_length() for c in self.num + self.den)
 
     def _product(self, other: "Jet", op, num: list, den: list, dn: int, dd: int) -> "Jet":
         order = max(self.order, other.order)

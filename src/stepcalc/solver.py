@@ -10,6 +10,11 @@ equal-division grid converges geometrically where a shortened last step
 falls back to the method's order.  Backward integration (``t_end < t0``)
 uses the same machinery with a negated step.
 
+Zero crossings of a state component are located by a bracketed secant
+(Illinois) iteration on one RK4 step from the node before them: to the
+step's local error in a few steps, not to a fixed width in t (Hairer,
+Norsett and Wanner, *Solving ODEs I*, II.6).
+
 Failures: ``IVP`` and ``StepPlan`` reject non-finite times, states and step
 sizes and a step size that is not positive with ``ValueError``, and so does
 ``integrate`` for a plan of more than ``MAX_STEPS`` steps.  During
@@ -28,8 +33,7 @@ from typing import Callable, Sequence
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
 
-CROSSING_TOL = 1e-10  # zero-crossing bisection stops at this width in t
-CROSSING_MAX_ITER = 60  # or after this many bisections
+CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 MAX_STEPS = 10**7  # step budget of one integration run
 
 
@@ -197,14 +201,17 @@ def find_zero_crossings(
     """Refined times where a state component crosses zero.
 
     A node holding an exact zero counts as one crossing (it terminates the
-    previous sign run); sign changes between adjacent nodes are refined by
-    bisection on RK4 re-integration from the bracketing node, to
-    ``CROSSING_TOL`` in t or ``CROSSING_MAX_ITER`` bisections.
+    previous sign run).  A sign change between adjacent nodes is located on
+    g(t), the component after one RK4 step from the earlier node to t, by
+    Illinois regula falsi: secant iterates inside the bracket, the value of
+    an end kept twice in a row halved.  It stops when g is exactly zero,
+    when an iterate does not fall strictly inside the bracket or cannot be
+    computed (a right-hand-side error or a non-finite state), or after
+    ``CROSSING_MAX_ITER`` iterates, and returns the last iterate.  ``h`` is
+    not used: the node spacing sets each step.
     """
     if not 0 <= component < traj.dim:
         raise ValueError(f"component {component} out of range for dim {traj.dim}")
-    if h is None:
-        h = abs(traj.times[-1] - traj.times[0]) / max(1, len(traj.times) - 1)
     values = traj.component(component)
     crossings: list[float] = []
     for i in range(len(values) - 1):
@@ -214,39 +221,32 @@ def find_zero_crossings(
             continue
         if b == 0.0 or (a < 0.0) == (b < 0.0):
             continue
-        crossings.append(
-            _refine_crossing(
-                ivp, h, component,
-                traj.times[i], traj.states[i], traj.times[i + 1], a,
-            )
-        )
+        local = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])
+        crossings.append(_refine_crossing(local, component, traj.times[i + 1], b))
     if values and values[-1] == 0.0:
         crossings.append(traj.times[-1])
     return crossings
 
 
-def _refine_crossing(
-    ivp: IVP,
-    h: float,
-    component: int,
-    t_lo: float,
-    y_lo: Vector,
-    t_hi: float,
-    f_lo: float,
-) -> float:
-    local = IVP(ivp.dim, ivp.rhs, t_lo, y_lo)
-    lo, hi = t_lo, t_hi
-    lo_negative = f_lo < 0.0
+def _refine_crossing(local: IVP, component: int, t_next: float, g_next: float) -> float:
+    """Illinois iteration on one RK4 step from ``local``'s start, which
+    brackets a zero with the next node ``t_next``."""
+    t_lo = local.t0
+    kept, g_kept = t_lo, local.y0[component]
+    t, g = t_next, g_next
     for _ in range(CROSSING_MAX_ITER):
-        if abs(hi - lo) <= CROSSING_TOL:
+        t_new = t - (t - kept) * (g / (g - g_kept))  # a ratio in [0, 1]: no overflow
+        if not min(kept, t) < t_new < max(kept, t):
             break
-        mid = 0.5 * (lo + hi)
-        step = min(h, abs(mid - t_lo)) or h
-        value = integrate_final(local, StepPlan(step, mid))[1][component]
-        if value == 0.0:
-            return mid
-        if (value < 0.0) == lo_negative:
-            lo = mid
+        try:
+            g_new = integrate_final(local, StepPlan(abs(t_new - t_lo), t_new))[1][component]
+        except IntegrationError:
+            return t_new
+        if g_new == 0.0:
+            return t_new
+        if (g_new < 0.0) == (g < 0.0):
+            g_kept /= 2.0
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            kept, g_kept = t, g
+        t, g = t_new, g_new
+    return t

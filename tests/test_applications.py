@@ -5,6 +5,7 @@ import pytest
 import oracles
 from stepcalc import applications, solver
 from stepcalc.applications import (
+    BALLISTICS_H,
     PENDULUM_H,
     BallisticsSpec,
     GeoPoint,
@@ -23,6 +24,7 @@ from stepcalc.applications import (
     unit_circle,
     vacuum_range,
 )
+from stepcalc.solver import IVP
 
 
 @pytest.fixture
@@ -37,6 +39,43 @@ def plans(monkeypatch):
 
     monkeypatch.setattr(solver, "integrate", recording)
     return seen
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The start time of every solver.integrate call, through either
+    module's binding."""
+    seen = []
+    integrate = solver.integrate
+
+    def recording(ivp, plan, *args, **kwargs):
+        seen.append(ivp.t0)
+        return integrate(ivp, plan, *args, **kwargs)
+
+    for module in (solver, applications):
+        monkeypatch.setattr(module, "integrate", recording)
+    return seen
+
+
+@pytest.fixture
+def rhs_evals(monkeypatch):
+    """Right-hand-side evaluations of the pendulum and ballistics problems."""
+    count = [0]
+
+    def counted(make_ivp):
+        def make(spec):
+            ivp = make_ivp(spec)
+
+            def rhs(t, y):
+                count[0] += 1
+                return ivp.rhs(t, y)
+
+            return IVP(ivp.dim, rhs, ivp.t0, ivp.y0)
+        return make
+
+    for name in ("pendulum_ivp", "ballistics_ivp"):
+        monkeypatch.setattr(applications, name, counted(getattr(applications, name)))
+    return count
 
 
 class TestPendulum:
@@ -72,13 +111,36 @@ class TestPendulum:
         # window now ends just past an upper bound on the period, and the
         # grid nodes before its end are the same
         cases = [
-            (0.25, PENDULUM_H, "2.0142750083923335"),
-            (1.0, PENDULUM_H, "2.139502939414978"),
-            (2.5, PENDULUM_H, "3.29649515171051"),
-            (3.1, 1e-2, "6.718452346920968"),  # beyond 3*T0
+            (0.25, PENDULUM_H, "2.0142750084577066"),
+            (1.0, PENDULUM_H, "2.139502939337634"),
+            (2.5, PENDULUM_H, "3.296495151801897"),
+            (3.1, 1e-2, "6.718452346970902"),  # beyond 3*T0
         ]
         for theta0, h, expected in cases:
             assert repr(pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)) == expected
+
+    def test_default_step_error_budget(self):
+        # the budget: no worse than the 1.4e-8 of h = 1e-4 with turning points
+        # bisected to 1e-10 s, and at most 2e-12 up to theta0 = 3.1 (5.3e-11
+        # there at h = 1e-4); at h = 1e-3 theta0 = 3.141 gives 4.9e-8
+        worst = worst_to_3_1 = 0.0
+        for theta0 in (0.01, 0.05, 0.5, 1.0, 2.0, 2.5, 2.8, 3.0, 3.05, 3.1,
+                       3.12, 3.13, 3.135, 3.14, 3.141):
+            for length in (0.5, 1.0, 2.0):
+                spec = PendulumSpec(length, theta0=theta0)
+                k = oracles.elliptic_K_agm(math.sin(theta0 / 2.0))
+                exact = 4.0 * math.sqrt(length / spec.gravity) * k
+                err = abs(pendulum_period_ode(spec) - exact) / exact
+                worst = max(worst, err)
+                if theta0 <= 3.1:
+                    worst_to_3_1 = max(worst_to_3_1, err)
+        assert worst_to_3_1 <= 2e-12
+        assert worst <= 1.4e-8
+
+    def test_default_rhs_evaluations(self, rhs_evals):
+        # 85 752 at h = 1e-4 with bisection to 1e-10 s
+        pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
+        assert rhs_evals[0] == 17152
 
     def test_window_bound_is_a_tight_upper_bound(self):
         for theta0 in (1e-3, 0.5, 2.5, 3.0, 3.14159, math.pi - 1e-12):
@@ -150,6 +212,40 @@ class TestBallistics:
         energies = [mechanical_energy(spec, s) for s in traj.states]
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-9 * energies[0]
+
+    def test_vacuum_default_step_error_budget(self):
+        for v0, alpha in ((40.0, 40), (10.0, 20), (60.0, 75), (5.0, 80)):
+            spec = BallisticsSpec(0.16, 0.0, v0, math.radians(alpha))
+            expected = vacuum_range(spec)
+            assert abs(ballistics_range(spec) - expected) / expected <= 1e-12, (v0, alpha)
+
+    def test_drag_default_step_error_budget(self):
+        # references: the range at h = 1e-5, which agrees with h = 2e-5 to
+        # 1.2e-14; each budget sits just under the error of h = 1e-3 with the
+        # landing time bisected to 1e-10 s (5.4e-13 and 8.3e-11)
+        for drag, reference, budget in ((0.005, 42.409292735704476, 5.3e-13),
+                                        (0.05, 7.718306150149042, 8.2e-11)):
+            spec = BallisticsSpec(0.16, drag, 40.0, math.radians(40))
+            assert abs(ballistics_range(spec) - reference) / reference <= budget, drag
+
+    def test_default_rhs_evaluations(self, rhs_evals):
+        # 56 536 with a window to 1.5x the vacuum time plus 1 s, bisection to
+        # 1e-10 s and a second integration from launch to the landing time
+        ballistics_range(BallisticsSpec(0.16, 0.0, 40.0, math.radians(40)))
+        assert rhs_evals[0] == 21004
+
+    def test_range_integrates_once_from_launch(self, starts):
+        spec = BallisticsSpec(0.16, 0.005, 40.0, math.radians(40))
+        ballistics_range(spec)
+        assert starts.count(0.0) == 1
+        assert len(starts) > 1  # the locator's steps start at grid nodes
+
+    def test_window_ends_two_steps_past_the_vacuum_flight(self):
+        spec = BallisticsSpec(0.16, 0.0, 40.0, math.radians(40))
+        traj = ballistics_trajectory(spec)
+        vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
+        assert traj.times[-1] == vacuum_time + 2.0 * BALLISTICS_H
+        assert traj.states[-1][1] < 0.0 < traj.states[-4][1]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

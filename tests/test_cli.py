@@ -1,15 +1,21 @@
 import math
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import oracles
+import stepcalc
 from stepcalc import applications, functions, series, svgplot, tables
 from stepcalc.cli import MAX_SWEEP_POINTS, build_parser, main
-from stepcalc.expr import MAX_EXACT_DEGREE
+from stepcalc.expr import MAX_EXACT_BITS, MAX_EXACT_DEGREE
 from stepcalc.nonarch import EPSILON, RatFunc
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
 from stepcalc.solver import MAX_STEPS
@@ -143,6 +149,29 @@ class TestDeriv:
             assert time.perf_counter() - start < 0.1
             assert result == (1, "", f"stepcalc: degree above the exact limit of {MAX_EXACT_DEGREE}"
                                      " (at position 1)\n")
+
+    def test_bit_limit_refuses_before_computing(self, capsys):
+        start = time.perf_counter()
+        result = run(capsys, "deriv", "x*2^100000000", "--at", "1")
+        assert time.perf_counter() - start < 0.1
+        assert result == (1, "", f"stepcalc: power above the exact limit of {MAX_EXACT_BITS} bits"
+                                 " (at position 3)\n")
+
+    def test_huge_constant_powers_end_at_once(self):
+        # 2^1e10 would take more than a gigabyte: run in a child process
+        # whose address space is capped, so a regression fails, not the host
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(stepcalc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for source, message in (("2^1e10", "stepcalc: expression must contain exactly one variable"),
+                                ("x*2^1e10", "stepcalc: power above the exact limit")):
+            proc = subprocess.run([sys.executable, "-m", "stepcalc.cli", "deriv", source, "--at", "1"],
+                                  capture_output=True, text=True, timeout=10, env=env,
+                                  preexec_fn=cap_memory)
+            assert proc.returncode == 1 and proc.stdout == "", source
+            assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_builds_no_ratfunc(self, capsys, monkeypatch):
         built = []

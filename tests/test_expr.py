@@ -355,6 +355,17 @@ class TestSeriesDerivative:
             assert got[0] is ExprEvalError, source
             assert got[1].startswith(f"degree above the exact limit of {limit} "), source
 
+    def test_bit_limit(self):
+        limit = expr.MAX_EXACT_BITS
+        # 2 is 2 bits long, so 2^(limit/2) is the largest power of 2 built
+        assert by_series(f"x*2^{limit // 2}", 1) == 2 ** (limit // 2)
+        for source in (f"x*2^{limit // 2 + 1}", f"x/2^{limit // 2 + 1}", f"x*2^(0-{limit // 2 + 1})",
+                       "(x + 2^40)^2000", "x*2^1e10"):
+            for way in (by_series, by_ratfunc):
+                got = way(source, 1)
+                assert got[0] is ExprEvalError, (source, way)
+                assert got[1].startswith(f"power above the exact limit of {limit} bits "), (source, way)
+
 
 def random_float_tree(rng: random.Random, depth: int):
     """Trees over every operator, built-in and variable the solver uses,

@@ -3,7 +3,9 @@ import math
 import pytest
 
 import oracles
+from stepcalc import solver
 from stepcalc.solver import (
+    CROSSING_MAX_ITER,
     IVP,
     MAX_STEPS,
     IntegrationError,
@@ -209,6 +211,52 @@ class TestZeroCrossings:
         traj = integrate(ivp, StepPlan(0.25, 2.0), "rk4")
         crossings = find_zero_crossings(traj, 0, ivp, h=0.25)
         assert crossings == [1.0]
+
+
+class TestCrossingLocator:
+    """The Illinois iteration on one RK4 step from the bracketing node."""
+
+    @pytest.fixture
+    def iterates(self, monkeypatch):
+        """The end time of every one-step evaluation the locator makes."""
+        seen = []
+        integrate_final = solver.integrate_final
+
+        def recording(ivp, plan, *args, **kwargs):
+            seen.append(plan.t_end)
+            return integrate_final(ivp, plan, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "integrate_final", recording)
+        return seen
+
+    def test_sine_crossing_to_the_local_error(self, iterates):
+        ivp = IVP(1, lambda t, y: (math.cos(t),), 0.0, (0.0,))
+        traj = integrate(ivp, StepPlan(1e-3, 4.0), "rk4")
+        crossings = find_zero_crossings(traj, 0, ivp)
+        assert len(crossings) == 2
+        assert abs(crossings[1] - oracles.PI) < 1e-13
+        assert len(iterates) <= 4  # bisection to 1e-10 took 24
+
+    def test_linear_converges_in_one_iteration(self, iterates):
+        # y = 1 - t: nodes 1, 0.25, -0.5 bracket the zero, and the secant
+        # through them lands on it
+        ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
+        traj = integrate(ivp, StepPlan(0.75, 1.5), "rk4")
+        assert find_zero_crossings(traj, 0, ivp) == [1.0]
+        assert iterates == [1.0]
+
+    def test_non_finite_step_values_end_inside_the_bracket(self, iterates):
+        # finite at the stages of the full step from 0 to 1e300, overflowing
+        # anywhere else: every iterate's one-step value is non-finite
+        def rhs(t, y):
+            return (-1.0 if t in (0.0, 5e299, 1e300) else -math.inf,)
+
+        ivp = IVP(1, rhs, 0.0, (0.5e300,))
+        traj = integrate(ivp, StepPlan(1e300, 1e300), "rk4")
+        assert traj.states[-1][0] < 0.0
+        crossings = find_zero_crossings(traj, 0, ivp)
+        assert len(crossings) == 1 and 0.0 < crossings[0] < 1e300
+        assert 1 <= len(iterates) <= CROSSING_MAX_ITER
 
 
 class TestCsv:
