@@ -28,9 +28,9 @@ which ``deriv`` uses.  The value type builds literals and supplies the zero
 test and the constant-integer exponent test, so one walker raises the same
 errors over both.  Numerator and denominator degrees are bounded by
 ``MAX_EXACT_DEGREE``: a power that would pass it is refused before it is
-built, and any other operation as soon as its result passes it.  A power is
-also refused before it is built when its exponent times the value type's
-``bits`` passes ``MAX_EXACT_BITS``.
+built, and any other operation as soon as its result passes it.  A power of
+a constant is also refused before it is built when its exponent times the
+constant's ``bits`` passes ``MAX_EXACT_BITS``.
 """
 
 from __future__ import annotations
@@ -439,10 +439,11 @@ def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[...,
 #: d^2; at this bound they take about 1 s on a 2-core x86_64 machine.
 MAX_EXACT_DEGREE = 2048
 
-#: Largest |k| * bits of the base that an exact power k builds, ``bits``
-#: being the bit length of the base's largest numerator or denominator
-#: coefficient, and about that of the power's.  2^16 bits is about 19 700
-#: digits, over four times the 4300 that Python prints of an integer.
+#: Largest |k| * bits of a constant base that an exact power k builds,
+#: ``bits`` being the bit length of the base's reduced numerator or
+#: denominator, and about that of the power's.  2^16 bits is about 19 700
+#: digits, over four times the 4300 that Python prints of an integer.  A
+#: power of a non-constant base is bounded by ``MAX_EXACT_DEGREE`` alone.
 MAX_EXACT_BITS = 2**16
 
 _EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -458,7 +459,7 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type = RatFun
     exponent whose ``constant_integer`` is None.  A divisor, or the base of
     a negative power, that ``is_zero`` raises :class:`ExprEvalError`, and
     so does a ``degree`` above ``MAX_EXACT_DEGREE`` and a power k of a
-    base whose |k| * ``bits`` is above ``MAX_EXACT_BITS``.
+    constant (``degree`` 0) whose |k| * ``bits`` is above ``MAX_EXACT_BITS``.
     """
     def too_high(node: Expr) -> ExprEvalError:
         return ExprEvalError(f"degree above the exact limit of {MAX_EXACT_DEGREE}", node.pos)
@@ -484,7 +485,7 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type = RatFun
                 raise ExprEvalError("zero raised to a negative power", node.pos)
             if abs(k) * left.degree > MAX_EXACT_DEGREE:
                 raise too_high(node)
-            if abs(k) * left.bits > MAX_EXACT_BITS:
+            if left.degree == 0 and abs(k) * left.bits > MAX_EXACT_BITS:
                 raise ExprEvalError(f"power above the exact limit of {MAX_EXACT_BITS} bits", node.pos)
             return left ** k
         if node.op == "/" and right.is_zero:

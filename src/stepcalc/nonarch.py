@@ -219,8 +219,10 @@ class RatFunc:
 
     @property
     def bits(self) -> int:
-        """Bit length of the largest numerator or denominator of a coefficient."""
-        return max(max(abs(c.numerator), c.denominator).bit_length() for c in self.num.coeffs + self.den.coeffs)
+        """For a constant, the bit length of its numerator or denominator,
+        whichever is longer."""
+        q = self.num.coeff(0)  # over a monic constant denominator
+        return max(abs(q.numerator), q.denominator).bit_length()
 
     def constant_integer(self) -> int | None:
         """The value if the element is a constant integer, else None."""
@@ -481,8 +483,10 @@ class Jet:
 
     @property
     def bits(self) -> int:
-        """Bit length of the largest kept coefficient of N or D."""
-        return max(abs(c).bit_length() for c in self.num + self.den)
+        """For a constant (``degree`` 0), the bit length of its reduced
+        numerator or denominator, whichever is longer, as ``RatFunc.bits``."""
+        q = Fraction(self.num[0], self.den[0])
+        return max(abs(q.numerator), q.denominator).bit_length()
 
     def _product(self, other: "Jet", op, num: list, den: list, dn: int, dd: int) -> "Jet":
         order = max(self.order, other.order)

@@ -192,12 +192,7 @@ def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[floa
     return traj.times[-1], traj.states[-1]
 
 
-def find_zero_crossings(
-    traj: Trajectory,
-    component: int,
-    ivp: IVP,
-    h: float | None = None,
-) -> list[float]:
+def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP) -> list[float]:
     """Refined times where a state component crosses zero.
 
     A node holding an exact zero counts as one crossing (it terminates the
@@ -207,8 +202,7 @@ def find_zero_crossings(
     an end kept twice in a row halved.  It stops when g is exactly zero,
     when an iterate does not fall strictly inside the bracket or cannot be
     computed (a right-hand-side error or a non-finite state), or after
-    ``CROSSING_MAX_ITER`` iterates, and returns the last iterate.  ``h`` is
-    not used: the node spacing sets each step.
+    ``CROSSING_MAX_ITER`` iterates, and returns the last iterate.
     """
     if not 0 <= component < traj.dim:
         raise ValueError(f"component {component} out of range for dim {traj.dim}")

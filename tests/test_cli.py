@@ -157,6 +157,9 @@ class TestDeriv:
         assert result == (1, "", f"stepcalc: power above the exact limit of {MAX_EXACT_BITS} bits"
                                  " (at position 3)\n")
 
+    def test_bit_limit_ignores_the_point(self, capsys):
+        assert run(capsys, "deriv", "x^70/x^69", "--at", "1e-300") == (0, "1\n", "")
+
     def test_huge_constant_powers_end_at_once(self):
         # 2^1e10 would take more than a gigabyte: run in a child process
         # whose address space is capped, so a regression fails, not the host

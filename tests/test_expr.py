@@ -359,12 +359,20 @@ class TestSeriesDerivative:
         limit = expr.MAX_EXACT_BITS
         # 2 is 2 bits long, so 2^(limit/2) is the largest power of 2 built
         assert by_series(f"x*2^{limit // 2}", 1) == 2 ** (limit // 2)
+        # the series keeps 3*2^39/3 unreduced; both paths read its 40 bits
+        k = limit // 40
+        assert by_series(f"x*(3*2^39/3)^{k}", 1) == by_ratfunc(f"x*(3*2^39/3)^{k}", 1) == 2 ** (39 * k)
         for source in (f"x*2^{limit // 2 + 1}", f"x/2^{limit // 2 + 1}", f"x*2^(0-{limit // 2 + 1})",
-                       "(x + 2^40)^2000", "x*2^1e10"):
+                       "x*(2^40 + 1)^2000", "x*(1/3 - 2^40)^2000", "x*2^1e10"):
             for way in (by_series, by_ratfunc):
                 got = way(source, 1)
                 assert got[0] is ExprEvalError, (source, way)
                 assert got[1].startswith(f"power above the exact limit of {limit} bits "), (source, way)
+
+    def test_bit_limit_leaves_powers_of_the_variable_to_the_degree_limit(self):
+        # x0 = 1e-300 holds about 997 bits, but x^70 has degree 70
+        for source, x0 in (("x^70/x^69", Fraction("1e-300")), ("x^1200/x^1199", Fraction("123456789.123456789"))):
+            assert by_series(source, x0) == by_ratfunc(source, x0) == 1, source
 
 
 def random_float_tree(rng: random.Random, depth: int):

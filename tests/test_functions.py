@@ -61,7 +61,7 @@ class TestSinCos:
     def test_zero_crossing_at_pi(self):
         sin_fn, _ = make_sincos()
         traj = integrate(sin_fn.ivp, StepPlan(1e-4, 4.0))
-        crossings = [t for t in find_zero_crossings(traj, 0, sin_fn.ivp, h=1e-4) if t > 0]
+        crossings = [t for t in find_zero_crossings(traj, 0, sin_fn.ivp) if t > 0]
         assert len(crossings) == 1
         assert abs(crossings[0] - oracles.PI) < 1e-7
 
@@ -90,7 +90,7 @@ class TestJacobi:
         sn, _, _ = make_jacobi(k)
         quarter = oracles.elliptic_K_agm(k)
         traj = integrate(sn.ivp, StepPlan(1e-4, quarter + 0.5))
-        crossings = [t for t in find_zero_crossings(traj, 1, sn.ivp, h=1e-4) if t > 0]
+        crossings = [t for t in find_zero_crossings(traj, 1, sn.ivp) if t > 0]
         assert abs(crossings[0] - quarter) < 1e-6
 
     def test_modulus_validation(self):

@@ -194,7 +194,7 @@ class TestZeroCrossings:
     def test_sine_crossing_near_pi(self):
         ivp = IVP(1, lambda t, y: (math.cos(t),), 0.0, (0.0,))
         traj = integrate(ivp, StepPlan(1e-3, 4.0), "rk4")
-        crossings = find_zero_crossings(traj, 0, ivp, h=1e-3)
+        crossings = find_zero_crossings(traj, 0, ivp)
         # the initial node is an exact zero and counts once
         assert crossings[0] == 0.0
         assert len(crossings) == 2
@@ -209,7 +209,7 @@ class TestZeroCrossings:
         # y = 1 - t with h chosen so a node lands exactly on the zero
         ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
         traj = integrate(ivp, StepPlan(0.25, 2.0), "rk4")
-        crossings = find_zero_crossings(traj, 0, ivp, h=0.25)
+        crossings = find_zero_crossings(traj, 0, ivp)
         assert crossings == [1.0]
 
 
