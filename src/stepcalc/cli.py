@@ -4,6 +4,9 @@ Subcommands: solve (spec-file IVP integration with CSV/SVG output), deriv
 (exact rational derivative), fn (ODE-defined function values), table (R-sine
 table), pi (series summation), pendulum, ballistics, lox, ellipk, rectify.
 
+A request builds only the subparser it names and imports only the modules
+that subparser and its handler use; any other argument list builds them all.
+
 Exit codes: 0 success, 1 runtime/domain error, 2 usage/parse error.
 """
 
@@ -13,13 +16,15 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import applications, expr, functions, series, tables
-from .nonarch import Jet, deriv_by_series
-from .solver import IVP, MAX_STEPS, StepPlan, integrate
-from .svgplot import DEFAULT_HEIGHT, DEFAULT_WIDTH, Series, line_plot
+from . import expr
 
+if TYPE_CHECKING:
+    from .solver import IVP, StepPlan
 
+# the subcommands, in the order build_parser adds them and --help lists them
+COMMANDS = ("solve", "deriv", "fn", "table", "pi", "pendulum", "ballistics", "lox", "ellipk", "rectify")
 MAX_SWEEP_POINTS = 10**4  # pendulum --sweep-points; each point is one elliptic_K quadrature
 
 
@@ -41,6 +46,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     Required keys: dim, rhs_1 .. rhs_dim, t0, y0, t_end, h, method.  Each
     must appear exactly once; rhs expressions may use t and y1 .. ydim.
     """
+    from .solver import IVP, StepPlan
     entries: dict[str, tuple[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -50,8 +56,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
             if "=" not in line:
                 raise SpecFileError(f"expected 'key = value', got {line!r}", lineno)
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key, value = key.strip(), value.strip()
             if key in entries:
                 raise SpecFileError(f"duplicate key {key!r}", lineno)
             entries[key] = (value, lineno)
@@ -89,10 +94,8 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
         allowed = {"t"} | {f"y{j}" for j in range(1, dim + 1)}
         unknown = expr.variables(tree) - allowed
         if unknown:
-            raise SpecFileError(
-                f"rhs_{i}: unknown variable(s) {sorted(unknown)}; allowed: t, y1..y{dim}",
-                lineno,
-            )
+            raise SpecFileError(f"rhs_{i}: unknown variable(s) {sorted(unknown)}; allowed: t, y1..y{dim}",
+                                lineno)
         rhs_exprs.append(tree)
 
     t0, _ = take_float("t0")
@@ -118,11 +121,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
         raise SpecFileError(f"unknown key {key!r}", entries[key][1])
 
     components = expr.compile_float(rhs_exprs, ["t"] + [f"y{i}" for i in range(1, dim + 1)])
-
-    def rhs(t, y):
-        return components(t, *y)
-
-    return IVP(dim, rhs, t0, y0), StepPlan(h, t_end), method
+    return IVP(dim, lambda t, y: components(t, *y), t0, y0), StepPlan(h, t_end), method
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -149,30 +148,36 @@ def _parse_components(text: str | None, dim: int) -> list[int]:
 # Subcommand handlers
 
 def cmd_solve(args) -> int:
+    from .solver import integrate
     ivp, plan, method = load_spec_file(args.spec)
     traj = integrate(ivp, plan, method)
     _write_text(args.out, traj.to_csv())
     if args.svg:
-        idxs = _parse_components(args.components, traj.dim)
-        plot = line_plot(
-            [Series(f"y{i + 1}", traj.times, traj.component(i)) for i in idxs],
-            width=args.width, height=args.height,
-        )
-        _write_text(args.svg, plot)
+        from .svgplot import Series, line_plot
+        curves = [Series(f"y{i + 1}", traj.times, traj.component(i))
+                  for i in _parse_components(args.components, traj.dim)]
+        _write_text(args.svg, line_plot(curves, width=args.width, height=args.height))
     return 0
 
 
 def cmd_deriv(args) -> int:
+    from .nonarch import Jet, deriv_by_series
     tree = expr.parse(args.expr)
     names = expr.variables(tree)
     if len(names) != 1:
         raise ValueError(f"expression must contain exactly one variable, found {sorted(names)}")
     name = names.pop()
-    print(deriv_by_series(lambda x: expr.evaluate_exact(tree, {name: x}, Jet), args.at))
+    result = deriv_by_series(lambda x: expr.evaluate_exact(tree, {name: x}, Jet), args.at)
+    try:
+        text = str(result)
+    except ValueError:  # an integer over Python's limit on digits converted to text
+        raise ValueError("exact result has too many digits to print") from None
+    print(text)
     return 0
 
 
 def cmd_fn(args) -> int:
+    from . import functions
     f = functions.by_name(args.name, k=args.k)
     print(_fmt(f(args.x, method=args.method, h=args.h)))
     if args.out:
@@ -181,20 +186,19 @@ def cmd_fn(args) -> int:
 
 
 def cmd_table(args) -> int:
-    table = tables.generate_sine_table(args.radius, args.method, args.h)
-    _write_text(args.out, table.to_csv())
+    from . import tables
+    _write_text(args.out, tables.generate_sine_table(args.radius, args.method, args.h).to_csv())
     return 0
 
 
 def cmd_pi(args) -> int:
+    from . import series
     if args.discard is not None:
         policy = series.DiscardPolicy(args.mode, args.discard, args.max_terms)
         result = series.sum_until_discardable(series.LEIBNIZ, policy)
         cap = " (term cap reached)" if result.hit_cap else ""
-        print(
-            f"value={_fmt(result.value)} terms_used={result.terms_used} "
-            f"discarded_bound={_fmt(result.discarded_bound)}{cap}"
-        )
+        print(f"value={_fmt(result.value)} terms_used={result.terms_used} "
+              f"discarded_bound={_fmt(result.discarded_bound)}{cap}")
     else:
         # --corrected averages consecutive partial sums (half the next term),
         # not leibniz_pi's Madhava correction, so the printed value is unchanged
@@ -206,18 +210,18 @@ def cmd_pi(args) -> int:
 
 
 def cmd_pendulum(args) -> int:
+    from . import applications
+    spec = applications.PendulumSpec(args.length, args.g, args.theta0)
     if args.sweep:
-        base = applications.PendulumSpec(args.length, args.g, args.theta0)
-        t_small = base.small_angle_period()
+        t_small = spec.small_angle_period()
         lines = ["theta0,period,ratio_to_small_angle"]
         for i in range(1, args.sweep_points + 1):
             theta = args.theta0 * i / args.sweep_points
-            spec = applications.PendulumSpec(args.length, args.g, theta)
-            period = applications.pendulum_period_elliptic(spec)
+            point = applications.PendulumSpec(args.length, args.g, theta)
+            period = applications.pendulum_period_elliptic(point)
             lines.append(f"{_fmt(theta)},{_fmt(period)},{_fmt(period / t_small)}")
         _write_text(args.out, "\n".join(lines) + "\n")
         return 0
-    spec = applications.PendulumSpec(args.length, args.g, args.theta0)
     if args.method == "ode":
         period = applications.pendulum_period_ode(spec, h=args.h)
     else:
@@ -227,9 +231,8 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_ballistics(args) -> int:
-    spec = applications.BallisticsSpec(
-        args.mass, args.drag, args.v0, math.radians(args.alpha), args.g
-    )
+    from . import applications
+    spec = applications.BallisticsSpec(args.mass, args.drag, args.v0, math.radians(args.alpha), args.g)
     print(_fmt(applications.ballistics_range(spec, h=args.h)))
     if args.out:
         _write_text(args.out, applications.ballistics_trajectory(spec, h=args.h).to_csv())
@@ -237,6 +240,7 @@ def cmd_ballistics(args) -> int:
 
 
 def cmd_lox(args) -> int:
+    from . import applications
     p1 = applications.GeoPoint(math.radians(args.lat1), math.radians(args.lon1))
     p2 = applications.GeoPoint(math.radians(args.lat2), math.radians(args.lon2))
     bearing, distance = applications.loxodrome(p1, p2, args.radius, h=args.h)
@@ -245,14 +249,13 @@ def cmd_lox(args) -> int:
 
 
 def cmd_ellipk(args) -> int:
-    if args.phi is not None:
-        print(_fmt(applications.elliptic_F(args.phi, args.k, h=args.h)))
-    else:
-        print(_fmt(applications.elliptic_K(args.k, h=args.h)))
+    from . import applications
+    print(_fmt(applications.elliptic_F(args.phi, args.k, h=args.h)))
     return 0
 
 
 def cmd_rectify(args) -> int:
+    from . import applications
     if args.x_expr or args.y_expr:
         if not (args.x_expr and args.y_expr):
             raise ValueError("provide both --x-expr and --y-expr, or neither")
@@ -294,7 +297,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: usage error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each subcommand in ``names``."""
     parser = _Parser(
         prog="stepcalc",
         description="Limit-free calculus toolkit: ODE-defined functions, exact "
@@ -303,107 +307,110 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("solve", help="integrate an IVP described by a spec file")
-    p.add_argument("spec", help="path to a key = value spec file")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.add_argument("--svg", help="also write a static SVG line plot to this path")
-    p.add_argument("--components", help="1-based components to plot, e.g. 1,3")
-    p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
-    p.set_defaults(handler=cmd_solve)
+    def command(name, handler, help_text):
+        """The subparser for ``name`` when ``names`` holds it, else None."""
+        if name in names:
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(handler=handler)
+            return p
 
-    p = sub.add_parser("deriv", help="exact derivative of a rational expression")
-    p.add_argument("expr", help="rational expression in one variable, e.g. 'x^2'")
-    p.add_argument("--at", required=True, type=_option_type(Fraction),
-                   help="evaluation point, integer or p/q")
-    p.set_defaults(handler=cmd_deriv)
+    if p := command("solve", cmd_solve, "integrate an IVP described by a spec file"):
+        from .svgplot import DEFAULT_HEIGHT, DEFAULT_WIDTH
+        p.add_argument("spec", help="path to a key = value spec file")
+        p.add_argument("--out", help="write CSV here instead of stdout")
+        p.add_argument("--svg", help="also write a static SVG line plot to this path")
+        p.add_argument("--components", help="1-based components to plot, e.g. 1,3")
+        p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
+        p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
 
-    p = sub.add_parser("fn", help="evaluate an ODE-defined function")
-    p.add_argument("name", help="exp, sin, cos, sn, cn, dn or invgd")
-    p.add_argument("x", type=float)
-    p.add_argument("--k", type=float, default=functions.DEFAULT_K, help="elliptic modulus for sn/cn/dn")
-    p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
-    p.add_argument("--h", type=float, default=functions.DEFAULT_H, help="step size")
-    p.add_argument("--out", help="write the CSV trajectory here")
-    p.set_defaults(handler=cmd_fn)
+    if p := command("deriv", cmd_deriv, "exact derivative of a rational expression"):
+        p.add_argument("expr", help="rational expression in one variable, e.g. 'x^2'")
+        p.add_argument("--at", required=True, type=_option_type(Fraction),
+                       help="evaluation point, integer or p/q")
 
-    p = sub.add_parser("table", help="generate the 24-entry R-sine table as CSV")
-    p.add_argument("--radius", type=float, default=tables.DEFAULT_RADIUS)
-    p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
-    p.add_argument("--h", type=float, default=tables.DEFAULT_H, help="step size, radians")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(handler=cmd_table)
+    if p := command("fn", cmd_fn, "evaluate an ODE-defined function"):
+        from . import functions
+        p.add_argument("name", help="exp, sin, cos, sn, cn, dn or invgd")
+        p.add_argument("x", type=float)
+        p.add_argument("--k", type=float, default=functions.DEFAULT_K, help="elliptic modulus for sn/cn/dn")
+        p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
+        p.add_argument("--h", type=float, default=functions.DEFAULT_H, help="step size")
+        p.add_argument("--out", help="write the CSV trajectory here")
 
-    p = sub.add_parser("pi", help="sum the alternating series for pi")
-    p.add_argument("--terms", type=_option_type(int, positive=True, at_most=series.DEFAULT_MAX_TERMS),
-                   default=1000,
-                   help="number of terms")
-    p.add_argument("--corrected", action="store_true",
-                   help="average consecutive partial sums (end correction)")
-    p.add_argument("--discard", type=_option_type(float, positive=True), default=None,
-                   help="discard threshold; sum until the next term is below it")
-    p.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--max-terms", type=_option_type(int, positive=True, at_most=series.DEFAULT_MAX_TERMS),
-                   default=series.DEFAULT_MAX_TERMS)
-    p.set_defaults(handler=cmd_pi)
+    if p := command("table", cmd_table, "generate the 24-entry R-sine table as CSV"):
+        from . import tables
+        p.add_argument("--radius", type=float, default=tables.DEFAULT_RADIUS)
+        p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
+        p.add_argument("--h", type=float, default=tables.DEFAULT_H, help="step size, radians")
+        p.add_argument("--out", help="write CSV here instead of stdout")
 
-    p = sub.add_parser("pendulum", help="pendulum period versus amplitude")
-    p.add_argument("--theta0", type=float, required=True, help="amplitude, radians")
-    p.add_argument("--length", type=float, default=1.0, help="length, meters")
-    p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
-    p.add_argument("--method", choices=("ode", "elliptic"), default="elliptic")
-    p.add_argument("--h", type=float, default=applications.PENDULUM_H,
-                   help="step size for the ode method")
-    p.add_argument("--sweep", action="store_true",
-                   help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0")
-    p.add_argument("--sweep-points", type=_option_type(int, positive=True, at_most=MAX_SWEEP_POINTS),
-                   default=20)
-    p.add_argument("--out", help="write sweep CSV here instead of stdout")
-    p.set_defaults(handler=cmd_pendulum)
+    if p := command("pi", cmd_pi, "sum the alternating series for pi"):
+        from .series import DEFAULT_MAX_TERMS
+        count = _option_type(int, positive=True, at_most=DEFAULT_MAX_TERMS)
+        p.add_argument("--terms", type=count, default=1000, help="number of terms")
+        p.add_argument("--corrected", action="store_true",
+                       help="average consecutive partial sums (end correction)")
+        p.add_argument("--discard", type=_option_type(float, positive=True), default=None,
+                       help="discard threshold; sum until the next term is below it")
+        p.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
+        p.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
 
-    p = sub.add_parser("ballistics", help="range of a projectile with quadratic drag")
-    p.add_argument("--mass", type=float, required=True, help="kg")
-    p.add_argument("--drag", type=float, default=0.0, help="quadratic drag coefficient, kg/m")
-    p.add_argument("--v0", type=float, required=True, help="launch speed, m/s")
-    p.add_argument("--alpha", type=float, required=True, help="launch angle, degrees")
-    p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
-    p.add_argument("--h", type=float, default=applications.BALLISTICS_H, help="step size, seconds")
-    p.add_argument("--out", help="write the CSV trajectory here")
-    p.set_defaults(handler=cmd_ballistics)
+    if p := command("pendulum", cmd_pendulum, "pendulum period versus amplitude"):
+        from . import applications
+        p.add_argument("--theta0", type=float, required=True, help="amplitude, radians")
+        p.add_argument("--length", type=float, default=1.0, help="length, meters")
+        p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
+        p.add_argument("--method", choices=("ode", "elliptic"), default="elliptic")
+        p.add_argument("--h", type=float, default=applications.PENDULUM_H,
+                       help="step size for the ode method")
+        p.add_argument("--sweep", action="store_true",
+                       help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0")
+        p.add_argument("--sweep-points", type=_option_type(int, positive=True, at_most=MAX_SWEEP_POINTS),
+                       default=20)
+        p.add_argument("--out", help="write sweep CSV here instead of stdout")
 
-    p = sub.add_parser("lox", help="rhumb-line bearing and distance on the sphere")
-    p.add_argument("--lat1", type=float, required=True, help="degrees")
-    p.add_argument("--lon1", type=float, required=True, help="degrees")
-    p.add_argument("--lat2", type=float, required=True, help="degrees")
-    p.add_argument("--lon2", type=float, required=True, help="degrees")
-    p.add_argument("--radius", type=float, default=applications.EARTH_RADIUS)
-    p.add_argument("--h", type=float, default=applications.MERIDIONAL_H,
-                   help="step size for the meridional-parts integration")
-    p.set_defaults(handler=cmd_lox)
+    if p := command("ballistics", cmd_ballistics, "range of a projectile with quadratic drag"):
+        from . import applications
+        p.add_argument("--mass", type=float, required=True, help="kg")
+        p.add_argument("--drag", type=float, default=0.0, help="quadratic drag coefficient, kg/m")
+        p.add_argument("--v0", type=float, required=True, help="launch speed, m/s")
+        p.add_argument("--alpha", type=float, required=True, help="launch angle, degrees")
+        p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
+        p.add_argument("--h", type=float, default=applications.BALLISTICS_H, help="step size, seconds")
+        p.add_argument("--out", help="write the CSV trajectory here")
 
-    p = sub.add_parser("ellipk", help="complete/incomplete elliptic integral, first kind")
-    p.add_argument("--k", type=float, required=True, help="modulus in [0, 1)")
-    p.add_argument("--phi", type=float, default=None,
-                   help="amplitude in [0, pi/2]; omit for the complete integral")
-    p.add_argument("--h", type=float, default=None,
-                   help="one pass of equal steps of at most this size; by default the step "
-                        f"count doubles until two passes agree to {applications.ELLIPTIC_TOL:g}")
-    p.set_defaults(handler=cmd_ellipk)
+    if p := command("lox", cmd_lox, "rhumb-line bearing and distance on the sphere"):
+        from . import applications
+        for option in ("--lat1", "--lon1", "--lat2", "--lon2"):
+            p.add_argument(option, type=float, required=True, help="degrees")
+        p.add_argument("--radius", type=float, default=applications.EARTH_RADIUS)
+        p.add_argument("--h", type=float, default=applications.MERIDIONAL_H,
+                       help="step size for the meridional-parts integration")
 
-    p = sub.add_parser("rectify", help="polyline length of a parametric curve")
-    p.add_argument("--segments", "-n", type=_option_type(int, positive=True, at_most=MAX_STEPS),
-                   default=1024)
-    p.add_argument("--x-expr", help="x(t) expression; default is the unit circle")
-    p.add_argument("--y-expr", help="y(t) expression")
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-    p.set_defaults(handler=cmd_rectify)
+    if p := command("ellipk", cmd_ellipk, "complete/incomplete elliptic integral, first kind"):
+        from .applications import ELLIPTIC_TOL
+        p.add_argument("--k", type=float, required=True, help="modulus in [0, 1)")
+        p.add_argument("--phi", type=float, default=math.pi / 2,
+                       help="amplitude in [0, pi/2]; omit for the complete integral")
+        p.add_argument("--h", type=float, default=None,
+                       help="one pass of equal steps of at most this size; by default the step "
+                            f"count doubles until two passes agree to {ELLIPTIC_TOL:g}")
+
+    if p := command("rectify", cmd_rectify, "polyline length of a parametric curve"):
+        from .solver import MAX_STEPS
+        p.add_argument("--segments", "-n", type=_option_type(int, positive=True, at_most=MAX_STEPS),
+                       default=1024)
+        p.add_argument("--x-expr", help="x(t) expression; default is the unit circle")
+        p.add_argument("--y-expr", help="y(t) expression")
+        p.add_argument("--t0", type=float, default=None)
+        p.add_argument("--t1", type=float, default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -414,17 +421,10 @@ def main(argv=None) -> int:
         where = f"{args.spec}:{exc.line}: " if exc.line else f"{args.spec}: "
         print(f"stepcalc: {where}{exc}", file=sys.stderr)
         return 2
-    except expr.ExprSyntaxError as exc:
-        print(f"stepcalc: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"stepcalc: {exc}", file=sys.stderr)
-        return 1
-
-
-def entry() -> None:
-    sys.exit(main())
+        return 2 if isinstance(exc, expr.ExprSyntaxError) else 1
 
 
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from .nonarch import RatFunc
-
 
 class ExprError(ValueError):
     """Base for expression errors; carries a byte offset into the source."""
@@ -449,18 +447,22 @@ MAX_EXACT_BITS = 2**16
 _EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type = RatFunc) -> Any:
+def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None = None) -> Any:
     """Evaluate over an exact field of rational functions of one variable.
 
-    ``value_type`` is ``RatFunc``, canonical quotients, or ``Jet``,
-    truncated series at a point; literals become its ``from_fraction`` of
-    their exact decimal value.  Only rational operations are admitted: a
-    transcendental call raises :class:`NotRationalError`, and so does an
-    exponent whose ``constant_integer`` is None.  A divisor, or the base of
-    a negative power, that ``is_zero`` raises :class:`ExprEvalError`, and
-    so does a ``degree`` above ``MAX_EXACT_DEGREE`` and a power k of a
-    constant (``degree`` 0) whose |k| * ``bits`` is above ``MAX_EXACT_BITS``.
+    ``value_type`` is ``RatFunc`` (the default), canonical quotients, or
+    ``Jet``, truncated series at a point; literals become its
+    ``from_fraction`` of their exact decimal value.  Only rational
+    operations are admitted: a transcendental call raises
+    :class:`NotRationalError`, and so does an exponent whose
+    ``constant_integer`` is None.  A divisor, or the base of a negative
+    power, that ``is_zero`` raises :class:`ExprEvalError`, and so does a
+    ``degree`` above ``MAX_EXACT_DEGREE`` and a power k of a constant
+    (``degree`` 0) whose |k| * ``bits`` is above ``MAX_EXACT_BITS``.
     """
+    if value_type is None:  # imported on use: parsing and float evaluation need no nonarch
+        from .nonarch import RatFunc as value_type
+
     def too_high(node: Expr) -> ExprEvalError:
         return ExprEvalError(f"degree above the exact limit of {MAX_EXACT_DEGREE}", node.pos)
 

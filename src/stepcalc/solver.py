@@ -20,8 +20,10 @@ sizes and a step size that is not positive with ``ValueError``, and so does
 ``integrate`` for a plan of more than ``MAX_STEPS`` steps.  During
 integration, an ``ArithmeticError`` or ``ValueError`` from the right-hand
 side (expression errors included), a right-hand side of the wrong length,
-and a non-finite final state each raise ``IntegrationError``; any other
-exception propagates unchanged.
+and a non-finite state each raise ``IntegrationError``; any other exception
+propagates unchanged.  The state is checked every ``FINITE_CHECK_STEPS``
+steps and at the end, so a run that overflows stops soon after, not at
+``t_end``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ RHS = Callable[[float, Sequence[float]], Sequence[float]]
 
 CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 MAX_STEPS = 10**7  # step budget of one integration run
+FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
 
 
 class IntegrationError(RuntimeError):
     """An integration failed; carries the start time of the failing step
-    (the final time when the final state is non-finite)."""
+    (the time of the checked node when its state is non-finite)."""
 
     def __init__(self, t: float, cause: Exception):
         super().__init__(f"integration failed at t={t!r}: {cause}")
@@ -176,6 +179,8 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
             if record:
                 times.append(t)
                 states.append(y)
+            if k % FINITE_CHECK_STEPS == 0 and not all(map(math.isfinite, y)):
+                break
     except (ArithmeticError, ValueError) as exc:
         raise IntegrationError(t, exc) from exc
     if not all(map(math.isfinite, y)):

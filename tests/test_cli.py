@@ -13,8 +13,8 @@ import pytest
 
 import oracles
 import stepcalc
-from stepcalc import applications, functions, series, svgplot, tables
-from stepcalc.cli import MAX_SWEEP_POINTS, build_parser, main
+from stepcalc import applications, cli, functions, series, svgplot, tables
+from stepcalc.cli import COMMANDS, MAX_SWEEP_POINTS, build_parser, main
 from stepcalc.expr import MAX_EXACT_BITS, MAX_EXACT_DEGREE
 from stepcalc.nonarch import EPSILON, RatFunc
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
@@ -36,6 +36,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a child interpreter that imports this stepcalc."""
+    src = str(Path(stepcalc.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture
@@ -166,15 +172,21 @@ class TestDeriv:
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        src = str(Path(stepcalc.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         for source, message in (("2^1e10", "stepcalc: expression must contain exactly one variable"),
                                 ("x*2^1e10", "stepcalc: power above the exact limit")):
             proc = subprocess.run([sys.executable, "-m", "stepcalc.cli", "deriv", source, "--at", "1"],
-                                  capture_output=True, text=True, timeout=10, env=env,
+                                  capture_output=True, text=True, timeout=10, env=child_env(),
                                   preexec_fn=cap_memory)
             assert proc.returncode == 1 and proc.stdout == "", source
             assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6000,
+                        reason="this interpreter prints integers of any length")
+    def test_result_over_the_digit_limit(self, capsys):
+        # 2^20000 has 6021 digits: within the exact bit limit, past Python's
+        # limit on converting an integer to text
+        assert run(capsys, "deriv", "x*2^20000", "--at", "1") == (
+            1, "", "stepcalc: exact result has too many digits to print\n")
 
     def test_builds_no_ratfunc(self, capsys, monkeypatch):
         built = []
@@ -388,6 +400,68 @@ class TestUsageErrors:
         assert code == 2
 
 
+class TestLeanParser:
+    """``main`` builds only the subparser a request names; every outcome
+    must be byte-identical to the one the full parser gives."""
+
+    BAD_VALUE = {"solve": ["x.ivp", "--width", "w"], "deriv": ["x", "--at", "a"], "fn": ["exp", "x"],
+                 "table": ["--h", "h"], "pi": ["--terms", "t"], "pendulum": ["--theta0", "t"],
+                 "ballistics": ["--mass", "m"], "lox": ["--lat1", "l"], "ellipk": ["--k", "k"],
+                 "rectify": ["-n", "n"]}
+
+    @staticmethod
+    def outcomes(capsys, monkeypatch, argv):
+        """(names main built, its outcome, the outcome with the full parser)."""
+        built = []
+        full_build = cli.build_parser
+        lean = run(capsys, *argv)
+        monkeypatch.setattr(cli, "build_parser", lambda names: built.append(list(names)) or full_build())
+        full = run(capsys, *argv)
+        monkeypatch.undo()
+        return built, lean, full
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_subcommand_outcomes_match_the_full_parser(self, capsys, monkeypatch, name):
+        for rest in (["--help"], [], ["--bogus"], self.BAD_VALUE[name], ["a", "b", "c", "d"]):
+            built, lean, full = self.outcomes(capsys, monkeypatch, [name, *rest])
+            assert built == [[name]], rest
+            assert lean == full, rest
+            assert lean[0] in (0, 2) and (lean[0] == 0) == (lean[2] == ""), rest
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"], ["--bogus", "deriv"], ["de", "x"]])
+    def test_other_requests_build_every_subparser(self, capsys, monkeypatch, argv):
+        built, lean, full = self.outcomes(capsys, monkeypatch, argv)
+        assert built == [list(COMMANDS)]
+        assert lean == full
+        if argv == ["--help"]:
+            assert lean[0] == 0 and all(name in lean[1] for name in COMMANDS)
+        else:
+            assert lean[0] == 2 and "usage error: " in lean[2]
+
+    def test_default_is_the_full_parser(self):
+        listed = re.findall(r"^    (\S+)", build_parser().format_help(), re.MULTILINE)
+        assert tuple(listed) == COMMANDS
+
+
+class TestImports:
+    """A request imports only the library modules it uses."""
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["deriv", "x^2", "--at", "1"], {"stepcalc.solver", "stepcalc.applications", "stepcalc.svgplot"}),
+        (["pi"], {"stepcalc.nonarch", "stepcalc.solver"}),
+    ])
+    def test_request_leaves_unused_modules_unimported(self, argv, absent):
+        code = ("import sys; from stepcalc import cli; "
+                f"code = cli.main({argv!r}); "
+                "print(code, *sorted(m for m in sys.modules if m.startswith('stepcalc')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0" and "stepcalc.cli" in loaded
+        assert absent.isdisjoint(loaded), loaded
+
+
 class TestErrorContract:
     def test_failures_are_one_stderr_line(self, capsys, tmp_path):
         nan_spec = tmp_path / "nan.ivp"
@@ -500,7 +574,7 @@ class TestFuzz:
     and nothing on stdout, and a success prints only finite numbers."""
 
     EDGES = ["0", "-1", "1e300", "-1e300", "1e-300", "inf", "-inf", "nan", "abc"]
-    COMMANDS = ["solve", "deriv", "fn", "table", "pi", "pendulum", "ballistics", "lox", "ellipk", "rectify"]
+    COMMANDS = COMMANDS
     NON_FINITE = re.compile(r"(?<![A-Za-z_])[-+]?(inf|infinity|nan)(?![A-Za-z_])", re.IGNORECASE)
 
     @classmethod

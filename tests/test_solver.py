@@ -170,6 +170,23 @@ class TestErrors:
                 integrate_final(ivp, StepPlan(0.01, 3.0), method)
             assert err.value.t == 3.0
 
+    def test_non_finite_state_stops_the_run(self):
+        # the same blow-up with t_end = 1000 would take 10^6 steps; the run
+        # stops at the first check after t = 1
+        calls = 0
+
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            return (y[0] * y[0],)
+
+        for method in ("euler", "rk4"):
+            calls = 0
+            with pytest.raises(IntegrationError, match="state is not finite") as err:
+                integrate(IVP(1, rhs, 0.0, (1.0,)), StepPlan(1e-3, 1000.0), method)
+            assert calls < 10_000, method
+            assert 1.0 < err.value.t <= 1.0 + 2e-3 * solver.FINITE_CHECK_STEPS, method
+
     def test_non_finite_inputs_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="t0"):
