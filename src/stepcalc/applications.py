@@ -59,16 +59,18 @@ class BallisticsSpec:
     gravity: float = STANDARD_GRAVITY
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if self.drag < 0:
-            raise ValueError("drag coefficient must be non-negative")
-        if not self.v0 > 0:
-            raise ValueError("launch speed must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
+        if not 0.0 <= self.drag < math.inf:
+            raise ValueError(f"drag coefficient must be finite and non-negative, got {self.drag!r}")
+        if not 0.0 < self.v0 < math.inf:
+            raise ValueError(f"launch speed must be finite and positive, got {self.v0!r}")
         if not 0.0 < self.alpha < math.pi / 2:
             raise ValueError("launch angle must lie in (0, pi/2)")
-        if not self.gravity > 0:
-            raise ValueError("gravity must be positive")
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError(f"gravity must be finite and positive, got {self.gravity!r}")
+        if not self.drag / self.mass < math.inf:
+            raise ValueError(f"drag/mass ratio must be finite, got {self.drag / self.mass!r}")
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,9 @@ def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
     )
 
 
-def elliptic_K(k: float, h: float | None = None) -> float:
+def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind."""
-    return elliptic_F(math.pi / 2, k, h)
+    return elliptic_F(math.pi / 2, k)
 
 
 def pendulum_period_elliptic(spec: PendulumSpec) -> float:

@@ -18,8 +18,6 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import expr
-
 if TYPE_CHECKING:
     from .solver import IVP, StepPlan
 
@@ -46,7 +44,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     Required keys: dim, rhs_1 .. rhs_dim, t0, y0, t_end, h, method.  Each
     must appear exactly once; rhs expressions may use t and y1 .. ydim.
     """
-    from .solver import IVP, StepPlan
+    from . import expr, solver
     entries: dict[str, tuple[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -121,7 +119,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
         raise SpecFileError(f"unknown key {key!r}", entries[key][1])
 
     components = expr.compile_float(rhs_exprs, ["t"] + [f"y{i}" for i in range(1, dim + 1)])
-    return IVP(dim, lambda t, y: components(t, *y), t0, y0), StepPlan(h, t_end), method
+    return solver.IVP(dim, lambda t, y: components(t, *y), t0, y0), solver.StepPlan(h, t_end), method
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -161,13 +159,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_deriv(args) -> int:
-    from .nonarch import Jet, deriv_by_series
+    from . import expr, nonarch
     tree = expr.parse(args.expr)
     names = expr.variables(tree)
     if len(names) != 1:
         raise ValueError(f"expression must contain exactly one variable, found {sorted(names)}")
     name = names.pop()
-    result = deriv_by_series(lambda x: expr.evaluate_exact(tree, {name: x}, Jet), args.at)
+    result = nonarch.deriv_by_series(lambda x: expr.evaluate_exact(tree, {name: x}, nonarch.Jet), args.at)
     try:
         text = str(result)
     except ValueError:  # an integer over Python's limit on digits converted to text
@@ -255,7 +253,7 @@ def cmd_ellipk(args) -> int:
 
 
 def cmd_rectify(args) -> int:
-    from . import applications
+    from . import applications, expr
     if args.x_expr or args.y_expr:
         if not (args.x_expr and args.y_expr):
             raise ValueError("provide both --x-expr and --y-expr, or neither")
@@ -422,8 +420,9 @@ def main(argv=None) -> int:
         print(f"stepcalc: {where}{exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+        from .expr import ExprSyntaxError  # imported here: most requests parse no expression
         print(f"stepcalc: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, expr.ExprSyntaxError) else 1
+        return 2 if isinstance(exc, ExprSyntaxError) else 1
 
 
 if __name__ == "__main__":

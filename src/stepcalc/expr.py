@@ -1,17 +1,20 @@
 """Infix expression language for ODE right-hand sides and CLI arguments.
 
-Grammar, precedence low to high:
+Grammar, precedence low to high, then the tokens (the pattern ``_TOKEN``):
 
     additive        ::= multiplicative (("+" | "-") multiplicative)*
     multiplicative  ::= unary (("*" | "/") unary)*
     unary           ::= "-" unary | power
     power           ::= atom ("^" unary)?        # right-associative
     atom            ::= NUMBER | IDENT | IDENT "(" additive ")" | "(" additive ")"
+    NUMBER          ::= [0-9]+ ("." [0-9]*)? ([eE] [+-]? [0-9]+)?
+    IDENT           ::= [A-Za-z] [A-Za-z0-9_]*
 
-Unary minus binds looser than "^", so ``-3^2`` is ``-(3^2)``.  Numbers are
-ASCII digits and must be finite doubles (``1e999`` is a syntax error);
-identifiers are ASCII letters followed by ASCII letters, digits or
-underscores.  Built-in calls are ``sin cos tan exp ln sqrt abs``, all unary.
+Whitespace (``str.isspace``) between tokens is skipped; any character that
+is not in a token is a syntax error where it stands, so other scripts'
+digits and letters are refused.  Numbers must be finite doubles (``1e999``
+is a syntax error).  Unary minus binds looser than "^", so ``-3^2`` is
+``-(3^2)``.  Built-in calls are ``sin cos tan exp ln sqrt abs``, all unary.
 Parentheses, calls, unary minus and exponents nest at most ``MAX_DEPTH``
 levels deep, which bounds only the recursive parser.  The tree walkers are
 iterative, so operator chains such as ``x+x+...+x`` may be of any length.
@@ -37,10 +40,10 @@ from __future__ import annotations
 
 import math
 import operator
-import string
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 
 class ExprError(ValueError):
@@ -67,13 +70,17 @@ class NotRationalError(ExprError):
 # ---------------------------------------------------------------------------
 # Tokens
 
-# Operator and punctuation tokens take their character as their kind.
-_SINGLE = "+-*/^(),"
-_IDENT_CHARS = string.ascii_letters + string.digits + "_"
+# The tokens of the module docstring.  An operator or punctuation character
+# is its own kind; ``other`` is any character outside a token.
+_TOKEN = re.compile(r"""
+    (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<identifier>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<operator>[-+*/^(),])
+  | (?P<other>\S)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -81,45 +88,12 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        if ch in string.digits:
-            j = i
-            while j < n and source[j] in string.digits:
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j] in string.digits:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in string.digits:
-                    j = k
-                    while j < n and source[j] in string.digits:
-                        j += 1
-            tokens.append(Token("number", source[i:j], i))
-            i = j
-            continue
-        if ch in string.ascii_letters:
-            j = i
-            while j < n and source[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(Token("identifier", source[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    for match in _TOKEN.finditer(source):
+        kind, text, pos = match.lastgroup, match.group(), match.start()
+        if kind == "other":
+            raise ExprSyntaxError(f"unexpected character {text!r}", pos)
+        tokens.append(Token(text if kind == "operator" else kind, text, pos))
+    tokens.append(Token("end", "", len(source)))
     return tokens
 
 
@@ -189,8 +163,9 @@ BUILTINS = {
 MAX_DEPTH = 100  # nesting levels; keeps the recursive parser off Python's stack limit
 
 
-#: Binding strength of the binary operators below ``^``.
+#: Binding strength of the binary operators below ``^``, and what they compute.
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _Parser:
@@ -349,23 +324,17 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
             except (ValueError, OverflowError) as exc:
                 raise ExprEvalError(f"{node.name}: {exc}", node.pos) from None
         left, right = operands
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise ExprEvalError("division by zero", node.pos)
-            return left / right
-        try:  # "^"
-            out = left ** right
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ExprEvalError(f"power: {exc}", node.pos) from None
-        if isinstance(out, complex):
-            raise ExprEvalError("power with a complex result", node.pos)
-        return out
+        if node.op == "^":
+            try:
+                out = left ** right
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise ExprEvalError(f"power: {exc}", node.pos) from None
+            if isinstance(out, complex):
+                raise ExprEvalError("power with a complex result", node.pos)
+            return out
+        if node.op == "/" and right == 0.0:
+            raise ExprEvalError("division by zero", node.pos)
+        return _OPS[node.op](left, right)
 
     return _fold(expr, visit)
 
@@ -444,8 +413,6 @@ MAX_EXACT_DEGREE = 2048
 #: power of a non-constant base is bounded by ``MAX_EXACT_DEGREE`` alone.
 MAX_EXACT_BITS = 2**16
 
-_EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
 
 def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None = None) -> Any:
     """Evaluate over an exact field of rational functions of one variable.
@@ -492,7 +459,7 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None =
             return left ** k
         if node.op == "/" and right.is_zero:
             raise ExprEvalError("division by zero", node.pos)
-        value = _EXACT_OPS[node.op](left, right)
+        value = _OPS[node.op](left, right)
         if value.degree > MAX_EXACT_DEGREE:  # at most twice the limit was built
             raise too_high(node)
         return value
@@ -509,7 +476,7 @@ def variables(expr: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+_PREC = {**_PRECEDENCE, "neg": 3, "^": 4, "atom": 5}
 
 
 def _print(node: Expr, *operands: tuple[str, int]) -> tuple[str, int]:

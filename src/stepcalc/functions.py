@@ -34,10 +34,7 @@ class OdeFunction:
 
     def __call__(self, x: float, method: str = "rk4", h: float = DEFAULT_H) -> float:
         self._check(x)
-        plan = StepPlan(h, x)
-        if x == self.ivp.t0:
-            return self.ivp.y0[self.output]
-        _, state = integrate_final(self.ivp, plan, method)
+        _, state = integrate_final(self.ivp, StepPlan(h, x), method)
         return state[self.output]
 
     def trajectory(self, x: float, method: str = "rk4", h: float = DEFAULT_H) -> Trajectory:

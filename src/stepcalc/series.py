@@ -54,18 +54,10 @@ class DiscardSum:
     hit_cap: bool = False
 
 
-def partial_sum(spec: SeriesSpec, n: int, compensated: bool = True) -> float:
-    """Sum of the first ``n`` terms, left to right.
-
-    Compensated (Kahan) accumulation by default, so multi-million-term sums
-    are not polluted by rounding; ``compensated=False`` is the naive loop.
-    """
+def partial_sum(spec: SeriesSpec, n: int) -> float:
+    """Sum of the first ``n`` terms, left to right, with compensated (Kahan)
+    accumulation, so multi-million-term sums are not polluted by rounding."""
     term = spec.term
-    if not compensated:
-        s = 0.0
-        for k in range(n):
-            s += term(k)
-        return s
     s = 0.0
     c = 0.0
     for k in range(n):

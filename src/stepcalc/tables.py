@@ -98,9 +98,9 @@ def generate_sine_table(
     return SineTable(radius, tuple(values))
 
 
-def synthetic_table(f: Callable[[float], float], radius: float = 1.0) -> SineTable:
+def synthetic_table(f: Callable[[float], float]) -> SineTable:
     """Tabulate an arbitrary function of the angle in degrees on the same grid."""
-    return SineTable(radius, tuple(f(k * STEP_DEG) for k in range(1, ENTRY_COUNT + 1)))
+    return SineTable(1.0, tuple(f(k * STEP_DEG) for k in range(1, ENTRY_COUNT + 1)))
 
 
 def _locate(theta_deg: float) -> tuple[int, float]:

@@ -448,7 +448,8 @@ class TestImports:
 
     @pytest.mark.parametrize("argv, absent", [
         (["deriv", "x^2", "--at", "1"], {"stepcalc.solver", "stepcalc.applications", "stepcalc.svgplot"}),
-        (["pi"], {"stepcalc.nonarch", "stepcalc.solver"}),
+        (["pi"], {"stepcalc.expr", "stepcalc.nonarch", "stepcalc.solver"}),
+        (["table"], {"stepcalc.expr", "stepcalc.nonarch", "stepcalc.applications"}),
     ])
     def test_request_leaves_unused_modules_unimported(self, argv, absent):
         code = ("import sys; from stepcalc import cli; "
@@ -474,6 +475,15 @@ class TestErrorContract:
         inf_t_end_spec.write_text(EXP_SPEC.replace("t_end = 1", "t_end = -inf"))
         curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
         lox = ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "20")
+        shot = ("ballistics", "--mass", "1", "--v0", "40", "--alpha", "40")
+        ballistics_refusals = {
+            ("--drag", "nan"): "drag coefficient must be finite and non-negative, got nan",
+            ("--g", "inf"): "gravity must be finite and positive, got inf",
+            ("--v0", "inf"): "launch speed must be finite and positive, got inf",
+            ("--mass", "inf", "--drag", "0.01"): "mass must be finite and positive, got inf",
+            ("--mass", "nan"): "mass must be finite and positive, got nan",
+            ("--mass", "1e-320", "--drag", "0.01"): "drag/mass ratio must be finite, got inf",
+        }
         cases = [
             (1, ("fn", "exp", "nan")),
             (1, ("fn", "exp", "inf")),
@@ -517,6 +527,7 @@ class TestErrorContract:
             (1, ("pendulum", "--theta0", "1", "--length", "1e300", "--g", "1e-300")),  # period overflows
             (1, ("pendulum", "--theta0", "1", "--length", "1e-300", "--g", "1e300")),  # period underflows
             (1, ("pendulum", "--theta0", "1", "--method", "ode", "--g", "inf")),
+            *((1, (*shot, *extra)) for extra in ballistics_refusals),
         ]
         for expected, argv in cases:
             code, out, err = run(capsys, *argv)
@@ -545,6 +556,8 @@ class TestErrorContract:
         assert "gravity must be finite" in run(capsys, "pendulum", "--theta0", "1", "--g", "inf")[2]
         assert "period must be finite" in run(capsys, "pendulum", "--theta0", "1", "--length", "1e300",
                                               "--g", "1e-300")[2]
+        for extra, message in ballistics_refusals.items():
+            assert run(capsys, *shot, *extra)[2] == f"stepcalc: {message}\n", extra
 
 
 class TestDefaults:

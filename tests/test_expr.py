@@ -104,6 +104,39 @@ class TestErrorPositions:
                 assert (exc.pos, exc.message) != (pos, err.value.message)
 
 
+class TestTokenize:
+    """The lexical edge cases: an exponent needs a digit, a fraction may be
+    empty, identifiers start with an ASCII letter, any Unicode whitespace
+    separates tokens, and any other character is refused where it stands."""
+
+    @pytest.mark.parametrize("source, tokens", [
+        ("1e", [("number", "1", 0), ("identifier", "e", 1)]),
+        ("1.e5", [("number", "1.e5", 0)]),
+        ("1e+", [("number", "1", 0), ("identifier", "e", 1), ("+", "+", 2)]),
+        ("2E-3", [("number", "2E-3", 0)]),
+        ("x_1", [("identifier", "x_1", 0)]),
+        (" x", [("identifier", "x", 1)]),
+        ("x\x1cy", [("identifier", "x", 0), ("identifier", "y", 2)]),
+        ("x ", [("identifier", "x", 0)]),
+        ("x + 1 \t\n", [("identifier", "x", 0), ("+", "+", 2), ("number", "1", 4)]),
+    ])
+    def test_tokens(self, source, tokens):
+        got = [(tok.kind, tok.text, tok.pos) for tok in expr.tokenize(source)]
+        assert got == tokens + [("end", "", len(source))]
+
+    @pytest.mark.parametrize("source, char, pos", [
+        ("3..5", ".", 2),
+        (".5", ".", 0),
+        ("_x", "_", 0),
+        ("٣", "٣", 0),
+        ("é", "é", 0),
+    ])
+    def test_refused_character(self, source, char, pos):
+        with pytest.raises(ExprSyntaxError) as err:
+            expr.tokenize(source)
+        assert (err.value.message, err.value.pos) == (f"unexpected character {char!r}", pos)
+
+
 class TestNestingLimit:
     @pytest.mark.parametrize("wrap", [lambda s: f"({s})", lambda s: f"-{s}",
                                       lambda s: f"sin({s})", lambda s: f"1^{s}"])
