@@ -107,18 +107,17 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     again at each turning point, one half-period apart; the period is twice
     the gap between the first two turning points after release.  The
     integration window ends two steps past an upper bound on the period, so
-    that both are bracketed by grid nodes, and is widened until both are
-    seen (a coarse ``h`` can move them).
+    that both are bracketed by grid nodes.  A step too coarse for the period
+    finds fewer than two in that window, and is refused.
     """
     ivp = pendulum_ivp(spec)
     t_end = _pendulum_period_bound(spec) + 2.0 * h
-    for _ in range(8):
-        traj = integrate(ivp, StepPlan(h, t_end))
-        crossings = [t for t in find_zero_crossings(traj, 1, ivp) if t > ivp.t0]
-        if len(crossings) >= 2:
-            return 2.0 * (crossings[1] - crossings[0])
-        t_end *= 2.0
-    raise RuntimeError(f"no turning points found up to t={t_end}; amplitude {spec.theta0}")
+    traj = integrate(ivp, StepPlan(h, t_end))
+    crossings = [t for t in find_zero_crossings(traj, 1, ivp) if t > ivp.t0]
+    if len(crossings) < 2:
+        raise RuntimeError(f"fewer than two turning points up to t={t_end!r} with step h={h!r}; "
+                           "the step is too coarse for the period")
+    return 2.0 * (crossings[1] - crossings[0])
 
 
 def _pendulum_period_bound(spec: PendulumSpec) -> float:
@@ -206,19 +205,19 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
     """Flight trajectory over a window sure to contain the landing.
 
     Drag never lengthens the flight, so the window ends two steps past the
-    vacuum flight time, the landing then lying between two grid nodes; it is
-    doubled if the landing is not seen.  The CSV of ``ballistics --out`` is
-    this trajectory.
+    vacuum flight time, the landing then lying between two grid nodes.  A
+    vacuum flight shorter than 1.5 steps takes steps of two thirds of it
+    instead, so that a node of positive height precedes the landing (the
+    launch node's height is exactly zero).  The CSV of ``ballistics --out``
+    is this trajectory.
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
-    t_end = vacuum_time + 2.0 * h
-    ivp = ballistics_ivp(spec)
-    for _ in range(6):
-        traj = integrate(ivp, StepPlan(h, t_end))
-        if traj.states[-1][1] < 0.0:
-            return traj
-        t_end *= 2.0
-    raise RuntimeError("projectile never landed within the integration window")
+    h = min(h, vacuum_time / 1.5)
+    traj = integrate(ballistics_ivp(spec), StepPlan(h, vacuum_time + 2.0 * h))
+    if not traj.states[-1][1] < 0.0:
+        raise RuntimeError("projectile never landed within the integration window; "
+                           f"the vacuum range is {vacuum_range(spec)!r}")
+    return traj
 
 
 def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:

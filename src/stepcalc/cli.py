@@ -130,16 +130,18 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _parse_components(text: str | None, dim: int) -> list[int]:
-    if not text:
-        return list(range(dim))
-    out = []
-    for part in text.split(","):
-        i = int(part)
+def integer_list(text: str) -> list[int]:
+    """The ``--components`` type: comma-separated integers, none for empty text."""
+    return [int(part) for part in text.split(",")] if text else []
+
+
+def _plot_components(chosen: list[int] | None, dim: int) -> list[int]:
+    """0-based indices of the 1-based ``chosen`` components; none chosen is all."""
+    chosen = chosen or range(1, dim + 1)
+    for i in chosen:
         if not 1 <= i <= dim:
             raise ValueError(f"component {i} out of range 1..{dim}")
-        out.append(i - 1)
-    return out
+    return [i - 1 for i in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +150,12 @@ def _parse_components(text: str | None, dim: int) -> list[int]:
 def cmd_solve(args) -> int:
     from .solver import integrate
     ivp, plan, method = load_spec_file(args.spec)
+    components = _plot_components(args.components, ivp.dim)
     traj = integrate(ivp, plan, method)
     _write_text(args.out, traj.to_csv())
     if args.svg:
         from .svgplot import Series, line_plot
-        curves = [Series(f"y{i + 1}", traj.times, traj.component(i))
-                  for i in _parse_components(args.components, traj.dim)]
+        curves = [Series(f"y{i + 1}", traj.times, traj.component(i)) for i in components]
         _write_text(args.svg, line_plot(curves, width=args.width, height=args.height))
     return 0
 
@@ -317,7 +319,7 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to a key = value spec file")
         p.add_argument("--out", help="write CSV here instead of stdout")
         p.add_argument("--svg", help="also write a static SVG line plot to this path")
-        p.add_argument("--components", help="1-based components to plot, e.g. 1,3")
+        p.add_argument("--components", type=integer_list, help="1-based components to plot, e.g. 1,3")
         p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
         p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
 

@@ -350,16 +350,14 @@ def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[...,
     float operations are the walker's, on the same operands in the same
     order, so results are bit-identical.  A power whose exponent is not an
     integer-valued literal is passed through ``float``, which raises on a
-    complex result.  On any exception the function re-runs ``evaluate``,
-    which raises the positioned ``ExprEvalError``; a tree with a name
-    outside ``params`` is always walked.
+    complex result.  A name outside ``params`` becomes ``_unbound``, which
+    nothing binds.  On any exception the function re-runs ``evaluate``,
+    which raises the positioned ``ExprEvalError``.
     """
     def walk(*values: float) -> tuple[float, ...]:
         env = dict(zip(params, values))
         return tuple([evaluate(tree, env) for tree in trees])
 
-    if not set().union(*map(variables, trees)) <= set(params):
-        return walk
     index = {name: f"_p{i}" for i, name in enumerate(params)}
     lines: list[str] = []
 
@@ -368,7 +366,7 @@ def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[...,
         if isinstance(node, Num):
             return repr(node.value)
         if isinstance(node, Var):
-            return index[node.name]
+            return index.get(node.name, "_unbound")
         if isinstance(node, Neg):
             code = f"-{operands[0]}"
         elif isinstance(node, Call):

@@ -107,8 +107,6 @@ def _locate(theta_deg: float) -> tuple[int, float]:
     if not 0.0 <= theta_deg <= 90.0:
         raise ValueError(f"angle {theta_deg!r} outside [0, 90] degrees")
     j = int(theta_deg // STEP_DEG)
-    if j >= ENTRY_COUNT:
-        j = ENTRY_COUNT - 1
     return j, (theta_deg - j * STEP_DEG) / STEP_DEG
 
 
@@ -128,8 +126,6 @@ def quadratic_interp(table: SineTable, theta_deg: float) -> float:
     base = table.value_at_node(j)
     if t == 0.0:
         return base
-    if t == 1.0:  # only at the clamped right endpoint, theta = 90
-        return table.value_at_node(j + 1)
     dn = diffs[j]
     if j == 0 or j == ENTRY_COUNT - 1:
         return base + t * dn
@@ -142,6 +138,4 @@ def linear_interp(table: SineTable, theta_deg: float) -> float:
     j, t = _locate(theta_deg)
     if t == 0.0:
         return table.value_at_node(j)
-    if t == 1.0:
-        return table.value_at_node(j + 1)
     return table.value_at_node(j) + t * table.first_diffs[j]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -128,6 +129,13 @@ class TestPendulum:
         pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
         assert rhs_evals[0] == 17152
 
+    @pytest.mark.parametrize("theta0, h", [(2.5, 1.0), (1.5, 2.0)])
+    def test_coarse_step_is_refused_after_one_integration(self, plans, theta0, h):
+        # too coarse for the period: fewer than two turning points in the window
+        with pytest.raises(RuntimeError, match=re.escape(f"with step h={h!r}")):
+            pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)
+        assert [t0 for t0, _ in plans].count(0.0) == 1
+
     def test_window_bound_is_a_tight_upper_bound(self):
         for theta0 in (1e-3, 0.5, 2.5, 3.0, 3.14159, math.pi - 1e-12):
             spec = PendulumSpec(1.0, theta0=theta0)
@@ -234,6 +242,19 @@ class TestBallistics:
         assert traj.times[-1] == vacuum_time + 2.0 * BALLISTICS_H
         assert traj.states[-1][1] < 0.0 < traj.states[-4][1]
 
+    @pytest.mark.parametrize("v0", [1e-2, 1e-3, 1e-5, 1e-150])
+    def test_flight_shorter_than_one_step_lands(self, v0):
+        # RK4 is exact on the vacuum parabola
+        spec = BallisticsSpec(1.0, 0.0, v0, math.radians(40))
+        expected = vacuum_range(spec)
+        assert abs(ballistics_range(spec) - expected) <= 1e-12 * expected
+
+    def test_range_that_underflows_is_refused(self):
+        spec = BallisticsSpec(1.0, 0.0, 1e-300, math.radians(40))
+        assert vacuum_range(spec) == 0.0
+        with pytest.raises(RuntimeError, match="the vacuum range is 0.0"):
+            ballistics_range(spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BallisticsSpec(-1.0, 0.0, 10.0, 0.5)
@@ -301,6 +322,14 @@ class TestLoxodrome:
     def test_poles_rejected(self):
         with pytest.raises(ValueError):
             GeoPoint(math.pi / 2, 0.0)
+
+    def test_half_turn_west_is_a_half_turn_east(self):
+        # a longitude difference of exactly -pi wraps to +pi
+        west, east = GeoPoint(0.2, math.pi), GeoPoint(0.2, -math.pi)
+        for p2 in (GeoPoint(0.3, 0.0), GeoPoint(0.2, 0.0)):
+            assert loxodrome(west, p2) == loxodrome(east, p2)
+            assert loxodrome(west, p2)[0] > 0.0
+        assert loxodrome(west, GeoPoint(0.2, 0.0))[0] == math.pi / 2
 
     def test_coincident_points(self):
         p = GeoPoint(0.3, 0.4)

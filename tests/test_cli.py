@@ -77,6 +77,32 @@ class TestSolve:
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 1
 
+    def test_svg_of_a_constant_series_is_centred(self):
+        # equal bounds widen by 1 each way, so the line runs at mid-height
+        text = svgplot.line_plot([svgplot.Series("y1", [0.0, 1.0, 2.0], [5.0, 5.0, 5.0])])
+        polyline = ET.fromstring(text).find(".//{http://www.w3.org/2000/svg}polyline")
+        middle = svgplot._MARGIN_TOP + (svgplot.DEFAULT_HEIGHT - svgplot._MARGIN_TOP - svgplot._MARGIN_BOTTOM) / 2
+        assert {point.split(",")[1] for point in polyline.get("points").split()} == {f"{middle:.2f}"}
+        assert ">4<" in text and ">6<" in text  # the lowest and highest y tick labels
+
+    @pytest.mark.parametrize("old, new, where, message", [
+        ("dim = 1", "dim 1", ":2: ", "expected 'key = value', got 'dim 1'"),
+        ("h = 0.001", "h = 0.001\nt0 = 1", ":8: ", "duplicate key 't0'"),
+        ("method = rk4\n", "", ": ", "missing required key 'method'"),
+        ("dim = 1", "dim = one", ":2: ", "dim: not an integer: 'one'"),
+        ("dim = 1", "dim = 0", ":2: ", "dim must be positive"),
+        ("rhs_1 = y1", "rhs_1 = y1 +", ":3: ", "rhs_1: "),
+        ("y0 = 1", "y0 = one", ":5: ", "y0: not a comma-separated list of numbers: 'one'"),
+        ("method = rk4", "method = rk5", ":8: ", "method must be 'euler' or 'rk4', got 'rk5'"),
+        ("h = 0.001", "h = 0.001\nstep = 2", ":8: ", "unknown key 'step'"),
+    ])
+    def test_spec_refusals_name_the_file_and_line(self, capsys, tmp_path, old, new, where, message):
+        path = tmp_path / "bad.ivp"
+        path.write_text(EXP_SPEC.replace(old, new))
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"stepcalc: {path}{where}{message}")
+
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "nope.ivp"))
         assert code == 1
@@ -223,6 +249,12 @@ class TestFn:
         assert code == 0
         assert abs(float(out) - oracles.E) < 1e-9
 
+    def test_csv_ends_at_the_printed_value(self, capsys, tmp_path):
+        path = tmp_path / "exp.csv"
+        code, out, _ = run(capsys, "fn", "exp", "1", "--out", str(path))
+        assert code == 0
+        assert path.read_text().splitlines()[-1] == f"1,{out.strip()}"
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "fn", "gamma", "1")
         assert code == 1
@@ -314,6 +346,16 @@ class TestPendulum:
         _, out_o, _ = run(capsys, *args, "--method", "ode")
         assert abs(float(out_e) - float(out_o)) / float(out_e) < 1e-6
 
+    @pytest.mark.parametrize("theta0, h", [("2.5", "1"), ("1.5", "2")])
+    def test_coarse_step_is_refused_after_one_integration(self, capsys, monkeypatch, theta0, h):
+        windows = []
+        integrate = applications.integrate
+        monkeypatch.setattr(applications, "integrate",
+                            lambda ivp, plan: windows.append(plan) or integrate(ivp, plan))
+        code, out, err = run(capsys, "pendulum", "--theta0", theta0, "--method", "ode", "--h", h)
+        assert (code, out, err.count("\n"), len(windows)) == (1, "", 1, 1)
+        assert f"step h={float(h)!r}" in err and "too coarse for the period" in err
+
     def test_bad_amplitude(self, capsys):
         code, _, _ = run(capsys, "pendulum", "--theta0", "4.0")
         assert code == 1
@@ -329,6 +371,23 @@ class TestBallistics:
         assert abs(float(out) - expected) / expected < 1e-5
 
 
+    def test_csv_runs_past_the_printed_landing(self, capsys, tmp_path):
+        path = tmp_path / "flight.csv"
+        code, out, _ = run(capsys, "ballistics", "--mass", "0.16", "--v0", "30", "--alpha", "40",
+                           "--drag", "0.005", "--out", str(path))
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        last_up = max(i for i, row in enumerate(rows) if row[2] >= 0.0)
+        assert rows[last_up][1] < float(out) < rows[last_up + 1][1]
+        assert rows[-1][2] < 0.0
+
+    def test_flight_shorter_than_one_step(self, capsys):
+        code, out, err = run(capsys, "ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-3")
+        expected = 1e-3**2 * math.sin(2 * math.radians(40)) / 9.80665
+        assert (code, err) == (0, "")
+        assert abs(float(out) - expected) <= 1e-12 * expected
+
+
 class TestLox:
     def test_meridian(self, capsys):
         code, out, _ = run(capsys, "lox", "--lat1", "0", "--lon1", "0",
@@ -338,6 +397,13 @@ class TestLox:
         assert float(fields["bearing_rad"]) == 0.0
         expected = 6371000.0 * math.radians(10)
         assert abs(float(fields["distance_m"]) - expected) < 1.0
+
+    def test_half_turn_west_is_a_half_turn_east(self, capsys):
+        # a longitude difference of exactly -180 deg is taken as +180 deg
+        west = run(capsys, "lox", "--lat1", "10", "--lon1", "180", "--lat2", "20", "--lon2", "0")
+        east = run(capsys, "lox", "--lat1", "10", "--lon1", "-180", "--lat2", "20", "--lon2", "0")
+        assert west == east and west[0] == 0
+        assert float(dict(part.split("=") for part in west[1].split())["bearing_rad"]) > 0.0
 
     def test_pole_rejected(self, capsys):
         code, _, _ = run(capsys, "lox", "--lat1", "90", "--lon1", "0",
@@ -473,6 +539,10 @@ class TestErrorContract:
         inf_t0_spec.write_text(EXP_SPEC.replace("t0 = 0", "t0 = inf"))
         inf_t_end_spec = tmp_path / "inf_t_end.ivp"
         inf_t_end_spec.write_text(EXP_SPEC.replace("t_end = 1", "t_end = -inf"))
+        two_spec = tmp_path / "two.ivp"
+        two_spec.write_text(EXP_SPEC.replace("dim = 1", "dim = 2").replace("y0 = 1", "y0 = 1, 1")
+                            .replace("rhs_1 = y1", "rhs_1 = y1\nrhs_2 = y2"))
+        plot = ("solve", str(two_spec), "--svg", str(tmp_path / "two.svg"), "--components")
         curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
         lox = ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "20")
         shot = ("ballistics", "--mass", "1", "--v0", "40", "--alpha", "40")
@@ -528,6 +598,11 @@ class TestErrorContract:
             (1, ("pendulum", "--theta0", "1", "--length", "1e-300", "--g", "1e300")),  # period underflows
             (1, ("pendulum", "--theta0", "1", "--method", "ode", "--g", "inf")),
             *((1, (*shot, *extra)) for extra in ballistics_refusals),
+            (1, ("ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-300")),  # range underflows
+            (1, (*plot, "3")),
+            (1, (*plot, "1,0")),
+            (2, (*plot, "a")),
+            (2, (*plot, "1.5")),
         ]
         for expected, argv in cases:
             code, out, err = run(capsys, *argv)
@@ -556,6 +631,11 @@ class TestErrorContract:
         assert "gravity must be finite" in run(capsys, "pendulum", "--theta0", "1", "--g", "inf")[2]
         assert "period must be finite" in run(capsys, "pendulum", "--theta0", "1", "--length", "1e300",
                                               "--g", "1e-300")[2]
+        assert "the vacuum range is 0.0" in run(capsys, "ballistics", "--mass", "1", "--alpha", "40",
+                                                 "--v0", "1e-300")[2]
+        assert run(capsys, *plot, "3")[2] == "stepcalc: component 3 out of range 1..2\n"
+        assert "argument --components" in run(capsys, *plot, "a")[2]
+        assert not (tmp_path / "two.svg").exists()  # checked before anything is written
         for extra, message in ballistics_refusals.items():
             assert run(capsys, *shot, *extra)[2] == f"stepcalc: {message}\n", extra
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import oracles
@@ -86,6 +88,11 @@ class TestDiscardPolicy:
         bogus = SeriesSpec(lambda n: 1.0 / (n + 1), alternating=True)
         with pytest.raises(AlternationError):
             sum_until_discardable(bogus, DiscardPolicy("absolute", 1e-6))
+
+    def test_growing_term_detected(self):
+        growing = SeriesSpec(lambda n: (-1.0) ** n * (n + 1), alternating=True)
+        with pytest.raises(AlternationError, match=re.escape("|term(1)| exceeds |term(0)|")):
+            sum_until_discardable(growing, DiscardPolicy("absolute", 1e-6))
 
     def test_non_alternating_series_rejected(self):
         spec = SeriesSpec(lambda n: 1.0 / (n + 1) ** 2)

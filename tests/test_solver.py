@@ -230,6 +230,14 @@ class TestZeroCrossings:
         assert crossings == [1.0]
 
 
+    def test_trailing_zero_node_counts(self):
+        # y = 1 - t ending on its zero: the last node is the crossing
+        ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
+        traj = integrate(ivp, StepPlan(0.25, 1.0), "rk4")
+        assert traj.states[-1] == (0.0,)
+        assert find_zero_crossings(traj, 0, ivp) == [1.0]
+
+
 class TestCrossingLocator:
     """The Illinois iteration on one RK4 step from the bracketing node."""
 

@@ -139,6 +139,16 @@ class TestLinearInterp:
             assert abs(linear_interp(tab, theta) - theta) < 1e-12
 
 
+class TestEndIntervals:
+    @pytest.mark.parametrize("interp", [quadratic_interp, linear_interp])
+    def test_chords_in_the_end_intervals_and_the_last_node_at_90(self, table, interp):
+        # midpoints (t = 0.5) of the first and the last interval, then 90 deg itself
+        d = table.first_diffs
+        assert interp(table, STEP_DEG / 2) == 0.5 * d[0]
+        assert interp(table, 90.0 - STEP_DEG / 2) == table.values[-2] + 0.5 * d[-1]
+        assert interp(table, 90.0) == table.values[-1]
+
+
 class TestSineTableType:
     def test_value_at_node_zero_convention(self, table):
         assert table.value_at_node(0) == 0.0
