@@ -108,16 +108,23 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     the gap between the first two turning points after release.  The
     integration window ends two steps past an upper bound on the period, so
     that both are bracketed by grid nodes.  A step too coarse for the period
-    finds fewer than two in that window, and is refused.
+    finds fewer than two in that window, or a period outside the bound's
+    bracket (see ``_pendulum_period_bound``) widened by a relative 1e-6, which
+    covers the default step's error; either is refused.
     """
     ivp = pendulum_ivp(spec)
-    t_end = _pendulum_period_bound(spec) + 2.0 * h
+    bound = _pendulum_period_bound(spec)
+    t_end = bound + 2.0 * h
     traj = integrate(ivp, StepPlan(h, t_end))
     crossings = [t for t in find_zero_crossings(traj, 1, ivp) if t > ivp.t0]
     if len(crossings) < 2:
         raise RuntimeError(f"fewer than two turning points up to t={t_end!r} with step h={h!r}; "
                            "the step is too coarse for the period")
-    return 2.0 * (crossings[1] - crossings[0])
+    period = 2.0 * (crossings[1] - crossings[0])
+    if not bound / 1.001 * (1.0 - 1e-6) <= period <= bound * (1.0 + 1e-6):
+        raise RuntimeError(f"period {period!r} with step h={h!r} lies outside the bracket "
+                           f"[{bound / 1.001!r}, {bound!r}]; the step is too coarse for the period")
+    return period
 
 
 def _pendulum_period_bound(spec: PendulumSpec) -> float:
@@ -126,7 +133,8 @@ def _pendulum_period_bound(spec: PendulumSpec) -> float:
     Every geometric mean b of the AGM iteration is at most the AGM, so T0/b
     bounds T: b = sqrt(k') gives T0/sqrt(k'), one step more gives 1.646 T0
     at theta0 = 2.5, where T = 1.643 T0.  Iterating until the two means agree
-    to 0.1 % keeps the overshoot below that, also near theta0 = pi.
+    to 0.1 % keeps the overshoot below that, also near theta0 = pi, and as
+    the arithmetic mean a bounds the AGM from above, bound / 1.001 <= T0/a <= T.
     """
     a, b = 1.0, math.cos(spec.theta0 / 2.0)
     while a - b > 1e-3 * b:
@@ -138,10 +146,10 @@ def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
     """Incomplete elliptic integral of the first kind, by direct quadrature.
 
     The integrand 1/sqrt(1 - k^2 sin^2 t) is integrated as an ODE from 0 to
-    phi by RK4 (composite Simpson here) in equal steps; no transformation
-    tricks on the product path.  With ``h``, one pass of ceil(phi/h) steps.
-    Without, the step count doubles from 8 until two passes agree to
-    ``ELLIPTIC_TOL``, or raises ``ArithmeticError`` past
+    phi by RK4 (composite Simpson here, two evaluations a step) in equal
+    steps; no transformation tricks on the product path.  With ``h``, one
+    pass of ceil(phi/h) steps.  Without, the step count doubles from 8 until
+    two passes agree to ``ELLIPTIC_TOL``, or raises ``ArithmeticError`` past
     ``ELLIPTIC_MAX_STEPS`` (k near 1).  The complete integral converges
     geometrically, its integrand being even and pi-periodic.
     """
@@ -153,10 +161,10 @@ def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
         return 0.0
     k2 = k * k
 
-    def rhs(t, y):
-        return (1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2),)
+    def integrand(t):
+        return 1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2)
 
-    ivp = IVP(1, rhs, 0.0, (0.0,))
+    ivp = IVP(1, lambda t, y: (integrand(t),), 0.0, (0.0,), integrand)
     if h is not None:
         return integrate_final(ivp, StepPlan.divided(0.0, phi, h))[1][0]
     n, used = 8, 8

@@ -85,7 +85,10 @@ def make_inv_gudermannian() -> OdeFunction:
     Equals ln tan(pi/4 + x/2) on (-pi/2, pi/2); the integrand pole bounds the
     domain.
     """
-    ivp = IVP(1, lambda t, y: (1.0 / math.cos(t),), 0.0, (0.0,))
+    def sec(t):
+        return 1.0 / math.cos(t)
+
+    ivp = IVP(1, lambda t, y: (sec(t),), 0.0, (0.0,), sec)
     return OdeFunction(
         "invgd",
         ivp,

@@ -129,12 +129,23 @@ class TestPendulum:
         pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
         assert rhs_evals[0] == 17152
 
-    @pytest.mark.parametrize("theta0, h", [(2.5, 1.0), (1.5, 2.0)])
+    # the last two give 2.9975 for 3.2965 and 7.344 for 3.1077 without the bracket check
+    @pytest.mark.parametrize("theta0, h", [(2.5, 1.0), (1.5, 2.0), (2.5, 0.4), (2.385, 1.15)])
     def test_coarse_step_is_refused_after_one_integration(self, plans, theta0, h):
         # too coarse for the period: fewer than two turning points in the window
         with pytest.raises(RuntimeError, match=re.escape(f"with step h={h!r}")):
             pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)
         assert [t0 for t0, _ in plans].count(0.0) == 1
+
+    def test_bracket_admits_tiny_amplitudes(self):
+        # near theta0 = 0 the period meets the bracket's upper end, and the step's
+        # error puts the answer 5e-14 above it at 1e-12: the slack admits it
+        for theta0 in (1e-6, 1e-12, 1e-300):
+            spec = PendulumSpec(1.0, theta0=theta0)
+            assert pendulum_period_ode(spec) == pytest.approx(spec.small_angle_period(), rel=1e-12)
+        # at 5e-324 the restoring force underflows, and 0.001 is refused
+        with pytest.raises(RuntimeError, match="outside the bracket"):
+            pendulum_period_ode(PendulumSpec(1.0, theta0=5e-324))
 
     def test_window_bound_is_a_tight_upper_bound(self):
         for theta0 in (1e-3, 0.5, 2.5, 3.0, 3.14159, math.pi - 1e-12):

@@ -1,15 +1,18 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
 import oracles
-from stepcalc import solver
+from stepcalc import applications, functions, solver
 from stepcalc.solver import (
     CROSSING_MAX_ITER,
     IVP,
     MAX_STEPS,
     IntegrationError,
     StepPlan,
+    Trajectory,
     find_zero_crossings,
     integrate,
     integrate_final,
@@ -117,6 +120,116 @@ class TestEqualDivision:
         h = 1.0 / n
         simpson = sum(h / 6 * (f(k * h) + 4 * f((k + 0.5) * h) + f((k + 1) * h)) for k in range(n))
         assert got == pytest.approx(simpson, rel=1e-15)
+
+
+def quadrature(f):
+    """y' = f(t), y(0) = 0, once with f declared as its integrand and once
+    with the matching right-hand side only."""
+    with_f = IVP(1, lambda t, y: (f(t),), 0.0, (0.0,), f)
+    return with_f, dataclasses.replace(with_f, integrand=None)
+
+
+def run_both(f, plan, record=True):
+    """Both routes' trajectories, or both routes' IntegrationError (t, message)."""
+    outcomes = []
+    for ivp in quadrature(f):
+        try:
+            outcomes.append(repr(integrate(ivp, plan, record=record)))
+        except IntegrationError as exc:
+            outcomes.append((exc.t, str(exc)))
+    return outcomes
+
+
+INTEGRANDS = {
+    "cos": math.cos,
+    "sec": lambda t: 1.0 / math.cos(t),
+    "elliptic": lambda t: 1.0 / math.sqrt(1.0 - 0.99 * math.sin(t) ** 2),
+    "exp": math.exp,
+}
+
+
+class TestIntegrandRule:
+    """RK4 on a declared integrand evaluates it twice per step and gives
+    plain RK4's times and states bit for bit (``repr`` round-trips floats)."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("plan", [
+        StepPlan(1e-3, 1.2),  # last step shortened
+        StepPlan(0.013, -1.5),  # backward
+        StepPlan.divided(0.0, 1.3, 0.01),
+        StepPlan.divided(0.0, -0.9, 0.07),
+        StepPlan(0.5, 0.5),  # one step
+        StepPlan(2.0, 0.3),  # h larger than the span
+        StepPlan(0.3, -0.1),
+    ], ids=repr)
+    def test_matches_rk4_bitwise(self, plan, record):
+        for name, f in INTEGRANDS.items():
+            integrand, plain = run_both(f, plan, record)
+            assert integrand == plain, name
+
+    def test_matches_rk4_on_random_grids(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            t_end = rng.choice([-1, 1]) * rng.uniform(1e-6, 1.55) * rng.choice([1.0, 1e-3])
+            h = abs(t_end) / rng.uniform(0.5, 400.0)
+            plan = StepPlan.divided(0.0, t_end, h) if rng.random() < 0.5 else StepPlan(h, t_end)
+            integrand, plain = run_both(INTEGRANDS["sec"], plan, rng.random() < 0.5)
+            assert integrand == plain, plan
+
+    @pytest.mark.parametrize("at", [0.0, 0.05, 0.1, 0.35, 0.999, 1.0])
+    def test_a_failing_integrand_fails_alike(self, at):
+        # 0.05 and 0.35 are midpoints, 0.1 and 1.0 nodes, 0.0 the start
+        def raising(t):
+            if t >= at:
+                raise ValueError(f"no value at {t!r}")
+            return math.cos(t)
+
+        def infinite(t):
+            return math.inf if t >= at else math.cos(t)
+
+        for f in (raising, infinite):
+            for plan in (StepPlan(0.1, 1.0), StepPlan.divided(0.0, 1.0, 0.1)):
+                integrand, plain = run_both(f, plan)
+                assert isinstance(plain, tuple) and integrand == plain, (f.__name__, plan)
+
+    def test_integrand_evaluations(self, monkeypatch):
+        # n steps evaluate the integrand 2n + 1 times, where RK4 calls the rhs 4n times
+        calls = {"integrand": 0, "rhs": 0}
+        make = functions.make_inv_gudermannian
+
+        def counted():
+            fn = make()
+            sec = fn.ivp.integrand
+
+            def integrand(t):
+                calls["integrand"] += 1
+                return sec(t)
+
+            def rhs(t, y):
+                calls["rhs"] += 1
+                return fn.ivp.rhs(t, y)
+
+            ivp = IVP(1, rhs, 0.0, (0.0,), integrand)
+            return dataclasses.replace(fn, ivp=ivp)
+
+        monkeypatch.setattr(applications, "make_inv_gudermannian", counted)
+        value = applications.meridional_parts(1.0)
+        n = math.ceil(1.0 / applications.MERIDIONAL_H)
+        assert calls == {"integrand": 2 * n + 1, "rhs": 0}
+        plain = dataclasses.replace(make().ivp, integrand=None)
+        assert integrate_final(plain, StepPlan(applications.MERIDIONAL_H, 1.0))[1][0] == value
+
+    def test_euler_calls_the_rhs(self):
+        def unused(t):
+            raise AssertionError("the integrand is for RK4 only")
+
+        ivp = IVP(1, lambda t, y: (math.cos(t),), 0.0, (0.0,), unused)
+        euler = integrate(ivp, StepPlan(0.1, 1.0), "euler")
+        assert euler == integrate(dataclasses.replace(ivp, integrand=None), StepPlan(0.1, 1.0), "euler")
+
+    def test_integrand_needs_dimension_one(self):
+        with pytest.raises(ValueError, match="dim 1"):
+            IVP(2, lambda t, y: (1.0, 1.0), 0.0, (0.0, 0.0), math.cos)
 
 
 class TestStepBudget:
@@ -293,3 +406,11 @@ class TestCsv:
             parts = [float(p) for p in line.split(",")]
             assert parts[0] == t
             assert tuple(parts[1:]) == state
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_rows_format_each_value_as_17_significant_digits(self, dim):
+        values = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1 / 3, 0.1, -2.5e-300]
+        rows = [values[i:i + dim + 1] for i in range(len(values) - dim)]
+        traj = Trajectory(tuple(r[0] for r in rows), tuple(tuple(r[1:]) for r in rows))
+        expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
+        assert traj.to_csv().split("\n")[1:] == [*expected, ""]
