@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,8 +111,11 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     that both are bracketed by grid nodes.  A step too coarse for the period
     finds fewer than two in that window, or a period outside the bound's
     bracket (see ``_pendulum_period_bound``) widened by a relative 1e-6, which
-    covers the default step's error; either is refused.
+    covers the default step's error; either is refused.  So is an amplitude
+    below the smallest normal float, where sin(theta) loses its precision.
     """
+    if spec.theta0 < sys.float_info.min:
+        raise ValueError(f"amplitude theta0={spec.theta0!r} is subnormal: the restoring force loses its precision")
     ivp = pendulum_ivp(spec)
     bound = _pendulum_period_bound(spec)
     t_end = bound + 2.0 * h

@@ -333,8 +333,9 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         p.add_argument("name", help="exp, sin, cos, sn, cn, dn or invgd")
         p.add_argument("x", type=float)
         p.add_argument("--k", type=float, default=functions.DEFAULT_K, help="elliptic modulus for sn/cn/dn")
-        p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
-        p.add_argument("--h", type=float, default=functions.DEFAULT_H, help="step size")
+        p.add_argument("--method", choices=("euler", "rk4", "taylor"), help="default: taylor, rk4 for invgd")
+        p.add_argument("--h", type=float,
+                       help=f"step size; default {functions.TAYLOR_H:g} for taylor, else {functions.DEFAULT_H:g}")
         p.add_argument("--out", help="write the CSV trajectory here")
 
     if p := command("table", cmd_table, "generate the 24-entry R-sine table as CSV"):

@@ -3,48 +3,57 @@
 Each entry couples an initial-value problem with an output component: the
 value at ``x`` is obtained by integrating from the initial time to ``x``
 (backward when ``x`` lies before it).  No closed forms, no host special
-functions on the product path; plain integration is the point.
+functions on the product path; plain integration is the point.  All but
+invgd, whose integrand has poles on the real axis, declare the recurrence
+of their Taylor coefficients and take Taylor steps by default.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .solver import IVP, StepPlan, Trajectory, integrate, integrate_final
 
-DEFAULT_H = 1e-3  # step size of every ODE-defined function
+DEFAULT_H = 1e-3  # RK4 step size of every ODE-defined function
+TAYLOR_H = 0.5  # Taylor step size of the functions that declare a series
+POLE_STEPS = 16  # closest approach to a pole of the integrand, in steps
 DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 
 
 @dataclass(frozen=True)
 class OdeFunction:
-    """A named, ODE-backed real function of one real argument."""
+    """A named, ODE-backed real function of one real argument: by default by
+    Taylor steps of ``TAYLOR_H`` where the IVP declares a series, else by RK4
+    steps of ``DEFAULT_H``; refused within ``POLE_STEPS`` steps of +-``pole``."""
 
     name: str
     ivp: IVP
     output: int
-    domain: Callable[[float], bool] | None = None
-    domain_message: str = ""
+    pole: float | None = None
 
-    def _check(self, x: float) -> None:
-        if self.domain is not None and not self.domain(x):
-            raise ValueError(f"{self.name}: {self.domain_message or 'argument outside domain'}: {x!r}")
+    def _plan(self, x: float, method: str | None, h: float | None) -> tuple[StepPlan, str]:
+        if method is None:
+            method = "taylor" if self.ivp.series else "rk4"
+        if h is None:
+            h = TAYLOR_H if method == "taylor" and self.ivp.series else DEFAULT_H
+        plan = StepPlan(h, x)
+        if self.pole is not None and not self.pole - abs(x) >= POLE_STEPS * h:
+            raise ValueError(f"{self.name}: x={x!r} lies closer than {POLE_STEPS} steps of h={h!r} "
+                             f"to the pole at +-{self.pole!r}")
+        return plan, method
 
-    def __call__(self, x: float, method: str = "rk4", h: float = DEFAULT_H) -> float:
-        self._check(x)
-        _, state = integrate_final(self.ivp, StepPlan(h, x), method)
-        return state[self.output]
+    def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
+        plan, method = self._plan(x, method, h)
+        return integrate_final(self.ivp, plan, method)[1][self.output]
 
-    def trajectory(self, x: float, method: str = "rk4", h: float = DEFAULT_H) -> Trajectory:
-        self._check(x)
-        return integrate(self.ivp, StepPlan(h, x), method)
+    def trajectory(self, x: float, method: str | None = None, h: float | None = None) -> Trajectory:
+        return integrate(self.ivp, *self._plan(x, method, h))
 
 
 def make_exp() -> OdeFunction:
-    """exp as the solution of y' = y, y(0) = 1."""
-    ivp = IVP(1, lambda t, y: (y[0],), 0.0, (1.0,))
+    """exp as the solution of y' = y, y(0) = 1; Taylor coefficients c_(k+1) = c_k/(k+1)."""
+    ivp = IVP(1, lambda t, y: (y[0],), 0.0, (1.0,), series=lambda cols, k: (cols[k][0] / (k + 1),))
     return OdeFunction("exp", ivp, 0)
 
 
@@ -54,14 +63,15 @@ def circle_rhs(t, y):
 
 def make_sincos() -> tuple[OdeFunction, OdeFunction]:
     """sin and cos as the solution pair of y1' = y2, y2' = -y1, y(0) = (0, 1)."""
-    ivp = IVP(2, circle_rhs, 0.0, (0.0, 1.0))
+    ivp = IVP(2, circle_rhs, 0.0, (0.0, 1.0), series=lambda cols, k: (cols[k][1] / (k + 1), -cols[k][0] / (k + 1)))
     return OdeFunction("sin", ivp, 0), OdeFunction("cos", ivp, 1)
 
 
 def make_jacobi(k: float) -> tuple[OdeFunction, OdeFunction, OdeFunction]:
     """Jacobi elliptic sn, cn, dn with modulus k from their coupled system.
 
-    sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn, starting at (0, 1, 1).
+    sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn, starting at (0, 1, 1); the
+    Taylor recurrence takes the products' coefficients as Cauchy products.
     """
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"modulus k must lie in [0, 1], got {k!r}")
@@ -71,7 +81,15 @@ def make_jacobi(k: float) -> tuple[OdeFunction, OdeFunction, OdeFunction]:
         sn, cn, dn = y
         return (cn * dn, -sn * dn, -k2 * sn * cn)
 
-    ivp = IVP(3, rhs, 0.0, (0.0, 1.0, 1.0))
+    def series(cols, k):
+        cd = sd = sc = 0.0
+        for (s, c, _), (s2, c2, d2) in zip(cols, reversed(cols)):
+            cd += c * d2
+            sd += s * d2
+            sc += s * c2
+        return (cd / (k + 1), -sd / (k + 1), -k2 * sc / (k + 1))
+
+    ivp = IVP(3, rhs, 0.0, (0.0, 1.0, 1.0), series=series)
     return (
         OdeFunction("sn", ivp, 0),
         OdeFunction("cn", ivp, 1),
@@ -82,20 +100,14 @@ def make_jacobi(k: float) -> tuple[OdeFunction, OdeFunction, OdeFunction]:
 def make_inv_gudermannian() -> OdeFunction:
     """Meridional-parts integrand antiderivative: y' = 1/cos(t), y(0) = 0.
 
-    Equals ln tan(pi/4 + x/2) on (-pi/2, pi/2); the integrand pole bounds the
-    domain.
+    Equals ln tan(pi/4 + x/2) for |x| <= pi/2 - ``POLE_STEPS`` h, where the
+    RK4 error near the integrand's poles is at most 6e-9 relative at h = 1e-3.
     """
     def sec(t):
         return 1.0 / math.cos(t)
 
     ivp = IVP(1, lambda t, y: (sec(t),), 0.0, (0.0,), sec)
-    return OdeFunction(
-        "invgd",
-        ivp,
-        0,
-        domain=lambda x: abs(x) < math.pi / 2,
-        domain_message="argument must satisfy |x| < pi/2",
-    )
+    return OdeFunction("invgd", ivp, 0, pole=math.pi / 2)
 
 
 def by_name(name: str, k: float = DEFAULT_K) -> OdeFunction:

@@ -1,19 +1,24 @@
 """Fixed-step initial-value-problem integration.
 
-Two methods: the plain first-order step-by-step recurrence (Euler) and the
-classical fourth-order Runge-Kutta update.  Steps are laid out on a uniform
-grid from ``t0`` toward ``t_end``; the final step is shortened so the last
-node lands on ``t_end`` bit-exactly.  A plan with a step count instead
-divides the span into that many equal steps (``StepPlan.divided``); the
-fixed-interval quadratures use it, because for a periodic integrand the
-equal-division grid converges geometrically where a shortened last step
-falls back to the method's order.  Backward integration (``t_end < t0``)
-uses the same machinery with a negated step.  For an IVP that declares its
-right-hand side an integrand f(t), RK4 is Simpson's rule: k2 equals k3, and
-k4 is f at the next node, where the next step starts, so f is evaluated
-twice per step.  On a grid from t0 = 0, where every integrand in this
-package starts, each step t_next - t is exact (Sterbenz), so t + h is
-t_next, and the sum is RK4's bit for bit.
+Three methods: the plain first-order step-by-step recurrence (Euler), the
+classical fourth-order Runge-Kutta update, and a Taylor-series step.  Steps
+are laid out on a uniform grid from ``t0`` toward ``t_end``; the final step
+is shortened so the last node lands on ``t_end`` bit-exactly.  A plan with a
+step count instead divides the span into that many equal steps
+(``StepPlan.divided``); the fixed-interval quadratures use it, because for a
+periodic integrand the equal-division grid converges geometrically where a
+shortened last step falls back to the method's order.  Backward
+integration (``t_end < t0``) uses the same machinery with a negated step.
+For an IVP that declares its right-hand side an integrand f(t), RK4 is
+Simpson's rule: k2 equals k3, and k4 is f at the next node, where the next
+step starts, so f is evaluated twice per step.  On a grid from t0 = 0, where
+every integrand in this package starts, each step t_next - t is exact
+(Sterbenz), so t + h is t_next, and the sum is RK4's bit for bit.
+
+A Taylor step (Moore, *Interval Analysis*, 1966, ch. 11) adds the
+coefficients c_k of y(t + s) = sum c_k s^k from the IVP's ``series`` until
+two consecutive terms satisfy max_i |c_k,i| |h|^k <= 2^-53 max_i |y_i|, and
+sums them by Horner's rule; by order ``TAYLOR_MAX_ORDER`` the step is refused.
 
 Zero crossings of a state component are located by a bracketed secant
 (Illinois) iteration on one RK4 step from the node before them: to the
@@ -24,11 +29,11 @@ Failures: ``IVP`` and ``StepPlan`` reject non-finite times, states and step
 sizes and a step size that is not positive with ``ValueError``, and so does
 ``integrate`` for a plan of more than ``MAX_STEPS`` steps.  During
 integration, an ``ArithmeticError`` or ``ValueError`` from the right-hand
-side (expression errors included), a right-hand side of the wrong length,
-and a non-finite state each raise ``IntegrationError``; any other exception
-propagates unchanged.  The state is checked every ``FINITE_CHECK_STEPS``
-steps and at the end, so a run that overflows stops soon after, not at
-``t_end``.
+side or ``series`` (expression errors included), a right-hand side of the
+wrong length, a refused Taylor step and a non-finite state each raise
+``IntegrationError``; any other exception propagates unchanged.  The state
+is checked every ``FINITE_CHECK_STEPS`` steps and at the end, so a run that
+overflows stops soon after, not at ``t_end``.
 """
 
 from __future__ import annotations
@@ -39,10 +44,13 @@ from typing import Callable, Sequence
 
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
+Series = Callable[[list[Vector], int], Vector]
 
 CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 MAX_STEPS = 10**7  # step budget of one integration run
 FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
+TAYLOR_MAX_ORDER = 60  # highest order of one Taylor step
+TAYLOR_DISCARD = 2.0**-53  # a Taylor term below this times max|y| is discarded
 
 
 class IntegrationError(RuntimeError):
@@ -57,13 +65,19 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IVP:
-    """An initial-value problem y' = rhs(t, y), y(t0) = y0."""
+    """An initial-value problem y' = rhs(t, y), y(t0) = y0.
+
+    ``integrand`` is f where rhs(t, y) is (f(t),).  ``series(cols, k)`` is the
+    Taylor coefficient vector of order k + 1 at a node, from those of orders
+    0..k in ``cols``; ``cols[0]`` is the state there.
+    """
 
     dim: int
     rhs: RHS
     t0: float
     y0: Vector
-    integrand: Callable[[float], float] | None = None  # f, where rhs(t, y) is (f(t),)
+    integrand: Callable[[float], float] | None = None
+    series: Series | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -153,12 +167,16 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     mode for long integrations).  RK4 on an IVP with an ``integrand``
     evaluates it at each step's midpoint and end only, the end value starting
     the next step: RK4's sum bit for bit when t + h is the next node, as on a
-    grid from t0 = 0 (see the module docstring).  Euler calls ``rhs``.
+    grid from t0 = 0 (see the module docstring).  Euler calls ``rhs``, and
+    ``taylor`` only ``series`` (``ValueError`` if the IVP declares none).
     """
-    if method not in ("euler", "rk4"):
+    if method not in ("euler", "rk4", "taylor"):
         raise ValueError(f"unknown method {method!r}")
     rhs = ivp.rhs
     f = ivp.integrand if method == "rk4" else None
+    series = ivp.series if method == "taylor" else None
+    if method == "taylor" and series is None:
+        raise ValueError("method 'taylor' needs an IVP that declares a series")
     t0, t_end = ivp.t0, plan.t_end
     t, y = t0, ivp.y0
     if t_end == t0:
@@ -182,6 +200,8 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
                 y = (y[0] + h / 6 * (a + 2 * b + 2 * b + d),)
             elif method == "euler":
                 y = tuple([yi + h * a for yi, a in zip(y, rhs(t, y), strict=True)])
+            elif series:
+                y = _taylor_step(series, y, h)
             else:
                 k1 = rhs(t, y)
                 k2 = rhs(t + h / 2, [yi + h / 2 * a for yi, a in zip(y, k1, strict=True)])
@@ -205,6 +225,28 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
         times.append(t)
         states.append(y)
     return Trajectory(tuple(times), tuple(states))
+
+
+def _taylor_step(series: Series, y: Vector, h: float) -> Vector:
+    """y(t + h) from the state y at t by one Taylor step (see the module docstring)."""
+    cols = [y]
+    discard = TAYLOR_DISCARD * max(map(abs, y))
+    hk, below = 1.0, False  # |h|^k, and whether the last term was below the discard size
+    for k in range(TAYLOR_MAX_ORDER):
+        c = series(cols, k)
+        cols.append(c)
+        hk *= abs(h)
+        small = max(map(abs, c)) * hk <= discard
+        if small and below:
+            break
+        below = small
+    else:
+        raise ArithmeticError(f"Taylor series at step h={h!r} has terms above the discard size at "
+                              f"order {TAYLOR_MAX_ORDER}; take a smaller step")
+    total = cols.pop()
+    for c in reversed(cols):
+        total = [ci + h * ti for ci, ti in zip(c, total, strict=True)]
+    return tuple(total)
 
 
 def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[float, Vector]:

@@ -143,9 +143,11 @@ class TestPendulum:
         for theta0 in (1e-6, 1e-12, 1e-300):
             spec = PendulumSpec(1.0, theta0=theta0)
             assert pendulum_period_ode(spec) == pytest.approx(spec.small_angle_period(), rel=1e-12)
-        # at 5e-324 the restoring force underflows, and 0.001 is refused
-        with pytest.raises(RuntimeError, match="outside the bracket"):
-            pendulum_period_ode(PendulumSpec(1.0, theta0=5e-324))
+        # below the smallest normal float sin(theta0) loses precision: at 5e-324 the
+        # force underflows, and 1e-315 was answered 1e-9 off; both are refused by theta0
+        for theta0 in (5e-324, 1e-315):
+            with pytest.raises(ValueError, match=f"theta0={theta0!r} is subnormal"):
+                pendulum_period_ode(PendulumSpec(1.0, theta0=theta0))
 
     def test_window_bound_is_a_tight_upper_bound(self):
         for theta0 in (1e-3, 0.5, 2.5, 3.0, 3.14159, math.pi - 1e-12):

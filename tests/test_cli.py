@@ -18,7 +18,7 @@ from stepcalc.cli import COMMANDS, MAX_SWEEP_POINTS, build_parser, main
 from stepcalc.expr import MAX_EXACT_BITS, MAX_EXACT_DEGREE
 from stepcalc.nonarch import EPSILON, RatFunc
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
-from stepcalc.solver import MAX_STEPS
+from stepcalc.solver import MAX_STEPS, StepPlan, integrate_final
 
 EXP_SPEC = """\
 # exponential growth
@@ -262,6 +262,30 @@ class TestFn:
     def test_invgd_pole(self, capsys):
         code, _, _ = run(capsys, "fn", "invgd", str(math.pi / 2))
         assert code == 1
+
+    def test_invgd_near_the_pole(self, capsys):
+        # 1.5707 is 0.08 steps from the pole; RK4 printed 10.2349 for 9.9409
+        code, out, err = run(capsys, "fn", "invgd", "1.5707")
+        assert (code, out) == (1, "")
+        assert "x=1.5707" in err and "h=0.001" in err
+        code, out, _ = run(capsys, "fn", "invgd", "1.55")
+        assert code == 0 and abs(float(out) / oracles.inv_gudermannian(1.55) - 1.0) < 1e-8
+        # 89.9 degrees is 17.5 steps of MERIDIONAL_H from the pole
+        code, out, _ = run(capsys, "lox", "--lat1", "0", "--lon1", "0", "--lat2", "89.9", "--lon2", "10")
+        assert code == 0 and out.startswith("bearing_rad=")
+
+    def test_taylor_step_too_long_is_refused(self, capsys):
+        # the poles of sn at k = 1 lie pi/2 off the real axis: a step of 2 cannot converge
+        code, out, err = run(capsys, "fn", "sn", "2", "--k", "1", "--h", "2")
+        assert (code, out) == (1, "")
+        assert "h=2.0" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_explicit_method_is_the_plain_run(self, capsys, method):
+        for name, x in (("sin", "2.5"), ("dn", "-1.7"), ("exp", "3")):
+            f = functions.by_name(name)
+            _, state = integrate_final(f.ivp, StepPlan(functions.DEFAULT_H, float(x)), method)
+            assert run(capsys, "fn", name, x, "--method", method) == (0, f"{state[f.output]:.17g}\n", "")
 
 
 class TestTable:
@@ -646,7 +670,7 @@ class TestDefaults:
         parser = build_parser()
         expected = [
             (("solve", "x.ivp"), {"width": svgplot.DEFAULT_WIDTH, "height": svgplot.DEFAULT_HEIGHT}),
-            (("fn", "exp", "1"), {"h": functions.DEFAULT_H}),
+            (("fn", "exp", "1"), {"h": None, "method": None}),
             (("table",), {"h": tables.DEFAULT_H}),
             (("pi",), {"max_terms": series.DEFAULT_MAX_TERMS}),
             (("pendulum", "--theta0", "1"), {"h": applications.PENDULUM_H}),
@@ -706,7 +730,7 @@ class TestFuzz:
         if command == "fn":
             name = rng.choice(["exp", "sin", "cos", "sn", "cn", "dn", "invgd", "bogus"])
             return ["fn", name, value("1", "0.5", "-2"), *step,
-                    *options(("--k", value("0.5")), ("--method", rng.choice(["rk4", "euler"])))]
+                    *options(("--k", value("0.5")), ("--method", rng.choice(["rk4", "euler", "taylor"])))]
         if command == "table":
             return ["table", *step, *options(("--radius", value("1", "1e7")),
                                              ("--method", rng.choice(["rk4", "euler"])))]

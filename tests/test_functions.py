@@ -5,13 +5,16 @@ import pytest
 
 import oracles
 from stepcalc.functions import (
+    DEFAULT_H,
+    POLE_STEPS,
+    TAYLOR_H,
     by_name,
     make_exp,
     make_inv_gudermannian,
     make_jacobi,
     make_sincos,
 )
-from stepcalc.solver import StepPlan, find_zero_crossings, integrate
+from stepcalc.solver import StepPlan, find_zero_crossings, integrate, integrate_final
 
 
 class TestExp:
@@ -100,6 +103,50 @@ class TestJacobi:
             make_jacobi(-0.1)
 
 
+class TestTaylorDefault:
+    """exp, sin, cos, sn, cn and dn default to Taylor steps of TAYLOR_H, which
+    keep them within 1e-13 of the oracles over the benchmark's fn ranges."""
+
+    RANGES = {"exp": (0.2, 4.0), "circle": (0.2, 6.0), "jacobi": (0.2, 4.0)}
+
+    @classmethod
+    def points(cls, kind, n=24):
+        lo, hi = cls.RANGES[kind]
+        return [sign * (lo + (hi - lo) * i / (n - 1)) for i in range(n) for sign in (1.0, -1.0)]
+
+    def test_exp_relative_error(self):
+        f = make_exp()
+        for x in self.points("exp") + [700.0, -700.0]:
+            assert abs(f(x) - math.exp(x)) <= 1e-13 * math.exp(x), x
+
+    def test_circle_absolute_error(self):
+        for f, ref in zip(make_sincos(), (math.sin, math.cos)):
+            for x in self.points("circle"):
+                assert abs(f(x) - ref(x)) <= 1e-13, (f.name, x)
+
+    @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9, 1.0])
+    def test_jacobi_absolute_error(self, k):
+        triple = make_jacobi(k)
+        for x in self.points("jacobi"):
+            for f, ref in zip(triple, oracles.jacobi(x, k)):
+                assert abs(f(x) - ref) <= 1e-13, (f.name, k, x)
+
+    def test_defaults_resolve_by_the_declared_series(self):
+        exp_fn, invgd = make_exp(), make_inv_gudermannian()
+        assert exp_fn(1.3) == integrate_final(exp_fn.ivp, StepPlan(TAYLOR_H, 1.3), "taylor")[1][0]
+        assert exp_fn(1.3, method="rk4") == integrate_final(exp_fn.ivp, StepPlan(DEFAULT_H, 1.3))[1][0]
+        assert exp_fn(1.3, h=0.1) == integrate_final(exp_fn.ivp, StepPlan(0.1, 1.3), "taylor")[1][0]
+        assert invgd(0.7) == integrate_final(invgd.ivp, StepPlan(DEFAULT_H, 0.7), "rk4")[1][0]
+        with pytest.raises(ValueError, match="declares a series"):
+            invgd(0.7, method="taylor")
+
+    def test_trajectory_takes_the_same_steps(self):
+        sn = make_jacobi(0.7)[0]
+        traj = sn.trajectory(-2.2)
+        assert traj.times == (0.0, -0.5, -1.0, -1.5, -2.0, -2.2)
+        assert traj.final_state()[0] == sn(-2.2)
+
+
 class TestInvGudermannian:
     def test_at_zero(self):
         assert make_inv_gudermannian()(0.0) == 0.0
@@ -118,6 +165,18 @@ class TestInvGudermannian:
         f = make_inv_gudermannian()
         with pytest.raises(ValueError):
             f(math.pi / 2)
+
+    def test_refused_within_pole_steps_of_the_pole(self):
+        # RK4 at h = 1e-3 errs by 5.9e-9 relative POLE_STEPS steps from the pole
+        f = make_inv_gudermannian()
+        for h in (1e-3, 1e-4):
+            inside = math.pi / 2 - (POLE_STEPS + 0.5) * h
+            for x in (inside, -inside):
+                assert abs(f(x, h=h) - oracles.inv_gudermannian(x)) <= 1e-8 * abs(f(x, h=h)), (x, h)
+            outside = math.pi / 2 - (POLE_STEPS - 0.5) * h
+            for x in (outside, -outside, 1.5707):
+                with pytest.raises(ValueError, match=rf"x={x!r} lies closer than 16 steps of h={h!r}"):
+                    f(x, h=h)
 
 
 class TestRegistry:

@@ -232,6 +232,65 @@ class TestIntegrandRule:
             IVP(2, lambda t, y: (1.0, 1.0), 0.0, (0.0, 0.0), math.cos)
 
 
+EXP_SERIES = IVP(1, lambda t, y: (y[0],), 0.0, (1.0,), series=lambda cols, k: (cols[k][0] / (k + 1),))
+
+
+class TestTaylor:
+    def test_each_method_calls_only_its_own_function(self):
+        calls = {"rhs": 0, "series": 0}
+
+        def rhs(t, y):
+            calls["rhs"] += 1
+            return (y[0],)
+
+        def series(cols, k):
+            calls["series"] += 1
+            return (cols[k][0] / (k + 1),)
+
+        ivp = IVP(1, rhs, 0.0, (1.0,), series=series)
+        value = integrate_final(ivp, StepPlan(0.5, 2.0), "taylor")[1][0]
+        assert calls["rhs"] == 0 and calls["series"] > 0
+        assert abs(value - math.exp(2.0)) <= 1e-15 * math.exp(2.0)
+        calls["series"] = 0
+        for method in ("rk4", "euler"):
+            integrate_final(ivp, StepPlan(0.5, 2.0), method)
+        assert calls["series"] == 0 and calls["rhs"] == 4 * 4 + 4
+
+    def test_a_zero_term_does_not_end_the_step(self):
+        # (t, y) with y' = 2ty, y = exp(t^2): at t = 0 every odd-order term is zero
+        def series(cols, k):
+            ty = sum(a[0] * b[1] for a, b in zip(cols, reversed(cols)))
+            return (1.0 if k == 0 else 0.0, 2.0 * ty / (k + 1))
+
+        ivp = IVP(2, lambda t, y: (1.0, 2.0 * y[0] * y[1]), 0.0, (0.0, 1.0), series=series)
+        for x in (0.5, 1.5):
+            value = integrate_final(ivp, StepPlan(0.5, x), "taylor")[1][1]
+            assert abs(value - math.exp(x * x)) <= 1e-14 * math.exp(x * x), x
+
+    def test_taylor_needs_a_series(self):
+        with pytest.raises(ValueError, match="declares a series"):
+            integrate(EXP_IVP, StepPlan(0.5, 1.0), "taylor")
+
+    def test_a_series_that_keeps_growing_is_refused_naming_the_step(self):
+        # the terms of exp at h = 100 peak near order 100, past TAYLOR_MAX_ORDER
+        with pytest.raises(IntegrationError, match=r"step h=100\.0 .* order 60") as info:
+            integrate(EXP_SERIES, StepPlan(100.0, 200.0), "taylor")
+        assert info.value.t == 0.0
+        value = integrate_final(EXP_SERIES, StepPlan(1.0, 100.0), "taylor")[1][0]
+        assert abs(value - math.exp(100.0)) <= 1e-13 * math.exp(100.0)
+
+    def test_a_failing_series_fails_like_a_failing_rhs(self):
+        def series(cols, k):
+            if k == 3:
+                raise ZeroDivisionError("boom")
+            return (cols[k][0] / (k + 1),)
+
+        ivp = dataclasses.replace(EXP_SERIES, series=series)
+        with pytest.raises(IntegrationError, match="boom") as info:
+            integrate(ivp, StepPlan(0.5, 1.0), "taylor")
+        assert info.value.t == 0.0
+
+
 class TestStepBudget:
     def test_too_many_steps_rejected_before_the_loop(self):
         calls = []
