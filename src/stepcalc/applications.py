@@ -104,27 +104,21 @@ def pendulum_ivp(spec: PendulumSpec) -> IVP:
 def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     """Measure the full period by integrating the motion.
 
-    The angular velocity starts at zero (release from rest) and vanishes
-    again at each turning point, one half-period apart; the period is twice
-    the gap between the first two turning points after release.  The
-    integration window ends two steps past an upper bound on the period, so
-    that both are bracketed by grid nodes.  A step too coarse for the period
-    finds fewer than two in that window, or a period outside the bound's
-    bracket (see ``_pendulum_period_bound``) widened by a relative 1e-6, which
-    covers the default step's error; either is refused.  So is an amplitude
-    below the smallest normal float, where sin(theta) loses its precision.
+    Released from rest, the pendulum first passes theta = 0 a quarter period
+    later: the period is four times the first zero of theta, in a window two
+    steps past a quarter of an upper bound on the period.  A window with no
+    zero, or a period outside the bound's bracket (see
+    ``_pendulum_period_bound``) widened by 1e-6 relative for the default
+    step's error, means a step too coarse for the period and is refused, as
+    is an amplitude below the smallest normal float, where sin(theta) loses
+    its precision.
     """
     if spec.theta0 < sys.float_info.min:
         raise ValueError(f"amplitude theta0={spec.theta0!r} is subnormal: the restoring force loses its precision")
     ivp = pendulum_ivp(spec)
     bound = _pendulum_period_bound(spec)
-    t_end = bound + 2.0 * h
-    traj = integrate(ivp, StepPlan(h, t_end))
-    crossings = [t for t in find_zero_crossings(traj, 1, ivp) if t > ivp.t0]
-    if len(crossings) < 2:
-        raise RuntimeError(f"fewer than two turning points up to t={t_end!r} with step h={h!r}; "
-                           "the step is too coarse for the period")
-    period = 2.0 * (crossings[1] - crossings[0])
+    zeros = find_zero_crossings(integrate(ivp, StepPlan(h, bound / 4.0 + 2.0 * h)), 0, ivp)
+    period = 4.0 * zeros[0] if zeros else math.inf  # none in the window: longer than the bracket
     if not bound / 1.001 * (1.0 - 1e-6) <= period <= bound * (1.0 + 1e-6):
         raise RuntimeError(f"period {period!r} with step h={h!r} lies outside the bracket "
                            f"[{bound / 1.001!r}, {bound!r}]; the step is too coarse for the period")
@@ -243,7 +237,7 @@ def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
     ivp = ballistics_ivp(spec)
     crossings = [t for t in find_zero_crossings(traj, 1, ivp) if t > 0.0]
     if not crossings:
-        raise RuntimeError("no landing detected")
+        raise RuntimeError(f"the projectile lands within the first step, of at most h={h!r}; take a smaller step")
     t_land = crossings[0]
     i = bisect.bisect_left(traj.times, t_land) - 1
     node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])

@@ -11,6 +11,7 @@ of their Taylor coefficients and take Taylor steps by default.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .solver import IVP, StepPlan, Trajectory, integrate, integrate_final
@@ -25,7 +26,8 @@ DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 class OdeFunction:
     """A named, ODE-backed real function of one real argument: by default by
     Taylor steps of ``TAYLOR_H`` where the IVP declares a series, else by RK4
-    steps of ``DEFAULT_H``; refused within ``POLE_STEPS`` steps of +-``pole``."""
+    steps of ``DEFAULT_H``; refused within ``POLE_STEPS`` steps of +-``pole``
+    and where the result is subnormal (no double holds it to the budget)."""
 
     name: str
     ivp: IVP
@@ -45,7 +47,10 @@ class OdeFunction:
 
     def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
         plan, method = self._plan(x, method, h)
-        return integrate_final(self.ivp, plan, method)[1][self.output]
+        value = integrate_final(self.ivp, plan, method)[1][self.output]
+        if 0.0 < abs(value) < sys.float_info.min:
+            raise ArithmeticError(f"{self.name}({x!r}) = {value!r} is subnormal: no double holds it to the budget")
+        return value
 
     def trajectory(self, x: float, method: str | None = None, h: float | None = None) -> Trajectory:
         return integrate(self.ivp, *self._plan(x, method, h))

@@ -93,15 +93,14 @@ class TestPendulum:
         assert abs(ratio - expected) < 5e-5  # 4 significant figures
         assert f"{ratio:.4f}" == "1.1803"
 
-    def test_ode_period_bits_unchanged_by_the_window(self):
-        # values of the fixed 3*T0 window that was widened by doubling; the
-        # window now ends just past an upper bound on the period, and the
-        # grid nodes before its end are the same
+    def test_ode_period_bits_of_the_quarter_period(self):
+        # four times the first zero of theta; against oracles.elliptic_K_agm
+        # these are 5.0e-14, 3.4e-14, 2.8e-14 and 6.4e-9 off
         cases = [
-            (0.25, PENDULUM_H, "2.0142750084577066"),
-            (1.0, PENDULUM_H, "2.139502939337634"),
-            (2.5, PENDULUM_H, "3.296495151801897"),
-            (3.1, 1e-2, "6.718452346970902"),  # beyond 3*T0
+            (0.25, PENDULUM_H, "2.0142750084577097"),
+            (1.0, PENDULUM_H, "2.1395029393376355"),
+            (2.5, PENDULUM_H, "3.296495151801908"),
+            (3.1, 1e-2, "6.718454427517468"),
         ]
         for theta0, h, expected in cases:
             assert repr(pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)) == expected
@@ -124,18 +123,32 @@ class TestPendulum:
         assert worst_to_3_1 <= 2e-12
         assert worst <= 1.4e-8
 
-    def test_default_rhs_evaluations(self, rhs_evals):
-        # 85 752 at h = 1e-4 with bisection to 1e-10 s
-        pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
-        assert rhs_evals[0] == 17152
+    def test_near_pi_error_budget(self):
+        # a quarter period builds up less error than the whole period, which
+        # the turning-point route integrated (2.1e-9 at theta0 = 3.141)
+        for theta0 in (3.13, 3.14, 3.141):
+            for length in (0.5, 1.0, 2.0):
+                spec = PendulumSpec(length, theta0=theta0)
+                k = oracles.elliptic_K_agm(math.sin(theta0 / 2.0))
+                exact = 4.0 * math.sqrt(length / spec.gravity) * k
+                assert abs(pendulum_period_ode(spec) - exact) <= 5e-11 * exact, (theta0, length)
 
-    # the last two give 2.9975 for 3.2965 and 7.344 for 3.1077 without the bracket check
-    @pytest.mark.parametrize("theta0, h", [(2.5, 1.0), (1.5, 2.0), (2.5, 0.4), (2.385, 1.15)])
+    def test_default_rhs_evaluations(self, rhs_evals):
+        # 85 752 at h = 1e-4 with bisection to 1e-10 s, 17 152 at h = 5e-4
+        # over a whole period from turning point to turning point
+        pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
+        assert rhs_evals[0] == 4296
+
+    # the first four give a period outside the bracket (2.5, 0.4 and 2.385, 1.15
+    # gave 2.9975 for 3.2965 and 7.344 for 3.1077 on the turning-point route),
+    # the last no zero of theta in the window
+    @pytest.mark.parametrize("theta0, h", [(2.5, 1.0), (1.5, 2.0), (2.5, 0.4), (2.385, 1.15), (0.1, 1.5)])
     def test_coarse_step_is_refused_after_one_integration(self, plans, theta0, h):
-        # too coarse for the period: fewer than two turning points in the window
+        # the locator's one-step integrations also start at t = 0 when the zero
+        # lies in the first step, so count the window only: start 0, step h
         with pytest.raises(RuntimeError, match=re.escape(f"with step h={h!r}")):
             pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)
-        assert [t0 for t0, _ in plans].count(0.0) == 1
+        assert [(t0, plan.h) for t0, plan in plans].count((0.0, h)) == 1
 
     def test_bracket_admits_tiny_amplitudes(self):
         # near theta0 = 0 the period meets the bracket's upper end, and the step's

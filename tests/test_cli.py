@@ -274,6 +274,17 @@ class TestFn:
         code, out, _ = run(capsys, "lox", "--lat1", "0", "--lon1", "0", "--lat2", "89.9", "--lon2", "10")
         assert code == 0 and out.startswith("bearing_rad=")
 
+    def test_subnormal_result_is_refused(self, capsys):
+        # e^-800 rounds to 0, but each Taylor step rounded the state back up to
+        # 5e-324, and RK4 held 2.47e-321 (2.47e-322 at h = 0.01, a tenth of the
+        # steps); e^-720 = 2.0e-313 is subnormal too
+        for argv in (("-800",), ("-800", "--method", "rk4", "--h", "0.01"), ("-720",)):
+            code, out, err = run(capsys, "fn", "exp", *argv)
+            assert (code, out, err.count("\n")) == (1, "", 1)
+            assert "exp(" in err and "subnormal" in err
+        code, out, _ = run(capsys, "fn", "exp", "-700")
+        assert code == 0 and abs(float(out) - math.exp(-700.0)) <= 1e-13 * math.exp(-700.0)
+
     def test_taylor_step_too_long_is_refused(self, capsys):
         # the poles of sn at k = 1 lie pi/2 off the real axis: a step of 2 cannot converge
         code, out, err = run(capsys, "fn", "sn", "2", "--k", "1", "--h", "2")
@@ -370,7 +381,7 @@ class TestPendulum:
         _, out_o, _ = run(capsys, *args, "--method", "ode")
         assert abs(float(out_e) - float(out_o)) / float(out_e) < 1e-6
 
-    # the last two find two turning points, but a period outside the AGM bracket
+    # each finds a zero of theta, but a period outside the AGM bracket
     @pytest.mark.parametrize("theta0, h", [("2.5", "1"), ("1.5", "2"), ("2.5", "0.4"), ("2.385", "1.15")])
     def test_coarse_step_is_refused_after_one_integration(self, capsys, monkeypatch, theta0, h):
         windows = []
@@ -411,6 +422,15 @@ class TestBallistics:
         expected = 1e-3**2 * math.sin(2 * math.radians(40)) / 9.80665
         assert (code, err) == (0, "")
         assert abs(float(out) - expected) <= 1e-12 * expected
+
+    def test_landing_within_the_first_step(self, capsys):
+        # the 3.5 ms vacuum flight caps the step at 2.36 ms, and drag ends the
+        # flight inside it, below the first node; a finer step brackets it
+        heavy = ("ballistics", "--mass", "1", "--drag", "10000", "--v0", "0.1", "--alpha", "10")
+        code, out, err = run(capsys, *heavy, "--h", "0.01")
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert "within the first step" in err and "h=0.01" in err
+        assert run(capsys, *heavy, "--h", "1e-4") == (0, "0.00012468296760679198\n", "")
 
 
 class TestLox:
