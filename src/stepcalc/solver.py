@@ -20,10 +20,10 @@ coefficients c_k of y(t + s) = sum c_k s^k from the IVP's ``series`` until
 two consecutive terms satisfy max_i |c_k,i| |h|^k <= 2^-53 max_i |y_i|, and
 sums them by Horner's rule; by order ``TAYLOR_MAX_ORDER`` the step is refused.
 
-Zero crossings of a state component are located by a bracketed secant
-(Illinois) iteration on one RK4 step from the node before them: to the
-step's local error in a few steps, not to a fixed width in t (Hairer,
-Norsett and Wanner, *Solving ODEs I*, II.6).
+The first zero crossing of a state component after the start is located,
+with its state, by a bracketed secant (Illinois) iteration on one RK4 step
+from the node before it: to the step's local error in a few steps, not to a
+fixed width in t (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6).
 
 Failures: ``IVP`` and ``StepPlan`` reject non-finite times, states and step
 sizes and a step size that is not positive with ``ValueError``, and so does
@@ -255,55 +255,50 @@ def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[floa
     return traj.times[-1], traj.states[-1]
 
 
-def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP) -> list[float]:
-    """Refined times where a state component crosses zero.
+def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP) -> tuple[float, Vector] | None:
+    """The first zero of a state component after the start node as (t, state),
+    or None; the name stays plural because the benchmark's tracer binds it.
 
-    A node holding an exact zero counts as one crossing (it terminates the
-    previous sign run).  A sign change between adjacent nodes is located on
-    g(t), the component after one RK4 step from the earlier node to t, by
-    Illinois regula falsi: secant iterates inside the bracket, the value of
-    an end kept twice in a row halved.  It stops when g is exactly zero,
-    when an iterate does not fall strictly inside the bracket or cannot be
-    computed (a right-hand-side error or a non-finite state), or after
-    ``CROSSING_MAX_ITER`` iterates, and returns the last iterate.
+    A later node holding an exact zero is a crossing with its own state (a
+    zero at the start node is the initial condition).  A sign change from a
+    nonzero node value to the next is located on g(t), the component after
+    one RK4 step from the earlier node to t, by Illinois regula falsi: secant
+    iterates inside the bracket, an end kept twice in a row having its value
+    halved, until g is exactly zero, an iterate is not strictly inside the
+    bracket or ``CROSSING_MAX_ITER`` iterates are done.  The crossing is the
+    last accepted iterate with its step's state, else the bracket's end
+    node; a step that fails raises ``IntegrationError``.
     """
     if not 0 <= component < traj.dim:
         raise ValueError(f"component {component} out of range for dim {traj.dim}")
-    values = traj.component(component)
-    crossings: list[float] = []
-    for i in range(len(values) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0:
-            crossings.append(traj.times[i])
-            continue
-        if b == 0.0 or (a < 0.0) == (b < 0.0):
-            continue
-        local = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])
-        crossings.append(_refine_crossing(local, component, traj.times[i + 1], b))
-    if values and values[-1] == 0.0:
-        crossings.append(traj.times[-1])
-    return crossings
+    states = traj.states
+    for i in range(1, len(states)):
+        a, b = states[i - 1][component], states[i][component]
+        if b == 0.0:
+            return traj.times[i], states[i]
+        if a != 0.0 and (a < 0.0) != (b < 0.0):
+            local = IVP(ivp.dim, ivp.rhs, traj.times[i - 1], states[i - 1])
+            return _refine_crossing(local, component, traj.times[i], states[i])
+    return None
 
 
-def _refine_crossing(local: IVP, component: int, t_next: float, g_next: float) -> float:
+def _refine_crossing(local: IVP, component: int, t_next: float, y_next: Vector) -> tuple[float, Vector]:
     """Illinois iteration on one RK4 step from ``local``'s start, which
-    brackets a zero with the next node ``t_next``."""
+    brackets a zero with the next node (``t_next``, ``y_next``)."""
     t_lo = local.t0
     kept, g_kept = t_lo, local.y0[component]
-    t, g = t_next, g_next
+    t, y, g = t_next, y_next, y_next[component]
     for _ in range(CROSSING_MAX_ITER):
         t_new = t - (t - kept) * (g / (g - g_kept))  # a ratio in [0, 1]: no overflow
         if not min(kept, t) < t_new < max(kept, t):
             break
-        try:
-            g_new = integrate_final(local, StepPlan(abs(t_new - t_lo), t_new))[1][component]
-        except IntegrationError:
-            return t_new
+        y_new = integrate_final(local, StepPlan(abs(t_new - t_lo), t_new))[1]
+        g_new = y_new[component]
         if g_new == 0.0:
-            return t_new
+            return t_new, y_new
         if (g_new < 0.0) == (g < 0.0):
             g_kept /= 2.0
         else:
             kept, g_kept = t, g
-        t, g = t_new, g_new
-    return t
+        t, y, g = t_new, y_new, g_new
+    return t, y

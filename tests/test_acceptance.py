@@ -102,10 +102,7 @@ def test_criterion_05_jacobi_elliptic_consistency():
             assert abs(s * s + c * c - 1.0) < 1e-9
             assert abs(d * d + k * k * s * s - 1.0) < 1e-9
         quarter = oracles.elliptic_K_agm(k)
-        crossings = [
-            t for t in find_zero_crossings(traj, 1, sn.ivp) if t > 0
-        ]
-        assert abs(crossings[0] - quarter) < 1e-6
+        assert abs(find_zero_crossings(traj, 1, sn.ivp)[0] - quarter) < 1e-6
 
 
 def test_criterion_06_pendulum_amplitude_dependence():

@@ -1,4 +1,6 @@
+import bisect
 import math
+import random
 import re
 
 import pytest
@@ -25,7 +27,7 @@ from stepcalc.applications import (
     unit_circle,
     vacuum_range,
 )
-from stepcalc.solver import IVP
+from stepcalc.solver import IVP, IntegrationError, StepPlan, find_zero_crossings, integrate_final
 
 
 @pytest.fixture
@@ -63,6 +65,14 @@ def rhs_evals(monkeypatch):
     for name in ("pendulum_ivp", "ballistics_ivp"):
         monkeypatch.setattr(applications, name, counted(getattr(applications, name)))
     return count
+
+
+def _step_to_landing(spec, traj, t_land):
+    """One RK4 step to t_land from the last node of ``traj`` before it."""
+    i = bisect.bisect_left(traj.times, t_land) - 1
+    ivp = ballistics_ivp(spec)
+    node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])
+    return integrate_final(node, StepPlan(t_land - traj.times[i], t_land))
 
 
 class TestPendulum:
@@ -106,9 +116,10 @@ class TestPendulum:
             assert repr(pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)) == expected
 
     def test_default_step_error_budget(self):
-        # the budget: no worse than the 1.4e-8 of h = 1e-4 with turning points
-        # bisected to 1e-10 s, and at most 2e-12 up to theta0 = 3.1 (5.3e-11
-        # there at h = 1e-4); at h = 1e-3 theta0 = 3.141 gives 4.9e-8
+        # the budget: no worse than the 1.4e-8 that an earlier route reached
+        # (turning points at h = 1e-4, bisected to 1e-10 s), and at most 2e-12
+        # up to theta0 = 3.1 (that route: 5.3e-11 there); at h = 1e-3
+        # theta0 = 3.141 gives 4.9e-8
         worst = worst_to_3_1 = 0.0
         for theta0 in (0.01, 0.05, 0.5, 1.0, 2.0, 2.5, 2.8, 3.0, 3.05, 3.1,
                        3.12, 3.13, 3.135, 3.14, 3.141):
@@ -134,8 +145,9 @@ class TestPendulum:
                 assert abs(pendulum_period_ode(spec) - exact) <= 5e-11 * exact, (theta0, length)
 
     def test_default_rhs_evaluations(self, rhs_evals):
-        # 85 752 at h = 1e-4 with bisection to 1e-10 s, 17 152 at h = 5e-4
-        # over a whole period from turning point to turning point
+        # 1072 RK4 steps over the quarter-period window and 2 locator iterates;
+        # the turning-point routes over a whole period took 85 752 (h = 1e-4,
+        # bisection to 1e-10 s) and 17 152 (h = 5e-4)
         pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
         assert rhs_evals[0] == 4296
 
@@ -241,18 +253,20 @@ class TestBallistics:
 
     def test_drag_default_step_error_budget(self):
         # references: the range at h = 1e-5, which agrees with h = 2e-5 to
-        # 1.2e-14; each budget sits just under the error of h = 1e-3 with the
-        # landing time bisected to 1e-10 s (5.4e-13 and 8.3e-11)
+        # 1.2e-14; each budget sits just under the error that h = 1e-3 gave
+        # when the landing time was bisected to 1e-10 s (5.4e-13 and 8.3e-11)
         for drag, reference, budget in ((0.005, 42.409292735704476, 5.3e-13),
                                         (0.05, 7.718306150149042, 8.2e-11)):
             spec = BallisticsSpec(0.16, drag, 40.0, math.radians(40))
             assert abs(ballistics_range(spec) - reference) / reference <= budget, drag
 
     def test_default_rhs_evaluations(self, rhs_evals):
-        # 56 536 with a window to 1.5x the vacuum time plus 1 s, bisection to
-        # 1e-10 s and a second integration from launch to the landing time
+        # 5246 RK4 steps over the window and 4 locator iterates, the last of
+        # which holds the landing state; a window to 1.5x the vacuum time plus
+        # 1 s with bisection to 1e-10 s and a second integration from launch
+        # took 56 536, and a second one-step integration to the landing 21 004
         ballistics_range(BallisticsSpec(0.16, 0.0, 40.0, math.radians(40)))
-        assert rhs_evals[0] == 21004
+        assert rhs_evals[0] == 21000
 
     def test_range_integrates_once_from_launch(self, plans):
         spec = BallisticsSpec(0.16, 0.005, 40.0, math.radians(40))
@@ -260,6 +274,40 @@ class TestBallistics:
         starts = [t0 for t0, _ in plans]
         assert starts.count(0.0) == 1
         assert len(starts) > 1  # the locator's steps start at grid nodes
+
+    def test_landing_state_is_one_step_from_the_node_before(self):
+        spec = BallisticsSpec(0.16, 0.05, 40.0, math.radians(40))
+        traj = ballistics_trajectory(spec)
+        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec))
+        assert abs(state[1]) < 1e-12  # the height at the landing
+        assert _step_to_landing(spec, traj, t) == (t, state)
+
+    def test_range_matches_a_step_to_the_landing_time(self):
+        # the range is x of the locator's state, bit for bit what one more
+        # integration from the node before the landing time gives; a window
+        # whose coarse steps under heavy drag overflow fails on both routes
+        rng = random.Random(19)
+        for _ in range(40):
+            spec = BallisticsSpec(10 ** rng.uniform(-1, 1), rng.choice([0.0, 0.005, 0.05, 1.0]),
+                                  10 ** rng.uniform(-1, 2), math.radians(rng.uniform(1, 89)))
+            h = rng.choice([BALLISTICS_H, 0.01, 0.1, 0.5])
+            try:
+                traj = ballistics_trajectory(spec, h)
+            except IntegrationError:
+                with pytest.raises(IntegrationError):
+                    ballistics_range(spec, h)
+                continue
+            t_land = find_zero_crossings(traj, 1, ballistics_ivp(spec))[0]
+            assert ballistics_range(spec, h) == _step_to_landing(spec, traj, t_land)[1][0], (spec, h)
+
+    def test_landing_on_a_node_is_that_node(self):
+        # sin(alpha) = 0.5 and g = 8: every height is exact, 0 at t = 1
+        spec = BallisticsSpec(1.0, 0.0, 8.0, math.asin(0.5), gravity=8.0)
+        traj = ballistics_trajectory(spec, 0.25)
+        assert traj.times[4] == 1.0 and traj.states[4][1] == 0.0
+        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec))
+        assert t == 1.0 and state is traj.states[4]
+        assert ballistics_range(spec, 0.25) == state[0]
 
     def test_window_ends_two_steps_past_the_vacuum_flight(self):
         spec = BallisticsSpec(0.16, 0.0, 40.0, math.radians(40))
@@ -360,3 +408,17 @@ class TestLoxodrome:
     def test_coincident_points(self):
         p = GeoPoint(0.3, 0.4)
         assert loxodrome(p, p) == (0.0, 0.0)
+
+    def test_nearly_equal_latitudes_against_the_atanh_oracle(self):
+        # from adjacent doubles up to 0.1 degree apart, where two meridional
+        # parts cancel and the cosine of a bearing near pi/2 has no digits
+        rng = random.Random(19)
+        for i in range(40):
+            lat1 = math.radians(rng.uniform(-79.9, 79.9))
+            delta = math.radians(rng.choice([-1, 1]) * 10 ** rng.uniform(-13, -1))
+            lat2 = math.nextafter(lat1, lat1 + delta) if i % 8 == 0 else lat1 + delta
+            dlon = math.radians(rng.uniform(-179, 179))
+            bearing, distance = loxodrome(GeoPoint(lat1, 0.0), GeoPoint(lat2, dlon), radius=1.0)
+            expected_bearing, expected_distance = oracles.loxodrome(lat1, lat2, dlon)
+            assert abs(bearing - expected_bearing) <= 1e-10 * abs(expected_bearing), (lat1, lat2, dlon)
+            assert abs(distance - expected_distance) <= 1e-10 * expected_distance, (lat1, lat2, dlon)

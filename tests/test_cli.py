@@ -455,6 +455,19 @@ class TestLox:
                          "--lat2", "0", "--lon2", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("lat1, lat2, lon2", [("0", "1e-20", "1"), ("10", "10.000000000000002", "50"),
+                                                  ("10", "10.000000001", "50")])
+    def test_nearly_equal_latitudes(self, capsys, lat1, lat2, lon2):
+        # 18.16 m, 2887865.67 m and 2.2e-6 off when the distance was
+        # R |dlat / cos(bearing)| with the bearing rounded near pi/2
+        code, out, _ = run(capsys, "lox", "--lat1", lat1, "--lon1", "0", "--lat2", lat2, "--lon2", lon2)
+        assert code == 0
+        fields = dict(part.split("=") for part in out.split())
+        bearing, distance = oracles.loxodrome(math.radians(float(lat1)), math.radians(float(lat2)),
+                                              math.radians(float(lon2)), 6371000.0)
+        assert abs(float(fields["bearing_rad"]) - bearing) <= 1e-10 * bearing
+        assert abs(float(fields["distance_m"]) - distance) <= 1e-10 * distance
+
 
 class TestEllipk:
     def test_complete(self, capsys):

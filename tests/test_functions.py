@@ -64,9 +64,10 @@ class TestSinCos:
     def test_zero_crossing_at_pi(self):
         sin_fn, _ = make_sincos()
         traj = integrate(sin_fn.ivp, StepPlan(1e-4, 4.0))
-        crossings = [t for t in find_zero_crossings(traj, 0, sin_fn.ivp) if t > 0]
-        assert len(crossings) == 1
-        assert abs(crossings[0] - oracles.PI) < 1e-7
+        t, _ = find_zero_crossings(traj, 0, sin_fn.ivp)
+        assert abs(t - oracles.PI) < 1e-7
+        # the only zero in (0, 4]: every node after it is negative
+        assert all(state[0] < 0.0 for node_t, state in zip(traj.times, traj.states) if node_t > t)
 
 
 class TestJacobi:
@@ -93,8 +94,8 @@ class TestJacobi:
         sn, _, _ = make_jacobi(k)
         quarter = oracles.elliptic_K_agm(k)
         traj = integrate(sn.ivp, StepPlan(1e-4, quarter + 0.5))
-        crossings = [t for t in find_zero_crossings(traj, 1, sn.ivp) if t > 0]
-        assert abs(crossings[0] - quarter) < 1e-6
+        t, _ = find_zero_crossings(traj, 1, sn.ivp)
+        assert abs(t - quarter) < 1e-6
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from stepcalc import applications, functions, solver
 from stepcalc.solver import (
-    CROSSING_MAX_ITER,
     IVP,
     MAX_STEPS,
     IntegrationError,
@@ -381,33 +380,37 @@ class TestErrors:
 
 class TestZeroCrossings:
     def test_sine_crossing_near_pi(self):
+        # the initial node is an exact zero: the initial condition, not a crossing
         ivp = IVP(1, lambda t, y: (math.cos(t),), 0.0, (0.0,))
         traj = integrate(ivp, StepPlan(1e-3, 4.0), "rk4")
-        crossings = find_zero_crossings(traj, 0, ivp)
-        # the initial node is an exact zero and counts once
-        assert crossings[0] == 0.0
-        assert len(crossings) == 2
-        assert abs(crossings[1] - oracles.PI) < 1e-8
+        t, _ = find_zero_crossings(traj, 0, ivp)
+        assert abs(t - oracles.PI) < 1e-8
 
     def test_constant_positive_has_no_crossings(self):
         ivp = IVP(1, lambda t, y: (0.0,), 0.0, (1.0,))
         traj = integrate(ivp, StepPlan(0.1, 1.0), "rk4")
-        assert find_zero_crossings(traj, 0, ivp) == []
+        assert find_zero_crossings(traj, 0, ivp) is None
+
+    def test_zero_only_at_the_start_is_no_crossing(self):
+        ivp = IVP(1, lambda t, y: (1.0,), 0.0, (0.0,))
+        traj = integrate(ivp, StepPlan(0.1, 1.0), "rk4")
+        assert find_zero_crossings(traj, 0, ivp) is None
 
     def test_exact_zero_node_counts_once(self):
-        # y = 1 - t with h chosen so a node lands exactly on the zero
+        # y = 1 - t with h chosen so a node lands exactly on the zero: that
+        # node and its own state, not a bracket on either side of it
         ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
         traj = integrate(ivp, StepPlan(0.25, 2.0), "rk4")
-        crossings = find_zero_crossings(traj, 0, ivp)
-        assert crossings == [1.0]
-
+        t, state = find_zero_crossings(traj, 0, ivp)
+        assert (t, state) == (1.0, (0.0,))
+        assert state is traj.states[4]
 
     def test_trailing_zero_node_counts(self):
         # y = 1 - t ending on its zero: the last node is the crossing
         ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
         traj = integrate(ivp, StepPlan(0.25, 1.0), "rk4")
         assert traj.states[-1] == (0.0,)
-        assert find_zero_crossings(traj, 0, ivp) == [1.0]
+        assert find_zero_crossings(traj, 0, ivp) == (1.0, (0.0,))
 
 
 class TestCrossingLocator:
@@ -429,31 +432,42 @@ class TestCrossingLocator:
     def test_sine_crossing_to_the_local_error(self, iterates):
         ivp = IVP(1, lambda t, y: (math.cos(t),), 0.0, (0.0,))
         traj = integrate(ivp, StepPlan(1e-3, 4.0), "rk4")
-        crossings = find_zero_crossings(traj, 0, ivp)
-        assert len(crossings) == 2
-        assert abs(crossings[1] - oracles.PI) < 1e-13
+        t, _ = find_zero_crossings(traj, 0, ivp)
+        assert abs(t - oracles.PI) < 1e-13
         assert len(iterates) <= 4  # bisection to 1e-10 took 24
+
+    def test_state_is_one_step_from_the_bracketing_node(self):
+        sin_fn, _ = functions.make_sincos()
+        ivp = sin_fn.ivp
+        traj = integrate(ivp, StepPlan(1e-3, 4.0), "rk4")
+        t, state = find_zero_crossings(traj, 0, ivp)
+        i = max(k for k, node_t in enumerate(traj.times) if node_t < t)
+        assert traj.states[i][0] > 0.0 > traj.states[i + 1][0]
+        node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])
+        assert integrate_final(node, StepPlan(t - traj.times[i], t)) == (t, state)
 
     def test_linear_converges_in_one_iteration(self, iterates):
         # y = 1 - t: nodes 1, 0.25, -0.5 bracket the zero, and the secant
         # through them lands on it
         ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
         traj = integrate(ivp, StepPlan(0.75, 1.5), "rk4")
-        assert find_zero_crossings(traj, 0, ivp) == [1.0]
+        assert find_zero_crossings(traj, 0, ivp) == (1.0, (0.0,))
         assert iterates == [1.0]
 
     def test_non_finite_step_values_end_inside_the_bracket(self, iterates):
         # finite at the stages of the full step from 0 to 1e300, overflowing
-        # anywhere else: every iterate's one-step value is non-finite
+        # anywhere else: the first iterate's one-step value is non-finite,
+        # and its step fails as any other step does
         def rhs(t, y):
             return (-1.0 if t in (0.0, 5e299, 1e300) else -math.inf,)
 
         ivp = IVP(1, rhs, 0.0, (0.5e300,))
         traj = integrate(ivp, StepPlan(1e300, 1e300), "rk4")
         assert traj.states[-1][0] < 0.0
-        crossings = find_zero_crossings(traj, 0, ivp)
-        assert len(crossings) == 1 and 0.0 < crossings[0] < 1e300
-        assert 1 <= len(iterates) <= CROSSING_MAX_ITER
+        with pytest.raises(IntegrationError, match="not finite") as failure:
+            find_zero_crossings(traj, 0, ivp)
+        assert iterates == [failure.value.t]
+        assert 0.0 < failure.value.t < 1e300
 
 
 class TestCsv:
