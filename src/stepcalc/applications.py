@@ -213,8 +213,8 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
     vacuum flight time, the landing then lying between two grid nodes.  A
     vacuum flight shorter than 1.5 steps takes steps of two thirds of it
     instead, so that a node of positive height precedes the landing (the
-    launch node's height is exactly zero).  The CSV of ``ballistics --out``
-    is this trajectory.
+    launch node's height is exactly zero).  ``ballistics --out`` writes this
+    trajectory and reads the range from it.
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
     h = min(h, vacuum_time / 1.5)
@@ -226,12 +226,14 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
 
 
 def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
-    """Horizontal distance to the landing point (descending zero of height).
+    """Horizontal distance to the landing point, on the ``ballistics_trajectory``."""
+    return landing_range(spec, ballistics_trajectory(spec, h), h)
 
-    x is read from the landing state that the crossing locator computed, one
-    RK4 step from the node before the landing (or the node landed on).
-    """
-    crossing = find_zero_crossings(ballistics_trajectory(spec, h), 1, ballistics_ivp(spec))
+
+def landing_range(spec: BallisticsSpec, traj: Trajectory, h: float) -> float:
+    """x of the landing state on ``ballistics_trajectory(spec, h)``, which the crossing locator
+    computed one RK4 step from the node before the landing (or is the node landed on)."""
+    crossing = find_zero_crossings(traj, 1, ballistics_ivp(spec))
     if crossing is None:
         raise RuntimeError(f"the projectile lands within the first step, of at most h={h!r}; take a smaller step")
     return crossing[1][0]
@@ -291,10 +293,10 @@ def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
               h: float = MERIDIONAL_H) -> tuple[float, float]:
     """Constant-bearing course and distance between two points on a sphere.
 
-    The bearing is atan2 of the wrapped longitude difference against the
-    meridional-parts difference dm; the run along the course is R |dlat|
-    hypot(dlon, dm) / |dm|, free of the cosine of an atan2 near pi/2.  Equal
-    latitudes are parallel sailing (the general formula is 0/0 there).
+    The meridional-parts difference dm is one integration of sec t, from the first
+    latitude to the second.  The bearing is atan2 of the wrapped longitude difference
+    against dm; the run along the course is R |dlat| hypot(dlon, dm) / |dm|, free of the
+    cosine of an atan2 near pi/2.  Equal latitudes are parallel sailing (0/0 there).
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
@@ -305,9 +307,5 @@ def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
             return 0.0, 0.0
         bearing = math.copysign(math.pi / 2.0, dlon)
         return bearing, radius * abs(dlon) * math.cos(p1.lat)
-    m1, m2 = meridional_parts(p1.lat, h), meridional_parts(p2.lat, h)  # refused near a pole
-    # below 3e-6 m2 - m1 cancels, and one Simpson step of sec t (RK4's rule) is within
-    # dlat^4 sec''''/(2880 sec), 1e-13 relative, outside the refused zone
-    sec = [1.0 / math.cos(lat) for lat in (p1.lat, (p1.lat + p2.lat) / 2.0, p2.lat)]
-    dm = dlat / 6.0 * (sec[0] + 4.0 * sec[1] + sec[2]) if abs(dlat) < 3e-6 else m2 - m1
+    dm = make_inv_gudermannian(p1.lat)(p2.lat, h=h)
     return math.atan2(dlon, dm), radius * abs(dlat) * math.hypot(dlon, dm) / abs(dm)

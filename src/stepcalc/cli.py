@@ -179,9 +179,10 @@ def cmd_deriv(args) -> int:
 def cmd_fn(args) -> int:
     from . import functions
     f = functions.by_name(args.name, k=args.k)
-    print(_fmt(f(args.x, method=args.method, h=args.h)))
+    traj = f.trajectory(args.x, method=args.method, h=args.h, record=bool(args.out))
+    print(_fmt(traj.final_state()[f.output]))
     if args.out:
-        _write_text(args.out, f.trajectory(args.x, method=args.method, h=args.h).to_csv())
+        _write_text(args.out, traj.to_csv())
     return 0
 
 
@@ -233,9 +234,10 @@ def cmd_pendulum(args) -> int:
 def cmd_ballistics(args) -> int:
     from . import applications
     spec = applications.BallisticsSpec(args.mass, args.drag, args.v0, math.radians(args.alpha), args.g)
-    print(_fmt(applications.ballistics_range(spec, h=args.h)))
+    traj = applications.ballistics_trajectory(spec, h=args.h)
+    print(_fmt(applications.landing_range(spec, traj, args.h)))
     if args.out:
-        _write_text(args.out, applications.ballistics_trajectory(spec, h=args.h).to_csv())
+        _write_text(args.out, traj.to_csv())
     return 0
 
 

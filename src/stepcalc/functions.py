@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .solver import IVP, StepPlan, Trajectory, integrate, integrate_final
+from .solver import IVP, StepPlan, Trajectory, integrate
 
 DEFAULT_H = 1e-3  # RK4 step size of every ODE-defined function
 TAYLOR_H = 0.5  # Taylor step size of the functions that declare a series
@@ -26,34 +26,34 @@ DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 class OdeFunction:
     """A named, ODE-backed real function of one real argument: by default by
     Taylor steps of ``TAYLOR_H`` where the IVP declares a series, else by RK4
-    steps of ``DEFAULT_H``; refused within ``POLE_STEPS`` steps of +-``pole``
-    and where the result is subnormal (no double holds it to the budget)."""
+    steps of ``DEFAULT_H``.  ``trajectory`` is the run from the start to x, and
+    ``__call__`` its streaming form; both refuse a start or x within ``POLE_STEPS``
+    steps of +-``pole``, and a subnormal value (no double holds it to the budget)."""
 
     name: str
     ivp: IVP
     output: int
     pole: float | None = None
 
-    def _plan(self, x: float, method: str | None, h: float | None) -> tuple[StepPlan, str]:
+    def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
+        return self.trajectory(x, method, h, record=False).final_state()[self.output]
+
+    def trajectory(self, x: float, method: str | None = None, h: float | None = None,
+                   record: bool = True) -> Trajectory:
         if method is None:
             method = "taylor" if self.ivp.series else "rk4"
         if h is None:
             h = TAYLOR_H if method == "taylor" and self.ivp.series else DEFAULT_H
         plan = StepPlan(h, x)
-        if self.pole is not None and not self.pole - abs(x) >= POLE_STEPS * h:
-            raise ValueError(f"{self.name}: x={x!r} lies closer than {POLE_STEPS} steps of h={h!r} "
-                             f"to the pole at +-{self.pole!r}")
-        return plan, method
-
-    def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
-        plan, method = self._plan(x, method, h)
-        value = integrate_final(self.ivp, plan, method)[1][self.output]
+        for end in (self.ivp.t0, x):  # the one farther from 0 comes closest to the pole
+            if self.pole is not None and not self.pole - abs(end) >= POLE_STEPS * h:
+                raise ValueError(f"{self.name}: x={end!r} lies closer than {POLE_STEPS} steps of h={h!r} "
+                                 f"to the pole at +-{self.pole!r}")
+        traj = integrate(self.ivp, plan, method, record)
+        value = traj.final_state()[self.output]
         if 0.0 < abs(value) < sys.float_info.min:
             raise ArithmeticError(f"{self.name}({x!r}) = {value!r} is subnormal: no double holds it to the budget")
-        return value
-
-    def trajectory(self, x: float, method: str | None = None, h: float | None = None) -> Trajectory:
-        return integrate(self.ivp, *self._plan(x, method, h))
+        return traj
 
 
 def make_exp() -> OdeFunction:
@@ -102,16 +102,16 @@ def make_jacobi(k: float) -> tuple[OdeFunction, OdeFunction, OdeFunction]:
     )
 
 
-def make_inv_gudermannian() -> OdeFunction:
-    """Meridional-parts integrand antiderivative: y' = 1/cos(t), y(0) = 0.
+def make_inv_gudermannian(start: float = 0.0) -> OdeFunction:
+    """Meridional parts counted from ``start``: y' = 1/cos(t), y(start) = 0.
 
-    Equals ln tan(pi/4 + x/2) for |x| <= pi/2 - ``POLE_STEPS`` h, where the
-    RK4 error near the integrand's poles is at most 6e-9 relative at h = 1e-3.
+    From 0 it is ln tan(pi/4 + x/2).  Both ends must lie within pi/2 - ``POLE_STEPS`` h,
+    where the RK4 error near the integrand's poles is at most 6e-9 relative at h = 1e-3.
     """
     def sec(t):
         return 1.0 / math.cos(t)
 
-    ivp = IVP(1, lambda t, y: (sec(t),), 0.0, (0.0,), sec)
+    ivp = IVP(1, lambda t, y: (sec(t),), start, (0.0,), sec)
     return OdeFunction("invgd", ivp, 0, pole=math.pi / 2)
 
 

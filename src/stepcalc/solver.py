@@ -9,11 +9,11 @@ step count instead divides the span into that many equal steps
 periodic integrand the equal-division grid converges geometrically where a
 shortened last step falls back to the method's order.  Backward
 integration (``t_end < t0``) uses the same machinery with a negated step.
-For an IVP that declares its right-hand side an integrand f(t), RK4 is
-Simpson's rule: k2 equals k3, and k4 is f at the next node, where the next
-step starts, so f is evaluated twice per step.  On a grid from t0 = 0, where
-every integrand in this package starts, each step t_next - t is exact
-(Sterbenz), so t + h is t_next, and the sum is RK4's bit for bit.
+For an IVP that declares its right-hand side an integrand f(t), the RK4 route
+is Simpson's rule on the grid's nodes: f at each step's midpoint and at the
+next node, where the next step starts, so f is evaluated twice per step.  It
+is RK4's sum bit for bit only where t + h is the next node, as on a grid from
+t0 = 0, where each step t_next - t is exact (Sterbenz).
 
 A Taylor step (Moore, *Interval Analysis*, 1966, ch. 11) adds the
 coefficients c_k of y(t + s) = sum c_k s^k from the IVP's ``series`` until
@@ -164,10 +164,9 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     """Integrate from t0 to t_end on the plan's grid.
 
     With ``record=False`` only the first and last nodes are kept (streaming
-    mode for long integrations).  RK4 on an IVP with an ``integrand``
-    evaluates it at each step's midpoint and end only, the end value starting
-    the next step: RK4's sum bit for bit when t + h is the next node, as on a
-    grid from t0 = 0 (see the module docstring).  Euler calls ``rhs``, and
+    mode for long integrations).  RK4 on an IVP with an ``integrand`` is
+    Simpson's rule on the grid's nodes, RK4's sum bit for bit only where t + h
+    is the next node (see the module docstring).  Euler calls ``rhs``, and
     ``taylor`` only ``series`` (``ValueError`` if the IVP declares none).
     """
     if method not in ("euler", "rk4", "taylor"):

@@ -87,6 +87,7 @@ def generate_sine_table(
         raise ValueError("radius must be positive")
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius!r}")
+    StepPlan.divided(0.0, math.pi / 2.0, h)  # one step budget for the quadrant, before any segment
     t = 0.0
     state = (0.0, 1.0)
     values = []

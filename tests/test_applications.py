@@ -6,7 +6,7 @@ import re
 import pytest
 
 import oracles
-from stepcalc import applications, solver
+from stepcalc import applications, functions, solver
 from stepcalc.applications import (
     BALLISTICS_H,
     PENDULUM_H,
@@ -422,3 +422,46 @@ class TestLoxodrome:
             expected_bearing, expected_distance = oracles.loxodrome(lat1, lat2, dlon)
             assert abs(bearing - expected_bearing) <= 1e-10 * abs(expected_bearing), (lat1, lat2, dlon)
             assert abs(distance - expected_distance) <= 1e-10 * expected_distance, (lat1, lat2, dlon)
+
+    def test_one_integration_within_1e_13_of_the_atanh_oracle(self):
+        # a third of the pairs lie 1e-13 to 0.1 degree apart, a third in the band
+        # 1.6e-6..6.3e-6 rad around the retired switch at 3e-6 rad, where the
+        # difference of two integrated meridional parts was 2.4e-11 off, and a third wide
+        rng = random.Random(20)
+        for i in range(600):
+            lat1 = math.radians(rng.uniform(-80.0, 80.0))
+            sign = rng.choice([-1, 1])
+            delta = (math.radians(sign * 10 ** rng.uniform(-13, -1)), sign * rng.uniform(1.6e-6, 6.3e-6),
+                     math.radians(rng.uniform(-80.0, 80.0)) - lat1)[i % 3]
+            lat2 = lat1 + delta if abs(lat1 + delta) <= math.radians(80.0) else lat1 - delta
+            dlon = math.radians(rng.uniform(-179.0, 179.0))
+            bearing, distance = loxodrome(GeoPoint(lat1, 0.0), GeoPoint(lat2, dlon), radius=1.0)
+            expected_bearing, expected_distance = oracles.loxodrome(lat1, lat2, dlon)
+            assert abs(bearing - expected_bearing) <= 1e-13 * abs(expected_bearing), (lat1, lat2, dlon)
+            assert abs(distance - expected_distance) <= 1e-13 * expected_distance, (lat1, lat2, dlon)
+
+    def test_integrates_once_between_the_latitudes(self, monkeypatch):
+        runs = []
+        integrate = functions.integrate
+
+        def recording(ivp, plan, *args, **kwargs):
+            runs.append((ivp.t0, plan.t_end, plan.h))
+            return integrate(ivp, plan, *args, **kwargs)
+
+        monkeypatch.setattr(functions, "integrate", recording)
+        for lat1, lat2 in ((0.3, 0.3 + 2e-6), (0.3, 0.9), (0.9, -0.4)):
+            runs.clear()
+            loxodrome(GeoPoint(lat1, 0.0), GeoPoint(lat2, 1.0), h=1e-3)
+            assert runs == [(lat1, lat2, 1e-3)], (lat1, lat2)
+
+    @pytest.mark.parametrize("far", [1.5707, -1.5707])
+    def test_latitude_near_a_pole_is_refused_at_either_end(self, far):
+        # 1.5707 rad is 0.96 steps of MERIDIONAL_H from the pole; the message names it
+        for p1, p2 in ((GeoPoint(far, 0.0), GeoPoint(0.2, 1.0)), (GeoPoint(0.2, 0.0), GeoPoint(far, 1.0))):
+            with pytest.raises(ValueError, match=rf"x={far!r} lies closer than 16 steps of h=0.0001"):
+                loxodrome(p1, p2)
+
+    def test_subnormal_meridional_parts_difference_is_refused(self):
+        for lat1, lat2 in ((0.0, 1e-309), (3e-308, 3.001e-308), (1e-309, 0.0)):
+            with pytest.raises(ArithmeticError, match="subnormal"):
+                loxodrome(GeoPoint(lat1, 0.0), GeoPoint(lat2, 1.0))

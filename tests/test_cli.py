@@ -13,12 +13,12 @@ import pytest
 
 import oracles
 import stepcalc
-from stepcalc import applications, cli, functions, series, svgplot, tables
+from stepcalc import applications, cli, functions, series, solver, svgplot, tables
 from stepcalc.cli import COMMANDS, MAX_SWEEP_POINTS, build_parser, main
 from stepcalc.expr import MAX_EXACT_BITS, MAX_EXACT_DEGREE
 from stepcalc.nonarch import EPSILON, RatFunc
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
-from stepcalc.solver import MAX_STEPS, StepPlan, integrate_final
+from stepcalc.solver import MAX_STEPS, StepPlan, Trajectory, integrate_final
 
 EXP_SPEC = """\
 # exponential growth
@@ -42,6 +42,21 @@ def child_env():
     """The environment of a child interpreter that imports this stepcalc."""
     src = str(Path(stepcalc.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The start time of every solver.integrate run, through any module's binding."""
+    seen = []
+    integrate = solver.integrate
+
+    def recording(ivp, plan, *args, **kwargs):
+        seen.append(ivp.t0)
+        return integrate(ivp, plan, *args, **kwargs)
+
+    for module in (solver, functions, applications):
+        monkeypatch.setattr(module, "integrate", recording)
+    return seen
 
 
 @pytest.fixture
@@ -255,6 +270,17 @@ class TestFn:
         assert code == 0
         assert path.read_text().splitlines()[-1] == f"1,{out.strip()}"
 
+    @pytest.mark.parametrize("argv", [("exp", "-1.5"), ("sin", "2.5"), ("cos", "-0.7"),
+                                      ("sn", "1.2", "--k", "0.6"), ("cn", "3"), ("dn", "-2", "--method", "rk4"),
+                                      ("invgd", "1.2"), ("sin", "0.9", "--method", "euler", "--h", "0.01")])
+    def test_out_prints_and_writes_one_run(self, capsys, tmp_path, starts, argv):
+        path = tmp_path / "fn.csv"
+        code, out, err = run(capsys, "fn", *argv, "--out", str(path))
+        assert (code, err, starts) == (0, "", [0.0])
+        assert run(capsys, "fn", *argv) == (0, out, "")
+        output = functions.by_name(argv[0]).output
+        assert path.read_text().splitlines()[-1].split(",")[1 + output] == out.strip()
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "fn", "gamma", "1")
         assert code == 1
@@ -417,6 +443,21 @@ class TestBallistics:
         assert rows[last_up][1] < float(out) < rows[last_up + 1][1]
         assert rows[-1][2] < 0.0
 
+    @pytest.mark.parametrize("extra", [(), ("--drag", "0.005"), ("--drag", "0.02", "--h", "0.05"),
+                                       ("--v0", "1e-3")])
+    def test_out_reads_the_range_from_the_written_trajectory(self, capsys, tmp_path, starts, extra):
+        path = tmp_path / "flight.csv"
+        shot = ("ballistics", "--mass", "0.16", "--v0", "40", "--alpha", "40", *extra)
+        code, out, err = run(capsys, *shot, "--out", str(path))
+        assert (code, err) == (0, "")
+        assert starts.count(0.0) == 1  # the crossing locator's steps start at the node before landing
+        assert run(capsys, *shot) == (0, out, "")
+        rows = [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
+        traj = Trajectory(tuple(row[0] for row in rows), tuple(row[1:] for row in rows))
+        args = cli.build_parser().parse_args(shot)
+        spec = applications.BallisticsSpec(args.mass, args.drag, args.v0, math.radians(args.alpha), args.g)
+        assert f"{applications.landing_range(spec, traj, args.h):.17g}\n" == out
+
     def test_flight_shorter_than_one_step(self, capsys):
         code, out, err = run(capsys, "ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-3")
         expected = 1e-3**2 * math.sin(2 * math.radians(40)) / 9.80665
@@ -456,17 +497,18 @@ class TestLox:
         assert code == 1
 
     @pytest.mark.parametrize("lat1, lat2, lon2", [("0", "1e-20", "1"), ("10", "10.000000000000002", "50"),
-                                                  ("10", "10.000000001", "50")])
+                                                  ("10", "10.000000001", "50"), ("10", "10.0002", "50")])
     def test_nearly_equal_latitudes(self, capsys, lat1, lat2, lon2):
         # 18.16 m, 2887865.67 m and 2.2e-6 off when the distance was
-        # R |dlat / cos(bearing)| with the bearing rounded near pi/2
+        # R |dlat / cos(bearing)| with the bearing rounded near pi/2; 10.0002 was
+        # 3.4e-12 off as the difference of two meridional parts from the equator
         code, out, _ = run(capsys, "lox", "--lat1", lat1, "--lon1", "0", "--lat2", lat2, "--lon2", lon2)
         assert code == 0
         fields = dict(part.split("=") for part in out.split())
         bearing, distance = oracles.loxodrome(math.radians(float(lat1)), math.radians(float(lat2)),
                                               math.radians(float(lon2)), 6371000.0)
-        assert abs(float(fields["bearing_rad"]) - bearing) <= 1e-10 * bearing
-        assert abs(float(fields["distance_m"]) - distance) <= 1e-10 * distance
+        assert abs(float(fields["bearing_rad"]) - bearing) <= 1e-13 * bearing
+        assert abs(float(fields["distance_m"]) - distance) <= 1e-13 * distance
 
 
 class TestEllipk:
@@ -622,6 +664,7 @@ class TestErrorContract:
             (1, ("fn", "exp", "1", "--h", "inf")),
             (1, ("fn", "exp", "1", "--h", "1e-300")),  # beyond the step budget
             (1, ("table", "--radius", "inf")),
+            (1, ("table", "--h", "1e-8")),  # the quadrant is beyond the step budget
             (1, ("rectify", "--x-expr", "1e308*t", *curve)),  # overflows to nan
             (2, ("rectify", "--x-expr", "1e999", *curve)),  # overflowing literal
             (2, ("rectify", "--x-expr", "1e999*0+t", *curve)),
@@ -670,6 +713,7 @@ class TestErrorContract:
         assert f"{inf_t0_spec}:4:" in run(capsys, "solve", str(inf_t0_spec))[2]
         assert f"{inf_t_end_spec}:6:" in run(capsys, "solve", str(inf_t_end_spec))[2]
         assert "h=1e-300" in run(capsys, "fn", "exp", "1", "--h", "1e-300")[2]
+        assert "h=1e-08" in run(capsys, "table", "--h", "1e-8")[2]
         assert "100 levels" in run(capsys, "deriv", "(" * 3000 + "x" + ")" * 3000, "--at", "1")[2]
         assert "unexpected character" in run(capsys, "deriv", "x²", "--at", "1")[2]
         assert run(capsys, "rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")[2] == (

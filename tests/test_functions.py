@@ -141,6 +141,13 @@ class TestTaylorDefault:
         with pytest.raises(ValueError, match="declares a series"):
             invgd(0.7, method="taylor")
 
+    def test_trajectory_refuses_a_subnormal_value(self):
+        # e^-720 = 2.0e-313, refused by the recorded run as by the streaming one
+        exp_fn = make_exp()
+        for run in (exp_fn, exp_fn.trajectory):
+            with pytest.raises(ArithmeticError, match=r"exp\(-720\) = .* is subnormal"):
+                run(-720)
+
     def test_trajectory_takes_the_same_steps(self):
         sn = make_jacobi(0.7)[0]
         traj = sn.trajectory(-2.2)
@@ -178,6 +185,24 @@ class TestInvGudermannian:
             for x in (outside, -outside, 1.5707):
                 with pytest.raises(ValueError, match=rf"x={x!r} lies closer than 16 steps of h={h!r}"):
                     f(x, h=h)
+
+
+    def test_start_within_pole_steps_of_the_pole_is_refused(self):
+        # both ends are checked, the start first, and the message names the one refused
+        h = 1e-4
+        outside = math.pi / 2 - (POLE_STEPS - 0.5) * h
+        for start in (outside, -outside):
+            for x in (0.3, -1.2, start / 2):
+                with pytest.raises(ValueError, match=rf"x={start!r} lies closer than 16 steps of h={h!r}"):
+                    make_inv_gudermannian(start)(x, h=h)
+            with pytest.raises(ValueError, match=rf"x={-start!r} lies closer"):
+                make_inv_gudermannian(0.3)(-start, h=h)
+
+    def test_from_a_start_is_the_difference_of_the_closed_forms(self):
+        h = 1e-4
+        for start, x in ((0.2, 0.9), (0.9, 0.2), (-1.3, 1.1), (1.4, 1.5)):
+            expected = oracles.inv_gudermannian(x) - oracles.inv_gudermannian(start)
+            assert abs(make_inv_gudermannian(start)(x, h=h) - expected) <= 1e-12 * abs(expected), (start, x)
 
 
 class TestRegistry:

@@ -5,6 +5,7 @@ from decimal import Decimal
 import pytest
 
 import oracles
+from stepcalc import tables
 from stepcalc.tables import (
     DEFAULT_H,
     ENTRY_COUNT,
@@ -71,6 +72,16 @@ class TestGeneration:
         for radius in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 generate_sine_table(radius)
+
+    def test_step_budget_covers_the_whole_quadrant(self, monkeypatch):
+        # each of the 24 segments at h = 1e-8 fits MAX_STEPS, the quadrant does not:
+        # refused before any segment is integrated
+        def unused(*args, **kwargs):
+            raise AssertionError("integrated before the step budget was checked")
+
+        monkeypatch.setattr(tables, "integrate_final", unused)
+        with pytest.raises(ValueError, match=r"step size h=1e-08 needs more than 10000000 steps"):
+            generate_sine_table(RADIUS, "rk4", 1e-8)
 
     def test_csv_shape(self, table):
         lines = table.to_csv().strip().split("\n")
