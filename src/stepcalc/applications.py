@@ -18,9 +18,9 @@ from .solver import IVP, StepPlan, Trajectory, find_zero_crossings, integrate, i
 STANDARD_GRAVITY = 9.80665
 EARTH_RADIUS = 6371000.0
 
-#: Default step sizes, read by the library and by the CLI.
-PENDULUM_H = 5e-4
-BALLISTICS_H = 1e-3
+#: Default step sizes, read by the library and by the CLI (Taylor steps for the pendulum and ballistics).
+PENDULUM_H = 0.1
+BALLISTICS_H = 0.1
 MERIDIONAL_H = 1e-4
 
 #: Step doubling of elliptic_F: relative agreement of two passes, and the
@@ -92,31 +92,49 @@ class GeoPoint:
 # Pendulum
 
 def pendulum_ivp(spec: PendulumSpec) -> IVP:
+    """theta'' = -(g/L) sin theta, released from rest.  The Taylor recurrence
+    takes sin and cos of theta from s_k = (1/k) sum j theta_j c_(k-j) and
+    c_k = -(1/k) sum j theta_j s_(k-j), j = 1..k, kept from one order to the next."""
     ratio = spec.gravity / spec.length
 
     def rhs(t, y):
         return (y[1], -ratio * math.sin(y[0]))
 
-    return IVP(2, rhs, 0.0, (spec.theta0, 0.0))
+    sin, cos = [], []
+
+    def series(cols, k):
+        if k == 0:
+            sin[:], cos[:] = [math.sin(cols[0][0])], [math.cos(cols[0][0])]
+        else:
+            s = c = 0.0
+            for j, (theta, _), sj, cj in zip(range(1, k + 1), cols[1:], reversed(sin), reversed(cos)):
+                s += j * theta * cj
+                c += j * theta * sj
+            sin.append(s / k)
+            cos.append(-c / k)
+        return (cols[k][1] / (k + 1), -ratio * sin[k] / (k + 1))
+
+    return IVP(2, rhs, 0.0, (spec.theta0, 0.0), series=series)
 
 
 def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
-    """Measure the full period by integrating the motion.
+    """Measure the full period by integrating the motion in Taylor steps.
 
     Released from rest, the pendulum first passes theta = 0 a quarter period
-    later: the period is four times the first zero of theta, in a window two
-    steps past a quarter of an upper bound on the period.  A window with no
-    zero, or a period outside the bound's bracket (see
-    ``_pendulum_period_bound``) widened by 1e-6 relative for the default
-    step's error, means a step too coarse for the period and is refused, as
-    is an amplitude below the smallest normal float, where sin(theta) loses
-    its precision.
+    later: the period is four times the first zero of theta.  The run stops
+    at the first node where theta is negative, at the latest two steps past
+    a quarter of an upper bound on the period.  A window with no zero, or a
+    period outside the bound's bracket (see ``_pendulum_period_bound``)
+    widened by 1e-6 relative, means a step that passed more than one zero
+    and is refused, as is an amplitude below the smallest normal float,
+    where sin(theta) loses its precision.
     """
     if spec.theta0 < sys.float_info.min:
         raise ValueError(f"amplitude theta0={spec.theta0!r} is subnormal: the restoring force loses its precision")
     ivp = pendulum_ivp(spec)
     bound = _pendulum_period_bound(spec)
-    crossing = find_zero_crossings(integrate(ivp, StepPlan(h, bound / 4.0 + 2.0 * h)), 0, ivp)
+    traj = integrate(ivp, StepPlan(h, bound / 4.0 + 2.0 * h), "taylor", stop=0)
+    crossing = find_zero_crossings(traj, 0, ivp, "taylor")
     period = 4.0 * crossing[0] if crossing else math.inf  # none in the window: longer than the bracket
     if not bound / 1.001 * (1.0 - 1e-6) <= period <= bound * (1.0 + 1e-6):
         raise RuntimeError(f"period {period!r} with step h={h!r} lies outside the bracket "
@@ -194,6 +212,9 @@ def pendulum_period_elliptic(spec: PendulumSpec) -> float:
 # Ballistics
 
 def ballistics_ivp(spec: BallisticsSpec) -> IVP:
+    """(x, y, vx, vy)' = (vx, vy, -cm v vx, -g - cm v vy), cm = drag/mass, v the
+    speed.  The Taylor recurrence takes v from v_k = (q_k - sum v_j v_(k-j)) / (2 v_0),
+    j = 1..k-1, q = vx^2 + vy^2, kept from one order to the next; without drag it has no v."""
     cm = spec.drag / spec.mass
     g = spec.gravity
 
@@ -202,23 +223,45 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
         speed = math.hypot(vx, vy)
         return (vx, vy, -cm * speed * vx, -g - cm * speed * vy)
 
+    speed = []
+
+    def series(cols, k):
+        _, _, vx, vy = cols[k]
+        ax = ay = 0.0  # order k of v vx and v vy
+        if cm:
+            if k == 0:
+                speed[:] = [math.hypot(vx, vy)]
+            else:
+                q = 0.0
+                for (_, _, a, b), (_, _, c, d) in zip(cols, reversed(cols)):
+                    q += a * c + b * d
+                for v, w in zip(speed[1:], reversed(speed[1:])):
+                    q -= v * w
+                speed.append(q / (2.0 * speed[0]))
+            for v, (_, _, a, b) in zip(speed, reversed(cols)):
+                ax += v * a
+                ay += v * b
+        return (vx / (k + 1), vy / (k + 1), -cm * ax / (k + 1), ((-g if k == 0 else 0.0) - cm * ay) / (k + 1))
+
     y0 = (0.0, 0.0, spec.v0 * math.cos(spec.alpha), spec.v0 * math.sin(spec.alpha))
-    return IVP(4, rhs, 0.0, y0)
+    return IVP(4, rhs, 0.0, y0, series=series)
 
 
 def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:
-    """Flight trajectory over a window sure to contain the landing.
+    """Flight trajectory in Taylor steps, up to the first node below ground.
 
-    Drag never lengthens the flight, so the window ends two steps past the
-    vacuum flight time, the landing then lying between two grid nodes.  A
-    vacuum flight shorter than 1.5 steps takes steps of two thirds of it
-    instead, so that a node of positive height precedes the landing (the
-    launch node's height is exactly zero).  ``ballistics --out`` writes this
-    trajectory and reads the range from it.
+    Drag never lengthens the flight, so the run ends at the latest two steps
+    past the vacuum flight time.  The ascent lasts at least ln(1 + u)/u times
+    the vacuum ascent vy0/g, u = cm v0 vy0/g with cm = drag/mass, and the
+    descent at least as long, so a step of at most 4/3 of that bound puts a
+    node of positive height before the landing (the launch node's height is
+    exactly zero), and the landing at least 1.5 steps from launch.
+    ``ballistics --out`` writes this trajectory and reads the range from it.
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
-    h = min(h, vacuum_time / 1.5)
-    traj = integrate(ballistics_ivp(spec), StepPlan(h, vacuum_time + 2.0 * h))
+    u = spec.drag / spec.mass * spec.v0 * vacuum_time / 2.0
+    h = min(h, vacuum_time / 1.5 * (math.log1p(u) / u if u else 1.0))
+    traj = integrate(ballistics_ivp(spec), StepPlan(h, vacuum_time + 2.0 * h), "taylor", stop=1)
     if not traj.states[-1][1] < 0.0:
         raise RuntimeError("projectile never landed within the integration window; "
                            f"the vacuum range is {vacuum_range(spec)!r}")
@@ -232,8 +275,8 @@ def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
 
 def landing_range(spec: BallisticsSpec, traj: Trajectory, h: float) -> float:
     """x of the landing state on ``ballistics_trajectory(spec, h)``, which the crossing locator
-    computed one RK4 step from the node before the landing (or is the node landed on)."""
-    crossing = find_zero_crossings(traj, 1, ballistics_ivp(spec))
+    computed one Taylor step from the node before the landing (or is the node landed on)."""
+    crossing = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
     if crossing is None:
         raise RuntimeError(f"the projectile lands within the first step, of at most h={h!r}; take a smaller step")
     return crossing[1][0]
@@ -308,4 +351,7 @@ def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
         bearing = math.copysign(math.pi / 2.0, dlon)
         return bearing, radius * abs(dlon) * math.cos(p1.lat)
     dm = make_inv_gudermannian(p1.lat)(p2.lat, h=h)
+    if not min(abs(dlat), abs(dm)) >= sys.float_info.min:
+        raise ValueError(f"latitude difference {dlat!r} rad or meridional parts difference {dm!r} is subnormal: "
+                         "no double holds the course to the budget")
     return math.atan2(dlon, dm), radius * abs(dlat) * math.hypot(dlon, dm) / abs(dm)

@@ -343,8 +343,9 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     if p := command("table", cmd_table, "generate the 24-entry R-sine table as CSV"):
         from . import tables
         p.add_argument("--radius", type=float, default=tables.DEFAULT_RADIUS)
-        p.add_argument("--method", choices=("euler", "rk4"), default="rk4")
-        p.add_argument("--h", type=float, default=tables.DEFAULT_H, help="step size, radians")
+        p.add_argument("--method", choices=("euler", "rk4", "taylor"), default="taylor")
+        p.add_argument("--h", type=float, help=f"step size, radians; default {tables.TAYLOR_H:g} for taylor "
+                                               f"(one step per segment), else {tables.DEFAULT_H:g}")
         p.add_argument("--out", help="write CSV here instead of stdout")
 
     if p := command("pi", cmd_pi, "sum the alternating series for pi"):

@@ -66,9 +66,13 @@ def circle_rhs(t, y):
     return (y[1], -y[0])
 
 
+def circle_series(cols, k):
+    return (cols[k][1] / (k + 1), -cols[k][0] / (k + 1))
+
+
 def make_sincos() -> tuple[OdeFunction, OdeFunction]:
     """sin and cos as the solution pair of y1' = y2, y2' = -y1, y(0) = (0, 1)."""
-    ivp = IVP(2, circle_rhs, 0.0, (0.0, 1.0), series=lambda cols, k: (cols[k][1] / (k + 1), -cols[k][0] / (k + 1)))
+    ivp = IVP(2, circle_rhs, 0.0, (0.0, 1.0), series=circle_series)
     return OdeFunction("sin", ivp, 0), OdeFunction("cos", ivp, 1)
 
 

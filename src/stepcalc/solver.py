@@ -18,10 +18,15 @@ t0 = 0, where each step t_next - t is exact (Sterbenz).
 A Taylor step (Moore, *Interval Analysis*, 1966, ch. 11) adds the
 coefficients c_k of y(t + s) = sum c_k s^k from the IVP's ``series`` until
 two consecutive terms satisfy max_i |c_k,i| |h|^k <= 2^-53 max_i |y_i|, and
-sums them by Horner's rule; by order ``TAYLOR_MAX_ORDER`` the step is refused.
+sums them by Horner's rule.  A step whose series has not got there by order
+``TAYLOR_MAX_ORDER`` is split into two halves, each taken the same way, at
+most ``TAYLOR_MAX_SPLITS`` levels deep (2^10 sub-steps); past that it is
+refused.  The grid nodes stay at multiples of h.
 
-The first zero crossing of a state component after the start is located,
-with its state, by a bracketed secant (Illinois) iteration on one RK4 step
+A run may stop at the first node where a named state component is negative
+(``integrate(..., stop=i)``), as at a projectile's landing.  The first zero
+crossing of a state component after the start is located, with its state,
+by a bracketed secant (Illinois) iteration on one step of the run's method
 from the node before it: to the step's local error in a few steps, not to a
 fixed width in t (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6).
 
@@ -50,6 +55,7 @@ CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 MAX_STEPS = 10**7  # step budget of one integration run
 FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
 TAYLOR_MAX_ORDER = 60  # highest order of one Taylor step
+TAYLOR_MAX_SPLITS = 10  # halvings of a refused Taylor step before it is refused for good
 TAYLOR_DISCARD = 2.0**-53  # a Taylor term below this times max|y| is discarded
 
 
@@ -69,7 +75,10 @@ class IVP:
 
     ``integrand`` is f where rhs(t, y) is (f(t),).  ``series(cols, k)`` is the
     Taylor coefficient vector of order k + 1 at a node, from those of orders
-    0..k in ``cols``; ``cols[0]`` is the state there.
+    0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor step calls it
+    with k = 0, 1, 2, ... in order, so a series may keep the coefficients of
+    its intermediates (sin of a component, a speed) from one call to the next,
+    starting them again at k = 0.
     """
 
     dim: int
@@ -160,11 +169,13 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True) -> Trajectory:
+def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True,
+              stop: int | None = None) -> Trajectory:
     """Integrate from t0 to t_end on the plan's grid.
 
     With ``record=False`` only the first and last nodes are kept (streaming
-    mode for long integrations).  RK4 on an IVP with an ``integrand`` is
+    mode for long integrations).  With ``stop=i`` the run ends at the first
+    node whose component i is negative.  RK4 on an IVP with an ``integrand`` is
     Simpson's rule on the grid's nodes, RK4's sum bit for bit only where t + h
     is the next node (see the module docstring).  Euler calls ``rhs``, and
     ``taylor`` only ``series`` (``ValueError`` if the IVP declares none).
@@ -216,6 +227,8 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
                 states.append(y)
             if k % FINITE_CHECK_STEPS == 0 and not all(map(math.isfinite, y)):
                 break
+            if stop is not None and y[stop] < 0.0:
+                break
     except (ArithmeticError, ValueError) as exc:
         raise IntegrationError(t, exc) from exc
     if not all(map(math.isfinite, y)):
@@ -226,8 +239,9 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     return Trajectory(tuple(times), tuple(states))
 
 
-def _taylor_step(series: Series, y: Vector, h: float) -> Vector:
-    """y(t + h) from the state y at t by one Taylor step (see the module docstring)."""
+def _taylor_step(series: Series, y: Vector, h: float, splits: int = TAYLOR_MAX_SPLITS) -> Vector:
+    """y(t + h) from the state y at t by one Taylor step, split into halves at
+    most ``splits`` levels deep (see the module docstring)."""
     cols = [y]
     discard = TAYLOR_DISCARD * max(map(abs, y))
     hk, below = 1.0, False  # |h|^k, and whether the last term was below the discard size
@@ -240,8 +254,11 @@ def _taylor_step(series: Series, y: Vector, h: float) -> Vector:
             break
         below = small
     else:
-        raise ArithmeticError(f"Taylor series at step h={h!r} has terms above the discard size at "
-                              f"order {TAYLOR_MAX_ORDER}; take a smaller step")
+        if splits:
+            return _taylor_step(series, _taylor_step(series, y, h / 2, splits - 1), h / 2, splits - 1)
+        n = 2**TAYLOR_MAX_SPLITS  # h * n is the step before it was split, exactly
+        raise ArithmeticError(f"Taylor series at step h={h * n!r} has terms above the discard size at order "
+                              f"{TAYLOR_MAX_ORDER}, also split into {n} steps; take a smaller step")
     total = cols.pop()
     for c in reversed(cols):
         total = [ci + h * ti for ci, ti in zip(c, total, strict=True)]
@@ -254,14 +271,15 @@ def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[floa
     return traj.times[-1], traj.states[-1]
 
 
-def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP) -> tuple[float, Vector] | None:
+def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP,
+                        method: str = "rk4") -> tuple[float, Vector] | None:
     """The first zero of a state component after the start node as (t, state),
     or None; the name stays plural because the benchmark's tracer binds it.
 
     A later node holding an exact zero is a crossing with its own state (a
     zero at the start node is the initial condition).  A sign change from a
     nonzero node value to the next is located on g(t), the component after
-    one RK4 step from the earlier node to t, by Illinois regula falsi: secant
+    one step of ``method`` from the earlier node to t, by Illinois regula falsi: secant
     iterates inside the bracket, an end kept twice in a row having its value
     halved, until g is exactly zero, an iterate is not strictly inside the
     bracket or ``CROSSING_MAX_ITER`` iterates are done.  The crossing is the
@@ -276,13 +294,13 @@ def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP) -> tuple[flo
         if b == 0.0:
             return traj.times[i], states[i]
         if a != 0.0 and (a < 0.0) != (b < 0.0):
-            local = IVP(ivp.dim, ivp.rhs, traj.times[i - 1], states[i - 1])
-            return _refine_crossing(local, component, traj.times[i], states[i])
+            local = IVP(ivp.dim, ivp.rhs, traj.times[i - 1], states[i - 1], series=ivp.series)
+            return _refine_crossing(local, component, traj.times[i], states[i], method)
     return None
 
 
-def _refine_crossing(local: IVP, component: int, t_next: float, y_next: Vector) -> tuple[float, Vector]:
-    """Illinois iteration on one RK4 step from ``local``'s start, which
+def _refine_crossing(local: IVP, component: int, t_next: float, y_next: Vector, method: str) -> tuple[float, Vector]:
+    """Illinois iteration on one step of ``method`` from ``local``'s start, which
     brackets a zero with the next node (``t_next``, ``y_next``)."""
     t_lo = local.t0
     kept, g_kept = t_lo, local.y0[component]
@@ -291,7 +309,7 @@ def _refine_crossing(local: IVP, component: int, t_next: float, y_next: Vector) 
         t_new = t - (t - kept) * (g / (g - g_kept))  # a ratio in [0, 1]: no overflow
         if not min(kept, t) < t_new < max(kept, t):
             break
-        y_new = integrate_final(local, StepPlan(abs(t_new - t_lo), t_new))[1]
+        y_new = integrate_final(local, StepPlan(abs(t_new - t_lo), t_new), method)[1]
         g_new = y_new[component]
         if g_new == 0.0:
             return t_new, y_new

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .solver import IVP, StepPlan, integrate_final
-from .functions import circle_rhs
+from .functions import TAYLOR_H, circle_rhs, circle_series
 
 #: Grid step in arcminutes (3 degrees 45 minutes) and in degrees.
 STEP_ARCMIN = 225.0
@@ -23,8 +23,10 @@ ENTRY_COUNT = 24
 
 #: Historical radius anchor.
 DEFAULT_RADIUS = 1e7
-#: Integration step, radians: the largest h of 1, 1.25, 1.5, 2, 2.5, 5 x 10^-3
-#: whose table stays within 1e-14 relative of R*sin (8.7e-15; 1.25e-3 gives 2.0e-14).
+#: RK4 and Euler step, radians: the largest h of 1, 1.25, 1.5, 2, 2.5, 5 x 10^-3
+#: whose RK4 table stays within 1e-14 relative of R*sin (8.7e-15; 1.25e-3 gives
+#: 2.0e-14).  Taylor steps default to ``TAYLOR_H``, longer than a segment: one
+#: step per segment, within 4.4e-16.
 DEFAULT_H = 1e-3
 
 
@@ -75,14 +77,17 @@ class SineTable:
 
 
 def generate_sine_table(
-    radius: float = DEFAULT_RADIUS, method: str = "rk4", h: float = DEFAULT_H
+    radius: float = DEFAULT_RADIUS, method: str = "taylor", h: float | None = None
 ) -> SineTable:
     """Tabulate R*sin by one pass of ODE integration across the quadrant.
 
     The integration is segmented at the 24 grid angles, each segment in
     equal steps of at most ``h``, so every sample lands on its node exactly;
-    the state carries over between segments.
+    the state carries over between segments.  Without ``h`` the step is
+    ``TAYLOR_H`` for Taylor steps (one per segment), else ``DEFAULT_H``.
     """
+    if h is None:
+        h = TAYLOR_H if method == "taylor" else DEFAULT_H
     if not radius > 0:
         raise ValueError("radius must be positive")
     if not math.isfinite(radius):
@@ -93,7 +98,7 @@ def generate_sine_table(
     values = []
     for k in range(1, ENTRY_COUNT + 1):
         target = k * math.pi / 48.0  # k * 225 arcmin in radians
-        ivp = IVP(2, circle_rhs, t, state)
+        ivp = IVP(2, circle_rhs, t, state, series=circle_series)
         t, state = integrate_final(ivp, StepPlan.divided(t, target, h), method)
         values.append(radius * state[0])
     return SineTable(radius, tuple(values))

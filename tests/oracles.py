@@ -2,11 +2,13 @@
 
 Nothing here touches the integration paths under test: pi is a frozen
 rational-arithmetic constant, e comes from the factorial series, K(k) from
-the arithmetic-geometric mean, Jacobi's sn, cn and dn from the descending
-AGM, high-precision sine from a Taylor series in 50-digit decimal
-arithmetic, exact derivatives of factored rational functions from the
-logarithmic derivative, and rhumb-line courses from the closed-form
-difference of meridional parts.
+the arithmetic-geometric mean, the pendulum period from the AGM of 1 and
+cos(theta0/2), Jacobi's sn, cn and dn from the descending AGM, high-precision
+sine from a Taylor series in 50-digit decimal arithmetic, exact derivatives
+of factored rational functions from the logarithmic derivative, rhumb-line
+courses from the closed-form difference of meridional parts, and the range
+of a projectile with quadratic drag from this module's own RK4 in a
+rescaled time, extrapolated from two step sizes.
 """
 
 from __future__ import annotations
@@ -49,6 +51,57 @@ def agm(a: float, b: float) -> float:
 def elliptic_K_agm(k: float) -> float:
     """Complete elliptic integral of the first kind via the AGM."""
     return PI / (2.0 * agm(1.0, math.sqrt(1.0 - k * k)))
+
+
+def pendulum_period(theta0: float, length: float = 1.0, gravity: float = 9.80665) -> float:
+    """Period of a pendulum of amplitude theta0, 2 pi sqrt(L/g) / AGM(1, cos(theta0/2)).
+
+    The complementary modulus cos(theta0/2) is taken directly, not as
+    sqrt(1 - k^2) from k = sin(theta0/2), which cancels near pi: at
+    theta0 = 3.14159265 the period formed from ``elliptic_K_agm(sin(theta0/2))``
+    is 4.6e18 s, where it is 27.49 s."""
+    return 2.0 * PI * math.sqrt(length / gravity) / agm(1.0, math.cos(theta0 / 2.0))
+
+
+def drag_range(mass: float, drag: float, v0: float, alpha: float, gravity: float = 9.80665,
+               ds: float = 0.02) -> float:
+    """Range of a projectile launched from the ground at speed v0 and angle alpha
+    (radians) against quadratic drag, (vx, vy)' = (-c v vx, -g - c v vy), c = drag/mass.
+
+    The motion is integrated by classical RK4 in the time s with ds/dt = c v + g/v:
+    the drag rate and the turning rate of the path, so that the heavy-drag launch
+    and a slow apex both take many small steps in t.  The landing is bisected on
+    one fresh step from the last node above ground.  Steps ds and ds/2 are
+    combined by Richardson extrapolation, (16 R(ds/2) - R(ds)) / 15.  Over 30
+    seeded specs with c v0 up to 1000 this agrees with ds = 0.005 to 1.5e-12.
+    """
+    cm = drag / mass
+
+    def f(z):
+        _, _, vx, vy = z
+        v = math.hypot(vx, vy)
+        w = 1.0 / (cm * v + gravity / v)  # dt/ds
+        return (vx * w, vy * w, -cm * v * vx * w, (-gravity - cm * v * vy) * w)
+
+    def step(z, h):
+        k1 = f(z)
+        k2 = f([a + h / 2 * b for a, b in zip(z, k1)])
+        k3 = f([a + h / 2 * b for a, b in zip(z, k2)])
+        k4 = f([a + h * b for a, b in zip(z, k3)])
+        return [a + h / 6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+
+    def landing_x(h):
+        z = [0.0, 0.0, v0 * math.cos(alpha), v0 * math.sin(alpha)]
+        nxt = step(z, h)
+        while nxt[1] >= 0.0:
+            z, nxt = nxt, step(nxt, h)
+        lo, hi = 0.0, h
+        while lo < (lo + hi) / 2 < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if step(z, mid)[1] < 0.0 else (mid, hi)
+        return step(z, lo)[0]
+
+    return (16.0 * landing_x(ds / 2) - landing_x(ds)) / 15.0
 
 
 def inv_gudermannian(x: float) -> float:

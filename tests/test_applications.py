@@ -47,19 +47,23 @@ def plans(monkeypatch):
 
 
 @pytest.fixture
-def rhs_evals(monkeypatch):
-    """Right-hand-side evaluations of the pendulum and ballistics problems."""
+def series_calls(monkeypatch):
+    """Taylor-coefficient evaluations (``series`` calls) of the pendulum and
+    ballistics problems; a call that ran the right-hand side fails the test."""
     count = [0]
 
     def counted(make_ivp):
         def make(spec):
             ivp = make_ivp(spec)
 
-            def rhs(t, y):
+            def series(cols, k):
                 count[0] += 1
-                return ivp.rhs(t, y)
+                return ivp.series(cols, k)
 
-            return IVP(ivp.dim, rhs, ivp.t0, ivp.y0)
+            def rhs(t, y):
+                raise AssertionError("the right-hand side is for RK4 and Euler only")
+
+            return IVP(ivp.dim, rhs, ivp.t0, ivp.y0, series=series)
         return make
 
     for name in ("pendulum_ivp", "ballistics_ivp"):
@@ -68,11 +72,11 @@ def rhs_evals(monkeypatch):
 
 
 def _step_to_landing(spec, traj, t_land):
-    """One RK4 step to t_land from the last node of ``traj`` before it."""
+    """One Taylor step to t_land from the last node of ``traj`` before it."""
     i = bisect.bisect_left(traj.times, t_land) - 1
     ivp = ballistics_ivp(spec)
-    node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])
-    return integrate_final(node, StepPlan(t_land - traj.times[i], t_land))
+    node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i], series=ivp.series)
+    return integrate_final(node, StepPlan(t_land - traj.times[i], t_land), "taylor")
 
 
 class TestPendulum:
@@ -104,13 +108,14 @@ class TestPendulum:
         assert f"{ratio:.4f}" == "1.1803"
 
     def test_ode_period_bits_of_the_quarter_period(self):
-        # four times the first zero of theta; against oracles.elliptic_K_agm
-        # these are 5.0e-14, 3.4e-14, 2.8e-14 and 6.4e-9 off
+        # four times the first zero of theta, by Taylor steps; against
+        # oracles.pendulum_period these are 2.2e-16, 2.2e-16, 1.1e-16 and 5.6e-16 off
+        # (RK4 at 5e-4, and at 1e-2 for 3.1, gave 5.0e-14, 3.4e-14, 2.8e-14 and 6.4e-9)
         cases = [
-            (0.25, PENDULUM_H, "2.0142750084577097"),
-            (1.0, PENDULUM_H, "2.1395029393376355"),
-            (2.5, PENDULUM_H, "3.296495151801908"),
-            (3.1, 1e-2, "6.718454427517468"),
+            (0.25, PENDULUM_H, "2.014275008457609"),
+            (1.0, PENDULUM_H, "2.1395029393375617"),
+            (2.5, PENDULUM_H, "3.2964951518018144"),
+            (3.1, 1e-2, "6.718454384594633"),
         ]
         for theta0, h, expected in cases:
             assert repr(pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)) == expected
@@ -144,27 +149,57 @@ class TestPendulum:
                 exact = 4.0 * math.sqrt(length / spec.gravity) * k
                 assert abs(pendulum_period_ode(spec) - exact) <= 5e-11 * exact, (theta0, length)
 
-    def test_default_rhs_evaluations(self, rhs_evals):
-        # 1072 RK4 steps over the quarter-period window and 2 locator iterates;
-        # the turning-point routes over a whole period took 85 752 (h = 1e-4,
-        # bisection to 1e-10 s) and 17 152 (h = 5e-4)
+    def test_default_rhs_evaluations(self, series_calls):
+        # 175 series calls: 6 Taylor steps up to the first node past the zero of
+        # theta and the locator's steps.  RK4 at 5e-4 evaluated the right-hand
+        # side 4296 times, and the turning-point routes over a whole period
+        # 85 752 (h = 1e-4, bisection to 1e-10 s) and 17 152 (h = 5e-4)
         pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
-        assert rhs_evals[0] == 4296
+        assert series_calls[0] == 175
 
-    # the first four give a period outside the bracket (2.5, 0.4 and 2.385, 1.15
-    # gave 2.9975 for 3.2965 and 7.344 for 3.1077 on the turning-point route),
-    # the last no zero of theta in the window
+    # All but (1.5, 2.0) were refused under RK4, the first four with a period
+    # outside the bracket (2.5, 0.4 and 2.385, 1.15 gave 2.9975 for 3.2965 and
+    # 7.344 for 3.1077 on the turning-point route), the last with no zero of
+    # theta in the window.  A Taylor step is as accurate at any of these steps,
+    # split where its series needs it, so a step that passes only the first
+    # zero of theta is answered.  The step of 2.0 passes the first two zeros
+    # (0.58 and 1.75 s) and finds the third, at 2.9 s: a period outside the bracket.
     @pytest.mark.parametrize("theta0, h", [(2.5, 1.0), (1.5, 2.0), (2.5, 0.4), (2.385, 1.15), (0.1, 1.5)])
     def test_coarse_step_is_refused_after_one_integration(self, plans, theta0, h):
         # the locator's one-step integrations also start at t = 0 when the zero
         # lies in the first step, so count the window only: start 0, step h
-        with pytest.raises(RuntimeError, match=re.escape(f"with step h={h!r}")):
-            pendulum_period_ode(PendulumSpec(1.0, theta0=theta0), h=h)
+        spec = PendulumSpec(1.0, theta0=theta0)
+        if h == 2.0:
+            with pytest.raises(RuntimeError, match=re.escape(f"with step h={h!r}")):
+                pendulum_period_ode(spec, h=h)
+        else:
+            exact = oracles.pendulum_period(theta0)
+            assert abs(pendulum_period_ode(spec, h=h) - exact) <= 1e-15 * exact
         assert [(t0, plan.h) for t0, plan in plans].count((0.0, h)) == 1
 
+    def test_step_that_splitting_cannot_rescue_is_refused(self):
+        # the series of theta at 2.5 converges within about 0.5 s of a node:
+        # a step of 1000 s is split 10 times, to 0.98 s, and still refused
+        with pytest.raises(IntegrationError, match=r"step h=1000\.0 .* split into 1024 steps"):
+            pendulum_period_ode(PendulumSpec(1.0, theta0=2.5), h=1000.0)
+
+    def test_period_against_the_complementary_modulus_oracle(self):
+        # oracles.pendulum_period takes AGM(1, cos(theta0/2)), which holds near pi.
+        # Near pi the ulp of theta0, 4.4e-16, is 4.4e-7 of pi - theta0 = 1e-9, and
+        # sets the error: the period grows like ln(1 / (pi - theta0))
+        rng = random.Random(22)
+        near = [3.14, 3.141, 3.1415926, math.pi - 1e-9] + [rng.uniform(3.14, math.pi - 1e-9) for _ in range(12)]
+        cases = [(rng.uniform(1e-3, 3.1), 1e-13) for _ in range(40)] + [(3.1, 1e-13)]
+        cases += [(theta0, 3e-8) for theta0 in near]
+        for theta0, budget in cases:
+            length = rng.uniform(0.5, 2.0)
+            exact = oracles.pendulum_period(theta0, length)
+            assert abs(pendulum_period_ode(PendulumSpec(length, theta0=theta0)) - exact) <= budget * exact, theta0
+
     def test_bracket_admits_tiny_amplitudes(self):
-        # near theta0 = 0 the period meets the bracket's upper end, and the step's
-        # error puts the answer 5e-14 above it at 1e-12: the slack admits it
+        # near theta0 = 0 the period meets the bracket's upper end: Taylor steps
+        # land 2.2e-16 below it at 1e-12, and RK4 at 5e-4 landed 5e-14 above it,
+        # which the slack admits
         for theta0 in (1e-6, 1e-12, 1e-300):
             spec = PendulumSpec(1.0, theta0=theta0)
             assert pendulum_period_ode(spec) == pytest.approx(spec.small_angle_period(), rel=1e-12)
@@ -260,13 +295,30 @@ class TestBallistics:
             spec = BallisticsSpec(0.16, drag, 40.0, math.radians(40))
             assert abs(ballistics_range(spec) - reference) / reference <= budget, drag
 
-    def test_default_rhs_evaluations(self, rhs_evals):
-        # 5246 RK4 steps over the window and 4 locator iterates, the last of
-        # which holds the landing state; a window to 1.5x the vacuum time plus
-        # 1 s with bisection to 1e-10 s and a second integration from launch
-        # took 56 536, and a second one-step integration to the landing 21 004
+    def test_range_against_the_drag_oracle(self):
+        # oracles.drag_range integrates on its own, by RK4 in a rescaled time, and
+        # agrees with its own step of a quarter to 1.5e-12; the budget leaves room
+        # for that.  RK4 at the old default step of 1e-3 was up to 5.8 % off on
+        # these specs, and more than 1e-9 off on seven of them
+        rng = random.Random(2210)
+        specs = [BallisticsSpec(1.0, 10000.0, 0.1, math.radians(10))]
+        for _ in range(15):
+            mass, v0 = 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-1, 2)
+            drag = 10 ** rng.uniform(-3, 3) * mass / v0  # drag/mass * v0 from 1e-3 to 1e3
+            specs.append(BallisticsSpec(mass, drag, v0, math.radians(rng.uniform(1, 89))))
+        specs.append(BallisticsSpec(0.05, 1000.0 * 0.05 / 20.0, 20.0, math.radians(60)))
+        for spec in specs:
+            exact = oracles.drag_range(spec.mass, spec.drag, spec.v0, spec.alpha)
+            assert abs(ballistics_range(spec) - exact) <= 1e-11 * exact, spec
+
+    def test_default_rhs_evaluations(self, series_calls):
+        # 232 series calls: 53 Taylor steps up to the first node below ground
+        # and the locator's steps.  RK4 at 1e-3 evaluated the right-hand side
+        # 21 000 times over a window two steps past the vacuum flight; a window
+        # to 1.5x the vacuum time plus 1 s with bisection to 1e-10 s and a second
+        # integration from launch took 56 536
         ballistics_range(BallisticsSpec(0.16, 0.0, 40.0, math.radians(40)))
-        assert rhs_evals[0] == 21000
+        assert series_calls[0] == 232
 
     def test_range_integrates_once_from_launch(self, plans):
         spec = BallisticsSpec(0.16, 0.005, 40.0, math.radians(40))
@@ -278,26 +330,21 @@ class TestBallistics:
     def test_landing_state_is_one_step_from_the_node_before(self):
         spec = BallisticsSpec(0.16, 0.05, 40.0, math.radians(40))
         traj = ballistics_trajectory(spec)
-        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec))
+        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
         assert abs(state[1]) < 1e-12  # the height at the landing
         assert _step_to_landing(spec, traj, t) == (t, state)
 
     def test_range_matches_a_step_to_the_landing_time(self):
         # the range is x of the locator's state, bit for bit what one more
-        # integration from the node before the landing time gives; a window
-        # whose coarse steps under heavy drag overflow fails on both routes
+        # Taylor step from the node before the landing time gives (RK4 steps of
+        # 0.5 overflowed under heavy drag here; Taylor steps answer every spec)
         rng = random.Random(19)
         for _ in range(40):
             spec = BallisticsSpec(10 ** rng.uniform(-1, 1), rng.choice([0.0, 0.005, 0.05, 1.0]),
                                   10 ** rng.uniform(-1, 2), math.radians(rng.uniform(1, 89)))
             h = rng.choice([BALLISTICS_H, 0.01, 0.1, 0.5])
-            try:
-                traj = ballistics_trajectory(spec, h)
-            except IntegrationError:
-                with pytest.raises(IntegrationError):
-                    ballistics_range(spec, h)
-                continue
-            t_land = find_zero_crossings(traj, 1, ballistics_ivp(spec))[0]
+            traj = ballistics_trajectory(spec, h)
+            t_land = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")[0]
             assert ballistics_range(spec, h) == _step_to_landing(spec, traj, t_land)[1][0], (spec, h)
 
     def test_landing_on_a_node_is_that_node(self):
@@ -305,16 +352,18 @@ class TestBallistics:
         spec = BallisticsSpec(1.0, 0.0, 8.0, math.asin(0.5), gravity=8.0)
         traj = ballistics_trajectory(spec, 0.25)
         assert traj.times[4] == 1.0 and traj.states[4][1] == 0.0
-        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec))
+        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
         assert t == 1.0 and state is traj.states[4]
         assert ballistics_range(spec, 0.25) == state[0]
 
     def test_window_ends_two_steps_past_the_vacuum_flight(self):
-        spec = BallisticsSpec(0.16, 0.0, 40.0, math.radians(40))
-        traj = ballistics_trajectory(spec)
-        vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
-        assert traj.times[-1] == vacuum_time + 2.0 * BALLISTICS_H
-        assert traj.states[-1][1] < 0.0 < traj.states[-4][1]
+        # the window is an upper bound: the run stops at the first node below ground
+        for drag in (0.0, 0.005):
+            spec = BallisticsSpec(0.16, drag, 40.0, math.radians(40))
+            traj = ballistics_trajectory(spec)
+            vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
+            assert traj.times[-1] < vacuum_time + 2.0 * BALLISTICS_H
+            assert traj.states[-1][1] < 0.0 < min(state[1] for state in traj.states[1:-1])
 
     @pytest.mark.parametrize("v0", [1e-2, 1e-3, 1e-5, 1e-150])
     def test_flight_shorter_than_one_step_lands(self, v0):

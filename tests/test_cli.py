@@ -312,10 +312,14 @@ class TestFn:
         assert code == 0 and abs(float(out) - math.exp(-700.0)) <= 1e-13 * math.exp(-700.0)
 
     def test_taylor_step_too_long_is_refused(self, capsys):
-        # the poles of sn at k = 1 lie pi/2 off the real axis: a step of 2 cannot converge
+        # the poles of sn at k = 1 (tanh) lie pi/2 off the real axis: a step of 2
+        # cannot converge, and is split into two of 1, which do; a step of 3000
+        # is still 2.9 after 10 halvings, and is refused
         code, out, err = run(capsys, "fn", "sn", "2", "--k", "1", "--h", "2")
+        assert (code, err) == (0, "") and abs(float(out) - math.tanh(2.0)) <= 1e-14
+        code, out, err = run(capsys, "fn", "sn", "3000", "--k", "1", "--h", "3000")
         assert (code, out) == (1, "")
-        assert "h=2.0" in err and err.count("\n") == 1
+        assert "h=3000.0" in err and "split into 1024 steps" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("method", ["rk4", "euler"])
     def test_explicit_method_is_the_plain_run(self, capsys, method):
@@ -326,6 +330,13 @@ class TestFn:
 
 
 class TestTable:
+    def test_step_defaults_by_method(self, capsys):
+        # as for fn: Taylor steps by default, one per 225' segment; RK4 and Euler at DEFAULT_H
+        assert run(capsys, "table") == (0, tables.generate_sine_table(1e7, "taylor", tables.TAYLOR_H).to_csv(), "")
+        for method in ("rk4", "euler"):
+            expected = tables.generate_sine_table(1e7, method, tables.DEFAULT_H).to_csv()
+            assert run(capsys, "table", "--method", method) == (0, expected, ""), method
+
     def test_shape_and_final_value(self, capsys):
         code, out, _ = run(capsys, "table", "--h", "1e-4")
         assert code == 0
@@ -407,16 +418,26 @@ class TestPendulum:
         _, out_o, _ = run(capsys, *args, "--method", "ode")
         assert abs(float(out_e) - float(out_o)) / float(out_e) < 1e-6
 
-    # each finds a zero of theta, but a period outside the AGM bracket
+    # RK4 found a period outside the AGM bracket at each of these steps.  Taylor
+    # steps answer all but the step of 2, which passes the second zero of theta too
     @pytest.mark.parametrize("theta0, h", [("2.5", "1"), ("1.5", "2"), ("2.5", "0.4"), ("2.385", "1.15")])
     def test_coarse_step_is_refused_after_one_integration(self, capsys, monkeypatch, theta0, h):
         windows = []
         integrate = applications.integrate
-        monkeypatch.setattr(applications, "integrate",
-                            lambda ivp, plan: windows.append(plan) or integrate(ivp, plan))
+
+        def recording(ivp, plan, *args, **kwargs):
+            windows.append(plan)
+            return integrate(ivp, plan, *args, **kwargs)
+
+        monkeypatch.setattr(applications, "integrate", recording)
         code, out, err = run(capsys, "pendulum", "--theta0", theta0, "--method", "ode", "--h", h)
-        assert (code, out, err.count("\n"), len(windows)) == (1, "", 1, 1)
-        assert f"step h={float(h)!r}" in err and "too coarse for the period" in err
+        assert len(windows) == 1
+        if h == "2":
+            assert (code, out, err.count("\n")) == (1, "", 1)
+            assert f"step h={float(h)!r}" in err and "too coarse for the period" in err
+        else:
+            exact = oracles.pendulum_period(float(theta0))
+            assert (code, err) == (0, "") and abs(float(out) - exact) <= 1e-15 * exact
 
     def test_bad_amplitude(self, capsys):
         code, _, _ = run(capsys, "pendulum", "--theta0", "4.0")
@@ -465,13 +486,44 @@ class TestBallistics:
         assert abs(float(out) - expected) <= 1e-12 * expected
 
     def test_landing_within_the_first_step(self, capsys):
-        # the 3.5 ms vacuum flight caps the step at 2.36 ms, and drag ends the
-        # flight inside it, below the first node; a finer step brackets it
+        # the 3.5 ms vacuum flight capped the step at 2.36 ms, and under RK4 drag
+        # ended the flight inside it, below the first node (exit 1 at --h 0.01,
+        # 0.000124682967607 at --h 1e-4, 0.0001174 at the default).  A cap from
+        # the shortest ascent that drag allows, 1.36 ms, keeps a node above
+        # ground, and Taylor steps give the drag oracle's range at any step
         heavy = ("ballistics", "--mass", "1", "--drag", "10000", "--v0", "0.1", "--alpha", "10")
-        code, out, err = run(capsys, *heavy, "--h", "0.01")
-        assert (code, out, err.count("\n")) == (1, "", 1)
-        assert "within the first step" in err and "h=0.01" in err
-        assert run(capsys, *heavy, "--h", "1e-4") == (0, "0.00012468296760679198\n", "")
+        exact = oracles.drag_range(1.0, 10000.0, 0.1, math.radians(10))
+        for extra in (("--h", "0.01"), ("--h", "1e-4"), ()):
+            code, out, err = run(capsys, *heavy, *extra)
+            assert (code, err) == (0, "") and abs(float(out) - exact) <= 1e-11 * exact, extra
+        # a trajectory whose first node lies below ground is refused, naming h
+        spec = applications.BallisticsSpec(1.0, 10000.0, 0.1, math.radians(10))
+        below = Trajectory((0.0, 0.01), ((0.0, 0.0, 0.1, 0.02), (1e-4, -1e-5, 0.0, -0.03)))
+        with pytest.raises(RuntimeError, match=r"within the first step, of at most h=0\.01;"):
+            applications.landing_range(spec, below, 0.01)
+
+    def test_drag_grid_is_answered_or_refused_naming_h(self, capsys):
+        # 640 requests.  Heavy drag caps the step by the shortest ascent it
+        # allows, and the 4 refused ones would need more than MAX_STEPS of it over
+        # their window (two steps past the vacuum flight); these and 81 more were
+        # refused under RK4, mostly with a state that was not finite.  The slowest
+        # answer takes about 0.2 s
+        refused = []
+        for mass in ("0.01", "0.1", "1", "10"):
+            for drag in ("0", "1e-4", "1e-3", "0.01", "0.1", "1", "10", "1e4"):
+                for v0 in ("0.1", "1", "10", "100"):
+                    for alpha in ("1", "10", "45", "80", "89"):
+                        argv = ("ballistics", "--mass", mass, "--drag", drag, "--v0", v0, "--alpha", alpha)
+                        start = time.perf_counter()
+                        code, out, err = run(capsys, *argv)
+                        assert time.perf_counter() - start < 1.0, argv
+                        if code:
+                            assert (code, out, err.count("\n")) == (1, "", 1) and "step size h=" in err, argv
+                            refused.append(argv)
+                        else:
+                            assert err == "" and 0.0 < float(out) < math.inf, argv
+        assert refused == [("ballistics", "--mass", "0.01", "--drag", "1e4", "--v0", "100", "--alpha", alpha)
+                           for alpha in ("10", "45", "80", "89")]
 
 
 class TestLox:
@@ -645,6 +697,9 @@ class TestErrorContract:
         plot = ("solve", str(two_spec), "--svg", str(tmp_path / "two.svg"), "--components")
         curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
         lox = ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "20")
+        # latitudes 1e-323 rad apart, a subnormal difference
+        subnormal_lox = ("lox", "--lat1", "1.2748734119735194e-306", "--lon1", "0",
+                         "--lat2", "1.27487341197352e-306", "--lon2", "1")
         shot = ("ballistics", "--mass", "1", "--v0", "40", "--alpha", "40")
         ballistics_refusals = {
             ("--drag", "nan"): "drag coefficient must be finite and non-negative, got nan",
@@ -692,6 +747,7 @@ class TestErrorContract:
             (1, (*lox, "--lon2", "30", "--radius", "-1")),
             (1, (*lox, "--lon2", "30", "--radius", "0")),
             (1, ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "10", "--lon2", "30", "--radius", "-1")),
+            (1, subnormal_lox),
             (1, ("pendulum", "--theta0", "1", "--length", "inf")),
             (1, ("pendulum", "--theta0", "1", "--length", "nan")),
             (1, ("pendulum", "--theta0", "1", "--g", "inf")),
@@ -728,6 +784,7 @@ class TestErrorContract:
         assert "argument --segments/-n" in run(capsys, "rectify", "-n", str(MAX_STEPS + 1))[2]
         assert "argument --terms" in run(capsys, "pi", "--terms", "100000000000")[2]
         assert "longitude must be finite" in run(capsys, *lox, "--lon2", "nan")[2]
+        assert "latitude difference 1e-323 rad" in run(capsys, *subnormal_lox)[2]
         assert "radius must be finite and positive" in run(capsys, *lox, "--lon2", "30", "--radius", "inf")[2]
         assert "length must be finite" in run(capsys, "pendulum", "--theta0", "1", "--length", "inf")[2]
         assert "gravity must be finite" in run(capsys, "pendulum", "--theta0", "1", "--g", "inf")[2]
@@ -748,7 +805,7 @@ class TestDefaults:
         expected = [
             (("solve", "x.ivp"), {"width": svgplot.DEFAULT_WIDTH, "height": svgplot.DEFAULT_HEIGHT}),
             (("fn", "exp", "1"), {"h": None, "method": None}),
-            (("table",), {"h": tables.DEFAULT_H}),
+            (("table",), {"h": None, "method": "taylor"}),
             (("pi",), {"max_terms": series.DEFAULT_MAX_TERMS}),
             (("pendulum", "--theta0", "1"), {"h": applications.PENDULUM_H}),
             (("ballistics", "--mass", "1", "--v0", "1", "--alpha", "1"),

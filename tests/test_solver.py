@@ -271,12 +271,33 @@ class TestTaylor:
             integrate(EXP_IVP, StepPlan(0.5, 1.0), "taylor")
 
     def test_a_series_that_keeps_growing_is_refused_naming_the_step(self):
-        # the terms of exp at h = 100 peak near order 100, past TAYLOR_MAX_ORDER
-        with pytest.raises(IntegrationError, match=r"step h=100\.0 .* order 60") as info:
-            integrate(EXP_SERIES, StepPlan(100.0, 200.0), "taylor")
+        # the terms of exp at h = 100 peak near order 100, past TAYLOR_MAX_ORDER:
+        # the step is split, to 16 steps of 6.25, and answered.  At h = 1e5 the
+        # terms still peak near order 98 after 10 halvings, and the step is refused
+        value = integrate_final(EXP_SERIES, StepPlan(100.0, 200.0), "taylor")[1][0]
+        assert abs(value - math.exp(200.0)) <= 1e-13 * math.exp(200.0)
+        with pytest.raises(IntegrationError, match=r"step h=100000\.0 .* order 60, also split into 1024") as info:
+            integrate(EXP_SERIES, StepPlan(1e5, 2e5), "taylor")
         assert info.value.t == 0.0
-        value = integrate_final(EXP_SERIES, StepPlan(1.0, 100.0), "taylor")[1][0]
-        assert abs(value - math.exp(100.0)) <= 1e-13 * math.exp(100.0)
+
+    def test_a_refused_step_is_split_into_halves(self):
+        # per step of 100: 100, 50, 25 and 12.5 are refused after all 60 orders,
+        # 15 attempts, and 16 halves of 6.25 are taken.  Each attempt calls the
+        # series from order 0 up, and the nodes stay on the grid
+        calls = []
+
+        def series(cols, k):
+            calls.append(k)
+            return (cols[k][0] / (k + 1),)
+
+        ivp = dataclasses.replace(EXP_SERIES, series=series)
+        traj = integrate(ivp, StepPlan(100.0, 200.0), "taylor")
+        assert traj.times == (0.0, 100.0, 200.0)
+        starts = [i for i, k in enumerate(calls) if k == 0]
+        attempts = [calls[i:j] for i, j in zip(starts, starts[1:] + [len(calls)])]
+        assert all(orders == list(range(len(orders))) for orders in attempts)
+        assert [len(orders) == 60 for orders in attempts].count(True) == 2 * 15
+        assert len(attempts) == 2 * (15 + 16)
 
     def test_a_failing_series_fails_like_a_failing_rhs(self):
         def series(cols, k):
@@ -413,8 +434,27 @@ class TestZeroCrossings:
         assert find_zero_crossings(traj, 0, ivp) == (1.0, (0.0,))
 
 
+class TestStop:
+    def test_run_ends_at_the_first_negative_node(self):
+        # y = (cos t, -sin t): nodes of 0.1 cross pi/2 between 1.5 and 1.6
+        sin_fn, _ = functions.make_sincos()
+        ivp = dataclasses.replace(sin_fn.ivp, y0=(1.0, 0.0))
+        full = integrate(ivp, StepPlan(0.1, 10.0))
+        stopped = integrate(ivp, StepPlan(0.1, 10.0), stop=0)
+        assert stopped == Trajectory(full.times[:17], full.states[:17])
+        assert stopped.states[-1][0] < 0.0 < stopped.states[-2][0]
+        streamed = integrate(ivp, StepPlan(0.1, 10.0), record=False, stop=0)
+        assert streamed == Trajectory((0.0, full.times[16]), (ivp.y0, full.states[16]))
+
+    def test_a_zero_node_does_not_stop_the_run(self):
+        ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
+        traj = integrate(ivp, StepPlan(0.25, 2.0), "rk4", stop=0)
+        assert traj.times == (0.0, 0.25, 0.5, 0.75, 1.0, 1.25)
+        assert traj.states[4] == (0.0,)
+
+
 class TestCrossingLocator:
-    """The Illinois iteration on one RK4 step from the bracketing node."""
+    """The Illinois iteration on one step of the run's method from the bracketing node."""
 
     @pytest.fixture
     def iterates(self, monkeypatch):
@@ -445,6 +485,17 @@ class TestCrossingLocator:
         assert traj.states[i][0] > 0.0 > traj.states[i + 1][0]
         node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i])
         assert integrate_final(node, StepPlan(t - traj.times[i], t)) == (t, state)
+
+    def test_refines_on_a_step_of_the_given_method(self):
+        sin_fn, _ = functions.make_sincos()
+        ivp = sin_fn.ivp
+        traj = integrate(ivp, StepPlan(0.5, 4.0), "taylor")
+        t, state = find_zero_crossings(traj, 0, ivp, "taylor")
+        assert abs(t - oracles.PI) <= 4.5e-16
+        node = IVP(ivp.dim, ivp.rhs, traj.times[6], traj.states[6], series=ivp.series)
+        assert integrate_final(node, StepPlan(t - 3.0, t), "taylor") == (t, state)
+        # RK4 steps of up to 0.5 from the same node miss the zero by 4.7e-7
+        assert 1e-7 < abs(find_zero_crossings(traj, 0, ivp)[0] - oracles.PI) < 1e-6
 
     def test_linear_converges_in_one_iteration(self, iterates):
         # y = 1 - t: nodes 1, 0.25, -0.5 bracket the zero, and the secant

@@ -68,6 +68,22 @@ class TestGeneration:
         assert worst(DEFAULT_H) <= 1e-14
         assert worst(1.25 * DEFAULT_H) > 1e-14
 
+    def test_default_is_one_taylor_step_per_segment(self, monkeypatch):
+        # within 4.4e-16 of R*sin; the RK4 default gives 8.7e-15
+        plans = []
+        integrate_final = tables.integrate_final
+
+        def recording(ivp, plan, method):
+            plans.append((plan.steps, method))
+            return integrate_final(ivp, plan, method)
+
+        monkeypatch.setattr(tables, "integrate_final", recording)
+        tab = generate_sine_table(RADIUS)
+        assert plans == [(1, "taylor")] * ENTRY_COUNT
+        for k, v in enumerate(tab.values, start=1):
+            s = sine_oracle_deg(k * STEP_DEG)
+            assert abs(v / RADIUS - s) <= 1e-15 * s, k
+
     def test_invalid_radius(self):
         for radius in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
