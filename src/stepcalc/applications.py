@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .functions import make_inv_gudermannian
@@ -121,13 +121,12 @@ def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
     """Measure the full period by integrating the motion in Taylor steps.
 
     Released from rest, the pendulum first passes theta = 0 a quarter period
-    later: the period is four times the first zero of theta.  The run stops
-    at the first node where theta is negative, at the latest two steps past
-    a quarter of an upper bound on the period.  A window with no zero, or a
-    period outside the bound's bracket (see ``_pendulum_period_bound``)
-    widened by 1e-6 relative, means a step that passed more than one zero
-    and is refused, as is an amplitude below the smallest normal float,
-    where sin(theta) loses its precision.
+    later: the period is four times the first zero of theta, where the run
+    stops, at the latest two steps past a quarter of an upper bound on the
+    period.  No zero, or a period outside the bound's bracket (see
+    ``_pendulum_period_bound``) widened by 1e-6 relative, means a step that
+    passed more than one zero and is refused, as is an amplitude below the
+    smallest normal float, where sin(theta) loses its precision.
     """
     if spec.theta0 < sys.float_info.min:
         raise ValueError(f"amplitude theta0={spec.theta0!r} is subnormal: the restoring force loses its precision")
@@ -250,21 +249,32 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
 def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:
     """Flight trajectory in Taylor steps, up to the first node below ground.
 
-    Drag never lengthens the flight, so the run ends at the latest two steps
-    past the vacuum flight time.  The ascent lasts at least ln(1 + u)/u times
-    the vacuum ascent vy0/g, u = cm v0 vy0/g with cm = drag/mass, and the
-    descent at least as long, so a step of at most 4/3 of that bound puts a
-    node of positive height before the landing (the launch node's height is
-    exactly zero), and the landing at least 1.5 steps from launch.
-    ``ballistics --out`` writes this trajectory and reads the range from it.
+    The speed sqrt(vx^2 + vy^2) has branch points vx/g off the apex, unseen
+    by a series summed to or past it when vx is small.  So a run stops past
+    the apex, Newton steps on vy from the node before reach the apex (vy = 0)
+    without passing it, halved down to vx/g, and a run goes on from there.
+    Drag only shortens ascent and flight: the runs end two steps past their
+    vacuum times.  The step is at most 4/3 of the shortest ascent drag allows
+    (ln(1 + u)/u vy0/g, u = cm v0 vy0/g), so heavy drag splits few steps.
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
     u = spec.drag / spec.mass * spec.v0 * vacuum_time / 2.0
     h = min(h, vacuum_time / 1.5 * (math.log1p(u) / u if u else 1.0))
-    traj = integrate(ballistics_ivp(spec), StepPlan(h, vacuum_time + 2.0 * h), "taylor", stop=1)
+    ivp = ballistics_ivp(spec)
+    rise = integrate(ivp, StepPlan(h, vacuum_time / 2.0 + 2.0 * h), "taylor", stop=3)
+    n = sum(state[3] > 0.0 for state in rise.states)  # the nodes before the apex
+    t, y = rise.times[n - 1], rise.states[n - 1]
+    while n:  # Newton steps to vy = 0, short of it as vy is convex; halved while longer than vx/g
+        d = -y[3] / ivp.series([y], 0)[3]
+        if not t < (t_next := t + (d if d <= y[2] / spec.gravity else d / 2.0)):
+            break
+        t, y = t_next, integrate_final(replace(ivp, t0=t, y0=y), StepPlan(t_next - t, t_next), "taylor")[1]
+    if not (n and y[1] > 0.0):
+        raise RuntimeError(f"the apex is not above ground; the vacuum range is {vacuum_range(spec)!r}")
+    fall = integrate(replace(ivp, t0=t, y0=y), StepPlan(h, vacuum_time + 2.0 * h), "taylor", stop=1)
+    traj = Trajectory(rise.times[:n] + fall.times, rise.states[:n] + fall.states)
     if not traj.states[-1][1] < 0.0:
-        raise RuntimeError("projectile never landed within the integration window; "
-                           f"the vacuum range is {vacuum_range(spec)!r}")
+        raise RuntimeError(f"projectile never landed within the window; the vacuum range is {vacuum_range(spec)!r}")
     return traj
 
 
@@ -352,6 +362,5 @@ def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
         return bearing, radius * abs(dlon) * math.cos(p1.lat)
     dm = make_inv_gudermannian(p1.lat)(p2.lat, h=h)
     if not min(abs(dlat), abs(dm)) >= sys.float_info.min:
-        raise ValueError(f"latitude difference {dlat!r} rad or meridional parts difference {dm!r} is subnormal: "
-                         "no double holds the course to the budget")
+        raise ValueError(f"latitude difference {dlat!r} rad or meridional parts difference {dm!r} is subnormal")
     return math.atan2(dlon, dm), radius * abs(dlat) * math.hypot(dlon, dm) / abs(dm)

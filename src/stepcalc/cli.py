@@ -344,8 +344,7 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         from . import tables
         p.add_argument("--radius", type=float, default=tables.DEFAULT_RADIUS)
         p.add_argument("--method", choices=("euler", "rk4", "taylor"), default="taylor")
-        p.add_argument("--h", type=float, help=f"step size, radians; default {tables.TAYLOR_H:g} for taylor "
-                                               f"(one step per segment), else {tables.DEFAULT_H:g}")
+        p.add_argument("--h", type=float, help=f"step, radians (taylor {tables.TAYLOR_H:g}, else {tables.DEFAULT_H:g})")
         p.add_argument("--out", help="write CSV here instead of stdout")
 
     if p := command("pi", cmd_pi, "sum the alternating series for pi"):

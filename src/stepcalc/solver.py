@@ -19,9 +19,10 @@ A Taylor step (Moore, *Interval Analysis*, 1966, ch. 11) adds the
 coefficients c_k of y(t + s) = sum c_k s^k from the IVP's ``series`` until
 two consecutive terms satisfy max_i |c_k,i| |h|^k <= 2^-53 max_i |y_i|, and
 sums them by Horner's rule.  A step whose series has not got there by order
-``TAYLOR_MAX_ORDER`` is split into two halves, each taken the same way, at
-most ``TAYLOR_MAX_SPLITS`` levels deep (2^10 sub-steps); past that it is
-refused.  The grid nodes stay at multiples of h.
+``TAYLOR_MAX_ORDER`` is split into halves, each taken the same way, at most
+``TAYLOR_MAX_SPLITS`` levels deep and in at most ``TAYLOR_SPLIT_STEPS`` more
+attempts, all within ``MAX_STEPS`` attempts a run, one kept for each step;
+past that it is refused.  The grid nodes stay at multiples of h.
 
 A run may stop at the first node where a named state component is negative
 (``integrate(..., stop=i)``), as at a projectile's landing.  The first zero
@@ -55,7 +56,8 @@ CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 MAX_STEPS = 10**7  # step budget of one integration run
 FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
 TAYLOR_MAX_ORDER = 60  # highest order of one Taylor step
-TAYLOR_MAX_SPLITS = 10  # halvings of a refused Taylor step before it is refused for good
+TAYLOR_MAX_SPLITS = 52  # halvings of a refused Taylor step at most, to 2^-52 of it
+TAYLOR_SPLIT_STEPS = 256  # attempts a split Taylor step may add at most
 TAYLOR_DISCARD = 2.0**-53  # a Taylor term below this times max|y| is discarded
 
 
@@ -77,8 +79,7 @@ class IVP:
     Taylor coefficient vector of order k + 1 at a node, from those of orders
     0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor step calls it
     with k = 0, 1, 2, ... in order, so a series may keep the coefficients of
-    its intermediates (sin of a component, a speed) from one call to the next,
-    starting them again at k = 0.
+    its intermediates (a sine, a speed) from call to call, anew at k = 0.
     """
 
     dim: int
@@ -200,6 +201,7 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
         hs = span / n
     times = [t0]
     states = [y]
+    spare = MAX_STEPS - n  # attempts the run's split steps may add
     try:
         d = f(t0) if f else None
         for k in range(n):
@@ -211,7 +213,8 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
             elif method == "euler":
                 y = tuple([yi + h * a for yi, a in zip(y, rhs(t, y), strict=True)])
             elif series:
-                y = _taylor_step(series, y, h)
+                y, left = _taylor_step(series, y, h, min(spare, TAYLOR_SPLIT_STEPS))
+                spare -= min(spare, TAYLOR_SPLIT_STEPS) - left
             else:
                 k1 = rhs(t, y)
                 k2 = rhs(t + h / 2, [yi + h / 2 * a for yi, a in zip(y, k1, strict=True)])
@@ -239,9 +242,8 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     return Trajectory(tuple(times), tuple(states))
 
 
-def _taylor_step(series: Series, y: Vector, h: float, splits: int = TAYLOR_MAX_SPLITS) -> Vector:
-    """y(t + h) from the state y at t by one Taylor step, split into halves at
-    most ``splits`` levels deep (see the module docstring)."""
+def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0) -> tuple[Vector, int]:
+    """(y(t + h), attempts left of ``spare``) by a Taylor step ``depth`` halvings deep (see the module docstring)."""
     cols = [y]
     discard = TAYLOR_DISCARD * max(map(abs, y))
     hk, below = 1.0, False  # |h|^k, and whether the last term was below the discard size
@@ -249,20 +251,20 @@ def _taylor_step(series: Series, y: Vector, h: float, splits: int = TAYLOR_MAX_S
         c = series(cols, k)
         cols.append(c)
         hk *= abs(h)
-        small = max(map(abs, c)) * hk <= discard
+        small = max(map(abs, c)) * hk <= discard and math.isfinite(sum(c))  # max skips a nan after the first
         if small and below:
             break
         below = small
     else:
-        if splits:
-            return _taylor_step(series, _taylor_step(series, y, h / 2, splits - 1), h / 2, splits - 1)
-        n = 2**TAYLOR_MAX_SPLITS  # h * n is the step before it was split, exactly
-        raise ArithmeticError(f"Taylor series at step h={h * n!r} has terms above the discard size at order "
-                              f"{TAYLOR_MAX_ORDER}, also split into {n} steps; take a smaller step")
+        if spare >= 2 and depth < TAYLOR_MAX_SPLITS:
+            y, spare = _taylor_step(series, y, h / 2, spare - 2, depth + 1)
+            return _taylor_step(series, y, h / 2, spare, depth + 1)
+        raise ArithmeticError(f"Taylor series at step h={h * 2**depth!r} has terms above the discard size at order "
+                              f"{TAYLOR_MAX_ORDER} after {depth} halvings, all its budget allows; take a smaller step")
     total = cols.pop()
     for c in reversed(cols):
         total = [ci + h * ti for ci, ti in zip(c, total, strict=True)]
-    return tuple(total)
+    return tuple(total), spare
 
 
 def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[float, Vector]:
@@ -271,8 +273,7 @@ def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[floa
     return traj.times[-1], traj.states[-1]
 
 
-def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP,
-                        method: str = "rk4") -> tuple[float, Vector] | None:
+def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP, method: str = "rk4") -> tuple[float, Vector] | None:
     """The first zero of a state component after the start node as (t, state),
     or None; the name stays plural because the benchmark's tracer binds it.
 

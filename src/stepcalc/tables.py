@@ -23,10 +23,9 @@ ENTRY_COUNT = 24
 
 #: Historical radius anchor.
 DEFAULT_RADIUS = 1e7
-#: RK4 and Euler step, radians: the largest h of 1, 1.25, 1.5, 2, 2.5, 5 x 10^-3
-#: whose RK4 table stays within 1e-14 relative of R*sin (8.7e-15; 1.25e-3 gives
-#: 2.0e-14).  Taylor steps default to ``TAYLOR_H``, longer than a segment: one
-#: step per segment, within 4.4e-16.
+#: RK4 and Euler step, radians: the largest h of 1, 1.25, 1.5, 2, 2.5, 5 x 10^-3 whose RK4 table
+#: stays within 1e-14 relative of R*sin (8.7e-15; 1.25e-3 gives 2.0e-14).  Taylor steps default
+#: to ``TAYLOR_H``, longer than a segment: one step per segment, within 4.4e-16.
 DEFAULT_H = 1e-3
 
 
@@ -83,11 +82,9 @@ def generate_sine_table(
 
     The integration is segmented at the 24 grid angles, each segment in
     equal steps of at most ``h``, so every sample lands on its node exactly;
-    the state carries over between segments.  Without ``h`` the step is
-    ``TAYLOR_H`` for Taylor steps (one per segment), else ``DEFAULT_H``.
+    the state carries over between segments.  ``h`` defaults by method.
     """
-    if h is None:
-        h = TAYLOR_H if method == "taylor" else DEFAULT_H
+    h = (TAYLOR_H if method == "taylor" else DEFAULT_H) if h is None else h
     if not radius > 0:
         raise ValueError("radius must be positive")
     if not math.isfinite(radius):

@@ -177,11 +177,13 @@ class TestPendulum:
             assert abs(pendulum_period_ode(spec, h=h) - exact) <= 1e-15 * exact
         assert [(t0, plan.h) for t0, plan in plans].count((0.0, h)) == 1
 
-    def test_step_that_splitting_cannot_rescue_is_refused(self):
-        # the series of theta at 2.5 converges within about 0.5 s of a node:
-        # a step of 1000 s is split 10 times, to 0.98 s, and still refused
-        with pytest.raises(IntegrationError, match=r"step h=1000\.0 .* split into 1024 steps"):
+    def test_step_that_splitting_cannot_rescue_is_refused(self, series_calls):
+        # the series of theta at 2.5 converges within about 0.5 s of a node: a
+        # step of 1000 s would need some 2^11 halves, more than the
+        # TAYLOR_SPLIT_STEPS attempts a split may add, and is refused within them
+        with pytest.raises(IntegrationError, match=r"step h=1000\.0 .* all its budget allows"):
             pendulum_period_ode(PendulumSpec(1.0, theta0=2.5), h=1000.0)
+        assert series_calls[0] <= (1 + solver.TAYLOR_SPLIT_STEPS) * solver.TAYLOR_MAX_ORDER
 
     def test_period_against_the_complementary_modulus_oracle(self):
         # oracles.pendulum_period takes AGM(1, cos(theta0/2)), which holds near pi.
@@ -311,14 +313,33 @@ class TestBallistics:
             exact = oracles.drag_range(spec.mass, spec.drag, spec.v0, spec.alpha)
             assert abs(ballistics_range(spec) - exact) <= 1e-11 * exact, spec
 
+    def test_near_vertical_range_against_the_drag_oracle(self):
+        # the speed's branch points lie vx/g off the apex, 2.9e-5 s at 89.999
+        # degrees below: a Taylor step across the apex summed the branch that
+        # does not turn (3e-5 off at 89.9999), and one that ends there misses a
+        # slowly converging tail of terms too small to see (3e-10 at 89.999).
+        # Steps that halve the way to the apex leave 7.8e-12 here, and 2.1e-11
+        # over 40 specs drawn alike from another seed.  RK4 at the old default
+        # step of 1e-3 was up to 6.2e-7 off on these specs
+        rng = random.Random(2211)
+        specs = [BallisticsSpec(0.16, 0.005, 40.0, math.radians(alpha)) for alpha in (89.999, 89.9999)]
+        for _ in range(10):
+            mass, v0 = 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-1, 2)
+            drag = 10 ** rng.uniform(-3, 0) * mass / v0  # drag/mass * v0 from 1e-3 to 1
+            specs.append(BallisticsSpec(mass, drag, v0, math.radians(90.0 - 10 ** rng.uniform(-4, -1))))
+        for spec in specs:
+            exact = oracles.drag_range(spec.mass, spec.drag, spec.v0, spec.alpha)
+            assert abs(ballistics_range(spec) - exact) <= 5e-11 * exact, spec
+
     def test_default_rhs_evaluations(self, series_calls):
-        # 232 series calls: 53 Taylor steps up to the first node below ground
-        # and the locator's steps.  RK4 at 1e-3 evaluated the right-hand side
+        # 242 series calls: Taylor steps to the first node past the apex, the
+        # Newton steps from the node before onto the apex, the steps on to the
+        # first node below ground and the landing locator's.  RK4 at 1e-3 evaluated the right-hand side
         # 21 000 times over a window two steps past the vacuum flight; a window
         # to 1.5x the vacuum time plus 1 s with bisection to 1e-10 s and a second
         # integration from launch took 56 536
         ballistics_range(BallisticsSpec(0.16, 0.0, 40.0, math.radians(40)))
-        assert series_calls[0] == 232
+        assert series_calls[0] == 242
 
     def test_range_integrates_once_from_launch(self, plans):
         spec = BallisticsSpec(0.16, 0.005, 40.0, math.radians(40))

@@ -271,13 +271,16 @@ class TestTaylor:
             integrate(EXP_IVP, StepPlan(0.5, 1.0), "taylor")
 
     def test_a_series_that_keeps_growing_is_refused_naming_the_step(self):
-        # the terms of exp at h = 100 peak near order 100, past TAYLOR_MAX_ORDER:
-        # the step is split, to 16 steps of 6.25, and answered.  At h = 1e5 the
-        # terms still peak near order 98 after 10 halvings, and the step is refused
+        # the terms of exp at h = 1 fall off well before TAYLOR_MAX_ORDER.  At
+        # h = 100 they peak near order 100, past it: the step is split, to 16
+        # steps of 6.25, and answered.  At h = 1e300 they overflow, also after
+        # TAYLOR_MAX_SPLITS halvings, and the step is refused
+        value = integrate_final(EXP_SERIES, StepPlan(1.0, 100.0), "taylor")[1][0]
+        assert abs(value - math.exp(100.0)) <= 1e-13 * math.exp(100.0)
         value = integrate_final(EXP_SERIES, StepPlan(100.0, 200.0), "taylor")[1][0]
         assert abs(value - math.exp(200.0)) <= 1e-13 * math.exp(200.0)
-        with pytest.raises(IntegrationError, match=r"step h=100000\.0 .* order 60, also split into 1024") as info:
-            integrate(EXP_SERIES, StepPlan(1e5, 2e5), "taylor")
+        with pytest.raises(IntegrationError, match=r"step h=1e\+300 .* order 60 after 52 halvings") as info:
+            integrate(EXP_SERIES, StepPlan(1e300, 2e300), "taylor")
         assert info.value.t == 0.0
 
     def test_a_refused_step_is_split_into_halves(self):
@@ -298,6 +301,54 @@ class TestTaylor:
         assert all(orders == list(range(len(orders))) for orders in attempts)
         assert [len(orders) == 60 for orders in attempts].count(True) == 2 * 15
         assert len(attempts) == 2 * (15 + 16)
+
+    def test_a_split_stays_within_its_attempts(self, monkeypatch):
+        # a step of 100 on exp takes 31 attempts (test above).  With a run
+        # budget of 40 and two steps, 38 attempts are spare: the first step
+        # spends 30 of them, and the second, left 8, halves 4 levels deep and
+        # is refused at its seventh attempt, a half of 12.5
+        calls = []
+
+        def series(cols, k):
+            calls.append(k)
+            return (cols[k][0] / (k + 1),)
+
+        monkeypatch.setattr(solver, "MAX_STEPS", 40)
+        ivp = dataclasses.replace(EXP_SERIES, series=series)
+        with pytest.raises(IntegrationError, match=r"step h=100\.0 .* after 3 halvings") as info:
+            integrate(ivp, StepPlan(100.0, 200.0), "taylor")
+        assert info.value.t == 100.0 and calls.count(0) == 31 + 7
+        # a run of as many steps as the budget holds splits none
+        calls.clear()
+        with pytest.raises(IntegrationError, match=r"step h=100\.0 .* after 0 halvings"):
+            integrate(ivp, StepPlan(100.0, 4000.0), "taylor")
+        assert calls.count(0) == 1
+
+    def test_a_step_too_long_everywhere_is_refused_within_the_split_attempts(self):
+        # sin and cos at h = 1e5 need 2^13 halves: the split is refused within
+        # the TAYLOR_SPLIT_STEPS attempts it may add, two funded by each halving
+        # (249 made, as the refusal leaves some funded halves untried)
+        calls = []
+
+        def series(cols, k):
+            calls.append(k)
+            return functions.circle_series(cols, k)
+
+        ivp = IVP(2, functions.circle_rhs, 0.0, (0.0, 1.0), series=series)
+        with pytest.raises(IntegrationError, match=r"step h=100000\.0 "):
+            integrate(ivp, StepPlan(1e5, 1e5), "taylor")
+        assert calls.count(0) == 249 <= 1 + solver.TAYLOR_SPLIT_STEPS
+
+    def test_a_nan_term_is_not_small(self):
+        # max(map(abs, c)) skips a nan after the first component: terms that
+        # overflow into nan there (as the speed's do under heavy drag) were taken
+        # for small ones, and the step summed them into the state
+        def series(cols, k):
+            return (0.0, math.nan if k else 0.0)
+
+        ivp = IVP(2, lambda t, y: (0.0, 0.0), 0.0, (1.0, 1.0), series=series)
+        with pytest.raises(IntegrationError, match="terms above the discard size"):
+            integrate(ivp, StepPlan(1.0, 1.0), "taylor")
 
     def test_a_failing_series_fails_like_a_failing_rhs(self):
         def series(cols, k):
