@@ -96,10 +96,6 @@ def pendulum_ivp(spec: PendulumSpec) -> IVP:
     takes sin and cos of theta from s_k = (1/k) sum j theta_j c_(k-j) and
     c_k = -(1/k) sum j theta_j s_(k-j), j = 1..k, kept from one order to the next."""
     ratio = spec.gravity / spec.length
-
-    def rhs(t, y):
-        return (y[1], -ratio * math.sin(y[0]))
-
     sin, cos = [], []
 
     def series(cols, k):
@@ -114,7 +110,7 @@ def pendulum_ivp(spec: PendulumSpec) -> IVP:
             cos.append(-c / k)
         return (cols[k][1] / (k + 1), -ratio * sin[k] / (k + 1))
 
-    return IVP(2, rhs, 0.0, (spec.theta0, 0.0), series=series)
+    return IVP(2, None, 0.0, (spec.theta0, 0.0), series=series)
 
 
 def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
@@ -216,12 +212,6 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
     j = 1..k-1, q = vx^2 + vy^2, kept from one order to the next; without drag it has no v."""
     cm = spec.drag / spec.mass
     g = spec.gravity
-
-    def rhs(t, y):
-        _, _, vx, vy = y
-        speed = math.hypot(vx, vy)
-        return (vx, vy, -cm * speed * vx, -g - cm * speed * vy)
-
     speed = []
 
     def series(cols, k):
@@ -243,7 +233,7 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
         return (vx / (k + 1), vy / (k + 1), -cm * ax / (k + 1), ((-g if k == 0 else 0.0) - cm * ay) / (k + 1))
 
     y0 = (0.0, 0.0, spec.v0 * math.cos(spec.alpha), spec.v0 * math.sin(spec.alpha))
-    return IVP(4, rhs, 0.0, y0, series=series)
+    return IVP(4, None, 0.0, y0, series=series)
 
 
 def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:
@@ -280,15 +270,15 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
 
 def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
     """Horizontal distance to the landing point, on the ``ballistics_trajectory``."""
-    return landing_range(spec, ballistics_trajectory(spec, h), h)
+    return landing_range(spec, ballistics_trajectory(spec, h))
 
 
-def landing_range(spec: BallisticsSpec, traj: Trajectory, h: float) -> float:
-    """x of the landing state on ``ballistics_trajectory(spec, h)``, which the crossing locator
-    computed one Taylor step from the node before the landing (or is the node landed on)."""
+def landing_range(spec: BallisticsSpec, traj: Trajectory) -> float:
+    """x of the landing state on ``traj`` by the crossing locator, one Taylor step from the node before the
+    landing (or the node landed on); a ``ballistics_trajectory`` holds one, ending below ground past its apex."""
     crossing = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
     if crossing is None:
-        raise RuntimeError(f"the projectile lands within the first step, of at most h={h!r}; take a smaller step")
+        raise RuntimeError("the projectile lands within the first step of the trajectory; take a smaller step")
     return crossing[1][0]
 
 

@@ -235,7 +235,7 @@ def cmd_ballistics(args) -> int:
     from . import applications
     spec = applications.BallisticsSpec(args.mass, args.drag, args.v0, math.radians(args.alpha), args.g)
     traj = applications.ballistics_trajectory(spec, h=args.h)
-    print(_fmt(applications.landing_range(spec, traj, args.h)))
+    print(_fmt(applications.landing_range(spec, traj)))
     if args.out:
         _write_text(args.out, traj.to_csv())
     return 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -173,6 +174,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+@total_ordering
 class RatFunc:
     """A rational function num/den in one infinitesimal indeterminate.
 
@@ -342,15 +344,6 @@ class RatFunc:
 
     def __lt__(self, other):
         return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -19,10 +19,10 @@ A Taylor step (Moore, *Interval Analysis*, 1966, ch. 11) adds the
 coefficients c_k of y(t + s) = sum c_k s^k from the IVP's ``series`` until
 two consecutive terms satisfy max_i |c_k,i| |h|^k <= 2^-53 max_i |y_i|, and
 sums them by Horner's rule.  A step whose series has not got there by order
-``TAYLOR_MAX_ORDER`` is split into halves, each taken the same way, at most
-``TAYLOR_MAX_SPLITS`` levels deep and in at most ``TAYLOR_SPLIT_STEPS`` more
-attempts, all within ``MAX_STEPS`` attempts a run, one kept for each step;
-past that it is refused.  The grid nodes stay at multiples of h.
+``TAYLOR_MAX_ORDER`` is split into halves, each taken the same way, in at most
+``TAYLOR_SPLIT_STEPS`` more attempts (two a halving, so at most 128 levels
+deep), all within ``MAX_STEPS`` attempts a run, one kept for each step; past
+that it is refused.  The grid nodes stay at multiples of h.
 
 A run may stop at the first node where a named state component is negative
 (``integrate(..., stop=i)``), as at a projectile's landing.  The first zero
@@ -33,13 +33,14 @@ fixed width in t (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6).
 
 Failures: ``IVP`` and ``StepPlan`` reject non-finite times, states and step
 sizes and a step size that is not positive with ``ValueError``, and so does
-``integrate`` for a plan of more than ``MAX_STEPS`` steps.  During
-integration, an ``ArithmeticError`` or ``ValueError`` from the right-hand
-side or ``series`` (expression errors included), a right-hand side of the
-wrong length, a refused Taylor step and a non-finite state each raise
-``IntegrationError``; any other exception propagates unchanged.  The state
-is checked every ``FINITE_CHECK_STEPS`` steps and at the end, so a run that
-overflows stops soon after, not at ``t_end``.
+``integrate`` for a plan of more than ``MAX_STEPS`` steps and for a method
+whose function the IVP does not declare.  During integration, an
+``ArithmeticError`` or ``ValueError`` from the right-hand side or ``series``
+(expression errors included), a right-hand side of the wrong length, a
+refused Taylor step and a non-finite state each raise ``IntegrationError``;
+any other exception propagates unchanged.  The state is checked every
+``FINITE_CHECK_STEPS`` steps and at the end, so a run that overflows stops
+soon after, not at ``t_end``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 MAX_STEPS = 10**7  # step budget of one integration run
 FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
 TAYLOR_MAX_ORDER = 60  # highest order of one Taylor step
-TAYLOR_MAX_SPLITS = 52  # halvings of a refused Taylor step at most, to 2^-52 of it
 TAYLOR_SPLIT_STEPS = 256  # attempts a split Taylor step may add at most
 TAYLOR_DISCARD = 2.0**-53  # a Taylor term below this times max|y| is discarded
 
@@ -75,15 +75,16 @@ class IntegrationError(RuntimeError):
 class IVP:
     """An initial-value problem y' = rhs(t, y), y(t0) = y0.
 
-    ``integrand`` is f where rhs(t, y) is (f(t),).  ``series(cols, k)`` is the
-    Taylor coefficient vector of order k + 1 at a node, from those of orders
-    0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor step calls it
-    with k = 0, 1, 2, ... in order, so a series may keep the coefficients of
+    It declares ``rhs`` (for Euler and RK4), a ``series`` (for Taylor steps),
+    or both.  ``integrand`` is f where rhs(t, y) is (f(t),).  ``series(cols, k)``
+    is the Taylor coefficient vector of order k + 1 at a node, from those of
+    orders 0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor step calls
+    it with k = 0, 1, 2, ... in order, so a series may keep the coefficients of
     its intermediates (a sine, a speed) from call to call, anew at k = 0.
     """
 
     dim: int
-    rhs: RHS
+    rhs: RHS | None
     t0: float
     y0: Vector
     integrand: Callable[[float], float] | None = None
@@ -179,15 +180,16 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     node whose component i is negative.  RK4 on an IVP with an ``integrand`` is
     Simpson's rule on the grid's nodes, RK4's sum bit for bit only where t + h
     is the next node (see the module docstring).  Euler calls ``rhs``, and
-    ``taylor`` only ``series`` (``ValueError`` if the IVP declares none).
+    ``taylor`` only ``series`` (``ValueError`` if the IVP does not declare it).
     """
     if method not in ("euler", "rk4", "taylor"):
         raise ValueError(f"unknown method {method!r}")
     rhs = ivp.rhs
     f = ivp.integrand if method == "rk4" else None
     series = ivp.series if method == "taylor" else None
-    if method == "taylor" and series is None:
-        raise ValueError("method 'taylor' needs an IVP that declares a series")
+    if (series if method == "taylor" else rhs) is None:
+        needs = "a series" if method == "taylor" else "a right-hand side"
+        raise ValueError(f"method {method!r} needs an IVP that declares {needs}")
     t0, t_end = ivp.t0, plan.t_end
     t, y = t0, ivp.y0
     if t_end == t0:
@@ -256,7 +258,7 @@ def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0
             break
         below = small
     else:
-        if spare >= 2 and depth < TAYLOR_MAX_SPLITS:
+        if spare >= 2:
             y, spare = _taylor_step(series, y, h / 2, spare - 2, depth + 1)
             return _taylor_step(series, y, h / 2, spare, depth + 1)
         raise ArithmeticError(f"Taylor series at step h={h * 2**depth!r} has terms above the discard size at order "
@@ -284,8 +286,8 @@ def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP, method: str 
     iterates inside the bracket, an end kept twice in a row having its value
     halved, until g is exactly zero, an iterate is not strictly inside the
     bracket or ``CROSSING_MAX_ITER`` iterates are done.  The crossing is the
-    last accepted iterate with its step's state, else the bracket's end
-    node; a step that fails raises ``IntegrationError``.
+    last accepted iterate with its step's state, else whichever bracket node
+    holds the smaller |value|; a step that fails raises ``IntegrationError``.
     """
     if not 0 <= component < traj.dim:
         raise ValueError(f"component {component} out of range for dim {traj.dim}")
@@ -319,4 +321,4 @@ def _refine_crossing(local: IVP, component: int, t_next: float, y_next: Vector, 
         else:
             kept, g_kept = t, g
         t, y, g = t_new, y_new, g_new
-    return t, y
+    return (t_lo, local.y0) if t == t_next and abs(local.y0[component]) < abs(g) else (t, y)  # none accepted

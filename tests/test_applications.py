@@ -21,6 +21,7 @@ from stepcalc.applications import (
     loxodrome,
     mechanical_energy,
     meridional_parts,
+    pendulum_ivp,
     pendulum_period_elliptic,
     pendulum_period_ode,
     rectify,
@@ -49,7 +50,7 @@ def plans(monkeypatch):
 @pytest.fixture
 def series_calls(monkeypatch):
     """Taylor-coefficient evaluations (``series`` calls) of the pendulum and
-    ballistics problems; a call that ran the right-hand side fails the test."""
+    ballistics problems, which declare no right-hand side."""
     count = [0]
 
     def counted(make_ivp):
@@ -60,10 +61,7 @@ def series_calls(monkeypatch):
                 count[0] += 1
                 return ivp.series(cols, k)
 
-            def rhs(t, y):
-                raise AssertionError("the right-hand side is for RK4 and Euler only")
-
-            return IVP(ivp.dim, rhs, ivp.t0, ivp.y0, series=series)
+            return IVP(ivp.dim, None, ivp.t0, ivp.y0, series=series)
         return make
 
     for name in ("pendulum_ivp", "ballistics_ivp"):
@@ -80,6 +78,13 @@ def _step_to_landing(spec, traj, t_land):
 
 
 class TestPendulum:
+    def test_rk4_and_euler_are_refused(self):
+        # the pendulum and ballistics IVPs declare only their series, for Taylor steps
+        for ivp in (pendulum_ivp(PendulumSpec(1.0)), ballistics_ivp(BallisticsSpec(1.0, 0.1, 10.0, 0.5))):
+            for method in ("rk4", "euler"):
+                with pytest.raises(ValueError, match=f"method '{method}' needs an IVP that declares a right-hand side"):
+                    solver.integrate(ivp, StepPlan(0.1, 1.0), method)
+
     def test_small_angle_limit(self):
         spec = PendulumSpec(1.0, theta0=0.01)
         period = pendulum_period_ode(spec)

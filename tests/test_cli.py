@@ -481,7 +481,7 @@ class TestBallistics:
         traj = Trajectory(tuple(row[0] for row in rows), tuple(row[1:] for row in rows))
         args = cli.build_parser().parse_args(shot)
         spec = applications.BallisticsSpec(args.mass, args.drag, args.v0, math.radians(args.alpha), args.g)
-        assert f"{applications.landing_range(spec, traj, args.h):.17g}\n" == out
+        assert f"{applications.landing_range(spec, traj):.17g}\n" == out
 
     def test_flight_shorter_than_one_step(self, capsys):
         code, out, err = run(capsys, "ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-3")
@@ -500,11 +500,11 @@ class TestBallistics:
         for extra in (("--h", "0.01"), ("--h", "1e-4"), ()):
             code, out, err = run(capsys, *heavy, *extra)
             assert (code, err) == (0, "") and abs(float(out) - exact) <= 1e-11 * exact, extra
-        # a trajectory whose first node lies below ground is refused, naming h
+        # a trajectory whose first node lies below ground is refused
         spec = applications.BallisticsSpec(1.0, 10000.0, 0.1, math.radians(10))
         below = Trajectory((0.0, 0.01), ((0.0, 0.0, 0.1, 0.02), (1e-4, -1e-5, 0.0, -0.03)))
-        with pytest.raises(RuntimeError, match=r"within the first step, of at most h=0\.01;"):
-            applications.landing_range(spec, below, 0.01)
+        with pytest.raises(RuntimeError, match=r"within the first step of the trajectory;"):
+            applications.landing_range(spec, below)
 
     def test_drag_grid_is_answered_or_refused_naming_h(self, capsys):
         # 640 requests.  Heavy drag caps the step by the shortest ascent it
@@ -586,6 +586,9 @@ class TestEllipk:
         code, out, _ = run(capsys, "ellipk", "--k", "0.8")
         assert code == 0
         assert abs(float(out) - oracles.elliptic_K_agm(0.8)) < 1e-8
+
+    def test_zero_amplitude(self, capsys):
+        assert run(capsys, "ellipk", "--k", "0.5", "--phi", "0") == (0, "0\n", "")
 
     def test_refuses_near_unit_modulus(self, capsys):
         # step doubling converges ever slower as k -> 1; past its step budget

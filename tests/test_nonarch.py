@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -93,6 +94,18 @@ class TestOrderAndSign:
     def test_non_archimedean_witness(self):
         for n in (1, 7, 1000, 99991, 10**6):
             assert n * EPSILON < ONE
+
+    def test_order_operators_agree_with_compare(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            a = random_ratfunc(rng)
+            for b in (random_ratfunc(rng), RatFunc(a.num, a.den), rng.randint(-2, 2)):
+                c = compare(a, b)
+                assert (a <= b, a > b, a >= b) == (c <= 0, c > 0, c >= 0)
+                assert (b <= a, b > a, b >= a) == (c >= 0, c < 0, c <= 0)
+        for op in (operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(EPSILON, 0.5)
 
 
 class TestStandardPart:

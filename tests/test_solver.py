@@ -274,12 +274,12 @@ class TestTaylor:
         # the terms of exp at h = 1 fall off well before TAYLOR_MAX_ORDER.  At
         # h = 100 they peak near order 100, past it: the step is split, to 16
         # steps of 6.25, and answered.  At h = 1e300 they overflow, also after
-        # TAYLOR_MAX_SPLITS halvings, and the step is refused
+        # the 128 halvings the TAYLOR_SPLIT_STEPS attempts fund, and the step is refused
         value = integrate_final(EXP_SERIES, StepPlan(1.0, 100.0), "taylor")[1][0]
         assert abs(value - math.exp(100.0)) <= 1e-13 * math.exp(100.0)
         value = integrate_final(EXP_SERIES, StepPlan(100.0, 200.0), "taylor")[1][0]
         assert abs(value - math.exp(200.0)) <= 1e-13 * math.exp(200.0)
-        with pytest.raises(IntegrationError, match=r"step h=1e\+300 .* order 60 after 52 halvings") as info:
+        with pytest.raises(IntegrationError, match=r"step h=1e\+300 .* order 60 after 128 halvings") as info:
             integrate(EXP_SERIES, StepPlan(1e300, 2e300), "taylor")
         assert info.value.t == 0.0
 
@@ -555,6 +555,15 @@ class TestCrossingLocator:
         traj = integrate(ivp, StepPlan(0.75, 1.5), "rk4")
         assert find_zero_crossings(traj, 0, ivp) == (1.0, (0.0,))
         assert iterates == [1.0]
+
+    def test_no_accepted_iterate_gives_the_nearer_node(self, iterates):
+        # y = 1 - t by Euler steps of 1/3: the nodes at 1.0 and 4/3 hold 5.6e-17
+        # and -1/3, and the secant through them lands on 1.0, not strictly inside
+        # the bracket.  The crossing is the nearer node, not the one a step late
+        ivp = IVP(1, lambda t, y: (-1.0,), 0.0, (1.0,))
+        traj = integrate(ivp, StepPlan(1 / 3, 2.0), "euler", stop=0)
+        assert find_zero_crossings(traj, 0, ivp, "euler") == (1.0, (5.551115123125783e-17,))
+        assert iterates == []
 
     def test_non_finite_step_values_end_inside_the_bracket(self, iterates):
         # finite at the stages of the full step from 0 to 1e300, overflowing
