@@ -20,10 +20,12 @@ levels deep, which bounds only the recursive parser.  The tree walkers are
 iterative, so operator chains such as ``x+x+...+x`` may be of any length.
 
 ``evaluate`` walks a tree over doubles and is the reference evaluator.
-``compile_float`` turns trees into one Python function, generated once as
-straight-line code, for callers that evaluate the same trees many times; on
-any failure that function re-runs ``evaluate``, so errors and their
-positions are the walker's.
+``emit_float`` writes trees as straight-line Python statements, for callers
+that evaluate the same trees many times: ``compile_float`` makes them one
+function of the variables, and the spec-file IVP of ``cli`` inlines them at
+each stage of an Euler or RK4 step from ``solver.step_lines``.
+``compile_guarded`` compiles such code so that on any failure it re-runs the
+work on ``evaluate``, so errors and their positions are the walker's.
 
 ``evaluate_exact`` walks a tree over an exact field of rational functions
 of one variable: ``nonarch.RatFunc``, the reference, or ``nonarch.Jet``,
@@ -327,7 +329,9 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
         if node.op == "^":
             try:
                 out = left ** right
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            except OverflowError:
+                raise ExprEvalError("power: result overflows a double", node.pos) from None
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ExprEvalError(f"power: {exc}", node.pos) from None
             if isinstance(out, complex):
                 raise ExprEvalError("power with a complex result", node.pos)
@@ -339,34 +343,35 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     return _fold(expr, visit)
 
 
-def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple[float, ...]]:
-    """One function ``f(*values)`` returning ``evaluate`` of every tree, in
-    order, with ``params[i]`` bound to ``values[i]`` (floats).
-
-    The trees must come from ``parse``.  They become straight-line Python
-    source with one local per operator node, over names a user identifier
-    cannot spell: ``_p<i>`` for the parameters, ``_<k>`` for the locals,
-    ``_<name>`` for the built-ins.  Literals print as ``repr(float)``.  The
-    float operations are the walker's, on the same operands in the same
-    order, so results are bit-identical.  A power whose exponent is not an
-    integer-valued literal is passed through ``float``, which raises on a
-    complex result.  A name outside ``params`` becomes ``_unbound``, which
-    nothing binds.  On any exception the function re-runs ``evaluate``,
-    which raises the positioned ``ExprEvalError``.
-    """
+def walker(trees: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """``f(*values)``: ``evaluate`` of every tree, in order, with ``params[i]``
+    bound to ``values[i]``."""
     def walk(*values: float) -> tuple[float, ...]:
         env = dict(zip(params, values))
         return tuple([evaluate(tree, env) for tree in trees])
 
-    index = {name: f"_p{i}" for i, name in enumerate(params)}
-    lines: list[str] = []
+    return walk
 
+
+def emit_float(trees: Sequence[Expr], args: Mapping[str, str], lines: list[str], known: dict[str, str]) -> list[str]:
+    """Append to ``lines`` Python statements computing ``evaluate`` of each
+    tree (from ``parse``), the names in ``args`` bound to code (a literal or
+    a local), and return the code of each tree's value.
+
+    Each operator node assigns a local ``_<k>``, k the line's index, unless
+    ``known`` maps its code to an earlier local (value numbering), so a
+    subtree on the same operands is computed once across all calls sharing
+    ``known``.  The float operations are the walker's, in its order, so
+    results are bit-identical.  A power whose exponent is not an integral
+    literal goes through ``_float``, which raises on a complex result; a name
+    outside ``args`` becomes ``_unbound``, which nothing binds.  The lines
+    run in the namespace of ``compile_guarded``.
+    """
     def emit(node: Expr, *operands: str) -> str:
-        # a literal or a parameter, or a new local assigned by one more line
         if isinstance(node, Num):
             return repr(node.value)
         if isinstance(node, Var):
-            return index.get(node.name, "_unbound")
+            return args.get(node.name, "_unbound")
         if isinstance(node, Neg):
             code = f"-{operands[0]}"
         elif isinstance(node, Call):
@@ -377,25 +382,48 @@ def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[...,
             code = f"{operands[0]} ** {operands[1]}"  # an integral exponent gives no complex result
         else:
             code = f"_float({operands[0]} ** {operands[1]})"
-        local = f"_{len(lines)}"
-        lines.append(f"        {local} = {code}")
+        local = known.get(code)
+        if local is None:
+            local = known[code] = f"_{len(lines)}"
+            lines.append(f"{local} = {code}")
         return local
 
-    results = [_fold(tree, emit) for tree in trees]
-    args = ", ".join(f"_p{i}" for i in range(len(params)))
+    return [_fold(tree, emit) for tree in trees]
+
+
+def compile_guarded(label: str, args: Sequence[str], lines: Sequence[str],
+                    fallback: Callable[..., Any]) -> Callable[..., Any]:
+    """A function of ``args`` that runs ``lines``, straight-line statements
+    ending in a ``return`` (``emit_float``'s and the caller's own), and on any
+    exception returns ``fallback(*args)``: the same work on the walker, which
+    raises the positioned ``ExprEvalError``.  ``label`` names the code in
+    tracebacks."""
+    params = ", ".join(args)
     source = "\n".join([
-        f"def _compiled({args}):",
+        f"def _compiled({params}):",
         "    try:",
-        *lines,
-        f"        return ({''.join(f'{result}, ' for result in results)})",
+        *(f"        {line}" for line in lines),
         "    except _Exception:",
         "        pass",
-        f"    return _walk({args})",
+        f"    return _fallback({params})",
     ])
-    namespace = {"__builtins__": {}, "_float": float, "_Exception": Exception, "_walk": walk}
+    namespace = {"__builtins__": {}, "_float": float, "_Exception": Exception, "_fallback": fallback}
     namespace.update((f"_{name}", fn) for name, fn in BUILTINS.items())
-    exec(compile(source, "<stepcalc.expr.compile_float>", "exec"), namespace)
+    exec(compile(source, f"<stepcalc {label}>", "exec"), namespace)
     return namespace["_compiled"]
+
+
+def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """One function ``f(*values)`` returning ``evaluate`` of every tree, in
+    order, with ``params[i]`` bound to ``values[i]`` (floats), as straight-line
+    code from ``emit_float`` over parameters ``_p<i>``; on any exception it
+    re-runs ``evaluate``, which raises the positioned ``ExprEvalError``.
+    """
+    args = [f"_p{i}" for i in range(len(params))]
+    lines: list[str] = []
+    results = emit_float(trees, dict(zip(params, args)), lines, {})
+    lines.append(f"return ({''.join(f'{result}, ' for result in results)})")
+    return compile_guarded("expr.compile_float", args, lines, walker(trees, params))
 
 
 #: Largest degree bound, of numerator or denominator, that exact evaluation
@@ -464,6 +492,11 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None =
 
     # a call is refused where a recursive walk would reach it, before its argument
     return _fold(expr, visit, lambda node: () if isinstance(node, Call) else _children(node))
+
+
+def size(expr: Expr) -> int:
+    """Number of nodes in the tree."""
+    return len(_postorder(expr))
 
 
 def variables(expr: Expr) -> set[str]:

@@ -26,7 +26,7 @@ DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 class OdeFunction:
     """A named, ODE-backed real function of one real argument: by default by Taylor
     steps of ``TAYLOR_H`` where the IVP declares a series, else by RK4 steps of
-    ``DEFAULT_H``.  An explicit small ``h`` keeps Taylor steps, at about 2.6 times
+    ``DEFAULT_H``.  An explicit small ``h`` keeps Taylor steps, at about 7 times
     the cost of RK4 steps of it.  ``trajectory`` is the run from the start to x, and
     ``__call__`` its streaming form; both refuse a start or x within ``POLE_STEPS``
     steps of +-``pole``, and a subnormal value (no double holds it to the budget)."""

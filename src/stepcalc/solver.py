@@ -1,7 +1,11 @@
 """Fixed-step initial-value-problem integration.
 
 Three methods: the plain first-order step-by-step recurrence (Euler), the
-classical fourth-order Runge-Kutta update, and a Taylor-series step.  Steps
+classical fourth-order Runge-Kutta update, and a Taylor-series step.  An
+Euler or RK4 step is generated code: ``step_lines`` writes the method's
+stages once as straight-line Python around a stage emitter, which either
+calls the right-hand side (``rhs_step``, compiled once per method and
+dimension) or, for an IVP that declares its own ``steps``, inlines it.  Steps
 are laid out on a uniform grid from ``t0`` toward ``t_end``; the final step
 is shortened so the last node lands on ``t_end`` bit-exactly.  A plan with a
 step count instead divides the span into that many equal steps
@@ -45,13 +49,17 @@ soon after, not at ``t_end``.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
 Series = Callable[[list[Vector], int], Vector]
+Step = Callable[[float, float, Vector], Vector]
+Stage = Callable[[list[str], str, list[str]], list[str]]
 
 CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 MAX_STEPS = 10**7  # step budget of one integration run
@@ -81,6 +89,8 @@ class IVP:
     orders 0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor step calls
     it with k = 0, 1, 2, ... in order, so a series may keep the coefficients of
     its intermediates (a sine, a speed) from call to call, anew at k = 0.
+    ``steps`` maps "euler" or "rk4" to a step ``step(t, h, y)`` that computes
+    what ``rhs_step`` of ``rhs`` does, bit for bit, with ``rhs`` inlined.
     """
 
     dim: int
@@ -89,6 +99,7 @@ class IVP:
     y0: Vector
     integrand: Callable[[float], float] | None = None
     series: Series | None = None
+    steps: Mapping[str, Step] = dataclasses.field(default_factory=dict, compare=False)  # rhs's, so not compared
 
     def __post_init__(self):
         if self.dim < 1:
@@ -184,12 +195,12 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     """
     if method not in ("euler", "rk4", "taylor"):
         raise ValueError(f"unknown method {method!r}")
-    rhs = ivp.rhs
     f = ivp.integrand if method == "rk4" else None
     series = ivp.series if method == "taylor" else None
-    if (series if method == "taylor" else rhs) is None:
+    if (series if method == "taylor" else ivp.rhs) is None:
         needs = "a series" if method == "taylor" else "a right-hand side"
         raise ValueError(f"method {method!r} needs an IVP that declares {needs}")
+    step = None if f or series else ivp.steps.get(method) or rhs_step(method, ivp.dim, ivp.rhs)
     t0, t_end = ivp.t0, plan.t_end
     t, y = t0, ivp.y0
     if t_end == t0:
@@ -212,20 +223,11 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
             if f:
                 a, b, d = d, f(t + h / 2), f(t_next)
                 y = (y[0] + h / 6 * (a + 2 * b + 2 * b + d),)
-            elif method == "euler":
-                y = tuple([yi + h * a for yi, a in zip(y, rhs(t, y), strict=True)])
-            elif series:
+            elif step:
+                y = step(t, h, y)
+            else:
                 y, left = _taylor_step(series, y, h, min(spare, TAYLOR_SPLIT_STEPS))
                 spare -= min(spare, TAYLOR_SPLIT_STEPS) - left
-            else:
-                k1 = rhs(t, y)
-                k2 = rhs(t + h / 2, [yi + h / 2 * a for yi, a in zip(y, k1, strict=True)])
-                k3 = rhs(t + h / 2, [yi + h / 2 * b for yi, b in zip(y, k2, strict=True)])
-                k4 = rhs(t + h, [yi + h * c for yi, c in zip(y, k3, strict=True)])
-                y = tuple([
-                    yi + h / 6 * (a + 2 * b + 2 * c + d)
-                    for yi, a, b, c, d in zip(y, k1, k2, k3, k4, strict=True)
-                ])
             t = t_next
             if record:
                 times.append(t)
@@ -242,6 +244,59 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
         times.append(t)
         states.append(y)
     return Trajectory(tuple(times), tuple(states))
+
+
+def step_lines(method: str, dim: int, stage: Stage) -> list[str]:
+    """The body of ``step(t, h, y)``, one Euler or RK4 step, as statements
+    ending in ``return`` of the next state.  ``stage(lines, t, y)`` appends one
+    right-hand side evaluation at the time and state named by the codes it is
+    given and returns the code of each component.  The float operations and
+    their order are the textbook formulas', so every stage emitter gives the
+    same bits.  The step's own locals are ``_y<i> _b<i> _c<i> _d<i> _t2 _t1
+    _h2 _h6``; a stage names its locals otherwise."""
+    y = [f"_y{i}" for i in range(dim)]
+    lines = [f"{''.join(f'{yi}, ' for yi in y)}= y"]
+
+    def at(t: str, factor: str, k: list[str], name: str) -> list[str]:
+        state = [f"_{name}{i}" for i in range(dim)]
+        lines.extend(f"{si} = {yi} + {factor} * {ki}" for si, yi, ki in zip(state, y, k))
+        return stage(lines, t, state)
+
+    a = stage(lines, "t", y)
+    if method == "euler":
+        new = [f"{yi} + h * {ai}" for yi, ai in zip(y, a)]
+    else:
+        lines += ["_h2 = h / 2", "_t2 = t + _h2"]
+        b = at("_t2", "_h2", a, "b")
+        c = at("_t2", "_h2", b, "c")
+        lines.append("_t1 = t + h")
+        d = at("_t1", "h", c, "d")
+        lines.append("_h6 = h / 6")
+        new = [f"{yi} + _h6 * ({ai} + 2 * {bi} + 2 * {ci} + {di})" for yi, ai, bi, ci, di in zip(y, a, b, c, d)]
+    lines.append(f"return ({''.join(f'{v}, ' for v in new)})")
+    return lines
+
+
+def _call_rhs(lines: list[str], t: str, y: list[str]) -> list[str]:
+    # unpacking a value of the wrong length raises ValueError
+    k = [f"_k{len(lines)}_{i}" for i in range(len(y))]
+    lines.append(f"{''.join(f'{ki}, ' for ki in k)}= _rhs({t}, ({''.join(f'{yi}, ' for yi in y)}))")
+    return k
+
+
+@functools.lru_cache(maxsize=64)
+def _rhs_step_factory(method: str, dim: int) -> Callable[[RHS], Step]:
+    body = "".join(f"        {line}\n" for line in step_lines(method, dim, _call_rhs))
+    source = f"def _factory(_rhs):\n    def _step(t, h, y):\n{body}    return _step\n"
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, f"<stepcalc solver.rhs_step {method} {dim}>", "exec"), namespace)
+    return namespace["_factory"]
+
+
+def rhs_step(method: str, dim: int, rhs: RHS) -> Step:
+    """One Euler or RK4 step ``step(t, h, y)`` of ``step_lines`` that calls
+    ``rhs`` at each stage; the code is generated once per (method, dim)."""
+    return _rhs_step_factory(method, dim)(rhs)
 
 
 def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0) -> tuple[Vector, int]:
@@ -297,7 +352,7 @@ def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP, method: str 
         if b == 0.0:
             return traj.times[i], states[i]
         if a != 0.0 and (a < 0.0) != (b < 0.0):
-            local = IVP(ivp.dim, ivp.rhs, traj.times[i - 1], states[i - 1], series=ivp.series)
+            local = dataclasses.replace(ivp, t0=traj.times[i - 1], y0=states[i - 1])
             return _refine_crossing(local, component, traj.times[i], states[i], method)
     return None
 

@@ -715,6 +715,8 @@ class TestErrorContract:
         two_spec = tmp_path / "two.ivp"
         two_spec.write_text(EXP_SPEC.replace("dim = 1", "dim = 2").replace("y0 = 1", "y0 = 1, 1")
                             .replace("rhs_1 = y1", "rhs_1 = y1\nrhs_2 = y2"))
+        inf_y0_spec = tmp_path / "inf_y0.ivp"
+        inf_y0_spec.write_text(two_spec.read_text().replace("y0 = 1, 1", "y0 = 1, 1e400"))
         plot = ("solve", str(two_spec), "--svg", str(tmp_path / "two.svg"), "--components")
         curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
         lox = ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "20")
@@ -735,7 +737,8 @@ class TestErrorContract:
             (1, ("fn", "exp", "inf")),
             (1, ("fn", "exp", "1000", "--h", "0.1")),  # overflows to inf
             (1, ("fn", "exp", "0.5", "--h", "0")),
-            (1, ("solve", str(nan_spec))),
+            (2, ("solve", str(nan_spec))),
+            (2, ("solve", str(inf_y0_spec))),
             (1, ("ellipk", "--k", "0.5", "--h", "inf")),
             (1, ("fn", "exp", "1", "--h", "inf")),
             (1, ("fn", "exp", "1", "--h", "1e-300")),  # beyond the step budget
@@ -790,6 +793,8 @@ class TestErrorContract:
         assert f"{inf_h_spec}:7:" in run(capsys, "solve", str(inf_h_spec))[2]
         assert f"{inf_t0_spec}:4:" in run(capsys, "solve", str(inf_t0_spec))[2]
         assert f"{inf_t_end_spec}:6:" in run(capsys, "solve", str(inf_t_end_spec))[2]
+        assert f"{nan_spec}:5: y0 must be finite, got (nan,)" in run(capsys, "solve", str(nan_spec))[2]
+        assert f"{inf_y0_spec}:6: y0 must be finite, got (1.0, inf)" in run(capsys, "solve", str(inf_y0_spec))[2]
         assert "h=1e-300" in run(capsys, "fn", "exp", "1", "--h", "1e-300")[2]
         assert "h=1e-08" in run(capsys, "table", "--h", "1e-8")[2]
         assert "100 levels" in run(capsys, "deriv", "(" * 3000 + "x" + ")" * 3000, "--at", "1")[2]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from stepcalc import applications, functions, solver
+from stepcalc import applications, cli, expr, functions, solver
 from stepcalc.solver import (
     IVP,
     MAX_STEPS,
@@ -16,6 +16,7 @@ from stepcalc.solver import (
     integrate,
     integrate_final,
 )
+from test_expr import TestCompileFloat, outcome, random_float_tree
 
 EXP_IVP = IVP(1, lambda t, y: (y[0],), 0.0, (1.0,))
 
@@ -598,3 +599,129 @@ class TestCsv:
         traj = Trajectory(tuple(r[0] for r in rows), tuple(tuple(r[1:]) for r in rows))
         expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
         assert traj.to_csv().split("\n")[1:] == [*expected, ""]
+
+
+def spec_ivp(tmp_path, sources, method, t0=0.0, y0=None, t_end=1.0, h=0.1):
+    """The IVP, with its generated step, of a spec file with these right-hand sides."""
+    y0 = y0 or [1.0] * len(sources)
+    lines = [f"dim = {len(sources)}", *(f"rhs_{i} = {s}" for i, s in enumerate(sources, 1)),
+             f"t0 = {t0!r}", f"y0 = {', '.join(map(repr, y0))}", f"t_end = {t_end!r}", f"h = {h!r}",
+             f"method = {method}"]
+    path = tmp_path / "step.ivp"
+    path.write_text("\n".join(lines) + "\n")
+    return cli.load_spec_file(str(path))[0]
+
+
+def walker_rhs(sources, calls=None):
+    """The right-hand side by ``expr.evaluate``; appends each call's t to ``calls``."""
+    trees = [expr.parse(source) for source in sources]
+
+    def rhs(t, y):
+        if calls is not None:
+            calls.append(t)
+        env = {"t": t, **{f"y{i}": v for i, v in enumerate(y, 1)}}
+        return [expr.evaluate(tree, env) for tree in trees]
+
+    return rhs
+
+
+def reference_step(rhs, method, t, h, y):
+    """Euler's and RK4's textbook formulas."""
+    k1 = rhs(t, y)
+    if method == "euler":
+        return tuple(yi + h * a for yi, a in zip(y, k1))
+    k2 = rhs(t + h / 2, [yi + h / 2 * a for yi, a in zip(y, k1)])
+    k3 = rhs(t + h / 2, [yi + h / 2 * b for yi, b in zip(y, k2)])
+    k4 = rhs(t + h, [yi + h * c for yi, c in zip(y, k3)])
+    return tuple(yi + h / 6 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
+class TestGeneratedStep:
+    """A spec file's step, generated with its right-hand sides inlined, and the
+    step generated around a Python right-hand side, against the textbook step
+    on the walker: the same bits, or the same exception and message."""
+
+    VALUES = TestCompileFloat.VALUES
+
+    def random_sources(self, rng, dim):
+        allowed = {"t"} | {f"y{i}" for i in range(1, dim + 1)}
+        sources = []
+        while len(sources) < dim:
+            tree = expr.parse(expr.to_source(random_float_tree(rng, 4)))
+            if expr.variables(tree) <= allowed:
+                sources.append(expr.to_source(tree))
+        return sources
+
+    def test_matches_the_reference_on_random_trees(self, tmp_path):
+        rng = random.Random(20261019)
+        failures = successes = 0
+        for _ in range(120):
+            dim, method = rng.randint(1, 4), rng.choice(["euler", "rk4"])
+            sources = self.random_sources(rng, dim)
+            ivp = spec_ivp(tmp_path, sources, method)
+            assert set(ivp.steps) == {method}
+            rhs = walker_rhs(sources)
+            python_step = solver.rhs_step(method, dim, rhs)
+            for _ in range(5):
+                t, h = rng.choice(self.VALUES), rng.choice([0.1, -0.1, 0.5, -2.0, 1e-3])
+                y = tuple(rng.choice(self.VALUES) for _ in range(dim))
+                want = outcome(reference_step, rhs, method, t, h, y)
+                assert outcome(ivp.steps[method], t, h, y) == want, (sources, t, h, y)
+                assert outcome(python_step, t, h, y) == want, (sources, t, h, y)
+                if isinstance(want[0], type):
+                    failures += 1
+                else:
+                    successes += 1
+        assert failures > 100 and successes > 100
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t_end", [1.0, -1.0])
+    def test_runs_match_the_reference_on_their_grid(self, tmp_path, method, dim, t_end):
+        sources = ["y2", "-y1 + cos(t)", "t * y3 - sin(t)^2", "exp(-t) / (1 + y4^2)"][:dim]
+        sources[-1] = sources[-1].replace(f"y{dim + 1}", "y1")
+        ivp = spec_ivp(tmp_path, sources, method, t0=0.25, y0=[0.5 + i for i in range(dim)])
+        traj = integrate(ivp, StepPlan(0.3, t_end), method)
+        assert 0 < abs(traj.times[-1] - traj.times[-2]) < 0.3  # the last step is shortened
+        rhs = walker_rhs(sources)
+        y = ivp.y0
+        for t, t_next, state in zip(traj.times, traj.times[1:], traj.states[1:]):
+            y = reference_step(rhs, method, t, t_next - t, y)
+            assert [v.hex() for v in state] == [v.hex() for v in y]
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_a_long_rhs_is_called_not_inlined(self, tmp_path, method):
+        sources = [" + ".join(f"{k}e-3 * sin(t * y1)" for k in range(1, 70))]
+        assert expr.size(expr.parse(sources[0])) > cli.MAX_INLINED_NODES
+        ivp = spec_ivp(tmp_path, sources, method)
+        assert ivp.steps == {}
+        traj = integrate(ivp, StepPlan(0.3, 1.0), method)
+        (t, t_next), y = traj.times[-2:], traj.states[-2]
+        assert traj.states[-1] == reference_step(walker_rhs(sources), method, t, t_next - t, y)
+
+    @pytest.mark.parametrize("source, stage", [
+        ("sqrt(0.01 - t)", 2),  # t + h / 2 is the first time past 0.01
+        ("sqrt(0.001 - y1)", 3),  # y1 is 0 at k1 and k2, h^2 / 4 at k3
+        ("sqrt(0.004 - y1)", 4),  # and h^2 / 2 at k4
+    ])
+    def test_a_failing_stage_gives_the_walkers_error(self, tmp_path, source, stage):
+        # y1' = y2, y2' = 1 + 0 * (a term that fails at one stage)
+        sources = ["y2", f"1 + 0 * {source}"]
+        calls = []
+        with pytest.raises(ValueError) as want:
+            reference_step(walker_rhs(sources, calls), "rk4", 0.0, 0.1, (0.0, 0.0))
+        assert len(calls) == stage
+        ivp = spec_ivp(tmp_path, sources, "rk4", y0=[0.0, 0.0])
+        with pytest.raises(IntegrationError) as err:
+            integrate(ivp, StepPlan(0.1, 1.0), "rk4")
+        assert (err.value.t, str(err.value)) == (0.0, f"integration failed at t=0.0: {want.value}")
+        assert isinstance(err.value.cause, expr.ExprEvalError)
+
+    def test_crossing_search_keeps_the_declared_integrand(self):
+        # the local IVP of the search carries every field, so RK4 there is Simpson's rule on f
+        calls = []
+        ivp = IVP(1, lambda t, y: calls.append(t) or (math.cos(t),), 0.0, (0.5,), math.cos)
+        traj = integrate(ivp, StepPlan(0.1, 5.0), "rk4")
+        t, _ = find_zero_crossings(traj, 0, ivp)  # 0.5 + sin t = 0
+        assert abs(t - 7 * oracles.PI / 6) < 1e-6
+        assert calls == []
