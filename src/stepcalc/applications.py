@@ -174,7 +174,7 @@ def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
     def integrand(t):
         return 1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2)
 
-    ivp = IVP(1, lambda t, y: (integrand(t),), 0.0, (0.0,), integrand)
+    ivp = IVP(1, None, 0.0, (0.0,), integrand)
     if h is not None:
         return integrate_final(ivp, StepPlan.divided(0.0, phi, h))[1][0]
     n, used = 8, 8

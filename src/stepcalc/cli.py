@@ -26,9 +26,6 @@ if TYPE_CHECKING:
 # the subcommands, in the order build_parser adds them and --help lists them
 COMMANDS = ("solve", "deriv", "fn", "table", "pi", "pendulum", "ballistics", "lox", "ellipk", "rectify")
 MAX_SWEEP_POINTS = 10**4  # pendulum --sweep-points; each point is one elliptic_K quadrature
-# Most spec-file RHS nodes inlined at each stage of the generated step; more are called, compiled.
-# Inlining saves ~1 us a stage and costs ~2.5 us and 2 KB of compiling a node a stage.
-MAX_INLINED_NODES = 256
 
 
 def _fmt(x: float) -> str:
@@ -87,6 +84,8 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     if dim < 1:
         raise SpecFileError("dim must be positive", lineno)
 
+    names = ["t"] + [f"y{i}" for i in range(1, dim + 1)]
+    allowed = set(names)
     rhs_exprs: list[expr.Expr] = []
     for i in range(1, dim + 1):
         source, lineno = take(f"rhs_{i}")
@@ -94,7 +93,6 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
             tree = expr.parse(source)
         except expr.ExprSyntaxError as exc:
             raise SpecFileError(f"rhs_{i}: {exc}", lineno) from None
-        allowed = {"t"} | {f"y{j}" for j in range(1, dim + 1)}
         unknown = expr.variables(tree) - allowed
         if unknown:
             raise SpecFileError(f"rhs_{i}: unknown variable(s) {sorted(unknown)}; allowed: t, y1..y{dim}",
@@ -125,11 +123,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
         key = sorted(entries)[0]
         raise SpecFileError(f"unknown key {key!r}", entries[key][1])
 
-    names = ["t"] + [f"y{i}" for i in range(1, dim + 1)]
     plan = solver.StepPlan(h, t_end)
-    if sum(map(expr.size, rhs_exprs)) > MAX_INLINED_NODES:
-        components = expr.compile_float(rhs_exprs, names)
-        return solver.IVP(dim, lambda t, y: components(t, *y), t0, y0), plan, method
     known: dict[str, str] = {}  # shared by the stages, so a subtree on the same operands is computed once a step
 
     def stage(lines: list[str], t: str, y: list[str]) -> list[str]:

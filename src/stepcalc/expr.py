@@ -494,11 +494,6 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None =
     return _fold(expr, visit, lambda node: () if isinstance(node, Call) else _children(node))
 
 
-def size(expr: Expr) -> int:
-    """Number of nodes in the tree."""
-    return len(_postorder(expr))
-
-
 def variables(expr: Expr) -> set[str]:
     """Names of all free variables in the tree."""
     return {node.name for node in _postorder(expr) if isinstance(node, Var)}

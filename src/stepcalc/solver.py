@@ -84,11 +84,11 @@ class IVP:
     """An initial-value problem y' = rhs(t, y), y(t0) = y0.
 
     It declares ``rhs`` (for Euler and RK4), a ``series`` (for Taylor steps),
-    or both.  ``integrand`` is f where rhs(t, y) is (f(t),).  ``series(cols, k)``
-    is the Taylor coefficient vector of order k + 1 at a node, from those of
-    orders 0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor step calls
-    it with k = 0, 1, 2, ... in order, so a series may keep the coefficients of
-    its intermediates (a sine, a speed) from call to call, anew at k = 0.
+    or both.  ``integrand`` is f where y' = f(t), enough for RK4 without ``rhs``.
+    ``series(cols, k)`` is the Taylor coefficient vector of order k + 1 at a node,
+    from those of orders 0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor
+    step calls it with k = 0, 1, 2, ... in order, so a series may keep the coefficients
+    of its intermediates (a sine, a speed) from call to call, anew at k = 0.
     ``steps`` maps "euler" or "rk4" to a step ``step(t, h, y)`` that computes
     what ``rhs_step`` of ``rhs`` does, bit for bit, with ``rhs`` inlined.
     """
@@ -197,7 +197,7 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
         raise ValueError(f"unknown method {method!r}")
     f = ivp.integrand if method == "rk4" else None
     series = ivp.series if method == "taylor" else None
-    if (series if method == "taylor" else ivp.rhs) is None:
+    if (series if method == "taylor" else f or ivp.rhs) is None:
         needs = "a series" if method == "taylor" else "a right-hand side"
         raise ValueError(f"method {method!r} needs an IVP that declares {needs}")
     step = None if f or series else ivp.steps.get(method) or rhs_step(method, ivp.dim, ivp.rhs)

@@ -100,6 +100,16 @@ class TestSolve:
         assert {point.split(",")[1] for point in polyline.get("points").split()} == {f"{middle:.2f}"}
         assert ">4<" in text and ">6<" in text  # the lowest and highest y tick labels
 
+    @pytest.mark.parametrize("curves, message", [
+        ([], "at least one series is required"),
+        ([svgplot.Series("y1", [0.0, 1.0], [0.0])], "series 'y1' needs equally many xs and ys"),
+        ([svgplot.Series("y1", [0.0], [0.0]), svgplot.Series("y2", [], [])], "series 'y2' needs equally many xs and ys"),
+    ])
+    def test_svg_refuses_series_it_cannot_draw(self, curves, message):
+        with pytest.raises(ValueError) as err:
+            svgplot.line_plot(curves)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("old, new, where, message", [
         ("dim = 1", "dim 1", ":2: ", "expected 'key = value', got 'dim 1'"),
         ("h = 0.001", "h = 0.001\nt0 = 1", ":8: ", "duplicate key 't0'"),
@@ -117,6 +127,18 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(path))
         assert (code, out, err.count("\n")) == (2, "", 1)
         assert err.startswith(f"stepcalc: {path}{where}{message}")
+
+    def test_a_wide_spec_loads_and_solves_in_linear_time(self, capsys, tmp_path):
+        # rhs_i = y<i> for 16 000 components: loading is linear in dim, not quadratic
+        dim = 16_000
+        path = tmp_path / "wide.ivp"
+        path.write_text(f"dim = {dim}\n" + "".join(f"rhs_{i} = y{i}\n" for i in range(1, dim + 1))
+                        + f"t0 = 0\ny0 = {', '.join(['1'] * dim)}\nt_end = 1\nh = 0.5\nmethod = euler\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        assert out.split("\n")[-2] == "1" + ",2.25" * dim
 
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "nope.ivp"))

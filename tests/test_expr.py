@@ -361,6 +361,7 @@ class TestSeriesDerivative:
         ("x^((2*x+1)/(2*x+1)*3/2)", 1, (NotRationalError, "exponent must be a constant integer (at position 1)")),
         ("x^(x/(x-x))", 2, (ExprEvalError, "division by zero (at position 4)")),
         ("x^((x-1)^2/(x-1)^2*(0-2))", 1, -2),
+        ("x^2 + zz", 1, (ExprEvalError, "unbound variable 'zz' (at position 6)")),
     ])
     def test_named_cases(self, source, x0, expected):
         assert by_series(source, x0) == by_ratfunc(source, x0) == expected

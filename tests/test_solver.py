@@ -227,6 +227,14 @@ class TestIntegrandRule:
         euler = integrate(ivp, StepPlan(0.1, 1.0), "euler")
         assert euler == integrate(dataclasses.replace(ivp, integrand=None), StepPlan(0.1, 1.0), "euler")
 
+    def test_an_integrand_alone_serves_rk4_and_not_euler(self):
+        ivp = IVP(1, None, 0.0, (0.0,), math.cos)
+        with_rhs = dataclasses.replace(ivp, rhs=lambda t, y: (math.cos(t),))
+        assert integrate(ivp, StepPlan(0.1, 1.0), "rk4") == integrate(with_rhs, StepPlan(0.1, 1.0), "rk4")
+        with pytest.raises(ValueError) as err:
+            integrate(ivp, StepPlan(0.1, 1.0), "euler")
+        assert str(err.value) == "method 'euler' needs an IVP that declares a right-hand side"
+
     def test_integrand_needs_dimension_one(self):
         with pytest.raises(ValueError, match="dim 1"):
             IVP(2, lambda t, y: (1.0, 1.0), 0.0, (0.0, 0.0), math.cos)
@@ -441,6 +449,18 @@ class TestErrors:
                 StepPlan(0.1, bad)
             with pytest.raises(ValueError, match="step size h"):
                 StepPlan(bad, 1.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: IVP(0, EXP_IVP.rhs, 0.0, ()), "dim must be positive"),
+        (lambda: IVP(2, EXP_IVP.rhs, 0.0, (1.0,)), "y0 has length 1, expected 2"),
+        (lambda: find_zero_crossings(Trajectory((0.0,), ((1.0,),)), 1, EXP_IVP), "component 1 out of range for dim 1"),
+        (lambda: find_zero_crossings(Trajectory((0.0,), ((1.0,),)), -1, EXP_IVP),
+         "component -1 out of range for dim 1"),
+    ], ids=["dim 0", "short y0", "component 1", "component -1"])
+    def test_bad_arguments_are_refused(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -690,14 +710,15 @@ class TestGeneratedStep:
             assert [v.hex() for v in state] == [v.hex() for v in y]
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
-    def test_a_long_rhs_is_called_not_inlined(self, tmp_path, method):
+    def test_a_long_rhs_is_inlined(self, tmp_path, method):
+        # 482 nodes: a spec of any size declares the generated step
         sources = [" + ".join(f"{k}e-3 * sin(t * y1)" for k in range(1, 70))]
-        assert expr.size(expr.parse(sources[0])) > cli.MAX_INLINED_NODES
         ivp = spec_ivp(tmp_path, sources, method)
-        assert ivp.steps == {}
+        assert set(ivp.steps) == {method}
         traj = integrate(ivp, StepPlan(0.3, 1.0), method)
-        (t, t_next), y = traj.times[-2:], traj.states[-2]
-        assert traj.states[-1] == reference_step(walker_rhs(sources), method, t, t_next - t, y)
+        rhs = walker_rhs(sources)
+        for t, t_next, y, state in zip(traj.times, traj.times[1:], traj.states, traj.states[1:]):
+            assert [v.hex() for v in state] == [v.hex() for v in reference_step(rhs, method, t, t_next - t, y)]
 
     @pytest.mark.parametrize("source, stage", [
         ("sqrt(0.01 - t)", 2),  # t + h / 2 is the first time past 0.01

@@ -181,6 +181,12 @@ class TestSineTableType:
         assert table.value_at_node(0) == 0.0
         assert table.value_at_node(1) == table.values[0]
 
+    @pytest.mark.parametrize("k", [-1, 25])
+    def test_value_at_node_out_of_range(self, table, k):
+        with pytest.raises(ValueError) as err:
+            table.value_at_node(k)
+        assert str(err.value) == f"node index {k} out of range"
+
     def test_entry_count_enforced(self):
         with pytest.raises(ValueError):
             SineTable(1.0, (1.0, 2.0))
