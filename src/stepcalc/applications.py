@@ -239,10 +239,8 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
 def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:
     """Flight trajectory in Taylor steps, up to the first node below ground.
 
-    The speed sqrt(vx^2 + vy^2) has branch points vx/g off the apex, unseen
-    by a series summed to or past it when vx is small.  So a run stops past
-    the apex, Newton steps on vy from the node before reach the apex (vy = 0)
-    without passing it, halved down to vx/g, and a run goes on from there.
+    A run stops at the first node past the apex, the crossing locator finds
+    the apex (vy = 0) from the node before, and a run goes on from there.
     Drag only shortens ascent and flight: the runs end two steps past their
     vacuum times.  The step is at most 4/3 of the shortest ascent drag allows
     (ln(1 + u)/u vy0/g, u = cm v0 vy0/g), so heavy drag splits few steps.
@@ -252,15 +250,11 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
     h = min(h, vacuum_time / 1.5 * (math.log1p(u) / u if u else 1.0))
     ivp = ballistics_ivp(spec)
     rise = integrate(ivp, StepPlan(h, vacuum_time / 2.0 + 2.0 * h), "taylor", stop=3)
-    n = sum(state[3] > 0.0 for state in rise.states)  # the nodes before the apex
-    t, y = rise.times[n - 1], rise.states[n - 1]
-    while n:  # Newton steps to vy = 0, short of it as vy is convex; halved while longer than vx/g
-        d = -y[3] / ivp.series([y], 0)[3]
-        if not t < (t_next := t + (d if d <= y[2] / spec.gravity else d / 2.0)):
-            break
-        t, y = t_next, integrate_final(replace(ivp, t0=t, y0=y), StepPlan(t_next - t, t_next), "taylor")[1]
-    if not (n and y[1] > 0.0):
+    apex = find_zero_crossings(rise, 3, ivp, "taylor")
+    if not (apex and apex[1][1] > 0.0):
         raise RuntimeError(f"the apex is not above ground; the vacuum range is {vacuum_range(spec)!r}")
+    t, y = apex
+    n = sum(s < t for s in rise.times)  # the nodes before the apex
     fall = integrate(replace(ivp, t0=t, y0=y), StepPlan(h, vacuum_time + 2.0 * h), "taylor", stop=1)
     traj = Trajectory(rise.times[:n] + fall.times, rise.states[:n] + fall.states)
     if not traj.states[-1][1] < 0.0:

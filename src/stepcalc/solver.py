@@ -21,12 +21,15 @@ t0 = 0, where each step t_next - t is exact (Sterbenz).
 
 A Taylor step (Moore, *Interval Analysis*, 1966, ch. 11) adds the
 coefficients c_k of y(t + s) = sum c_k s^k from the IVP's ``series`` until
-two consecutive terms satisfy max_i |c_k,i| |h|^k <= 2^-53 max_i |y_i|, and
-sums them by Horner's rule.  A step whose series has not got there by order
-``TAYLOR_MAX_ORDER`` is split into halves, each taken the same way, in at most
-``TAYLOR_SPLIT_STEPS`` more attempts (two a halving, so at most 128 levels
-deep), all within ``MAX_STEPS`` attempts a run, one kept for each step; past
-that it is refused.  The grid nodes stay at multiples of h.
+two consecutive terms satisfy |c_k,i| |h|^k <= 2^-53 s_i in each component,
+s_i = max(|y_i|, |h c_1,i|) at most max|y|, or max|y| where that is 0 (Jorba
+and Zou, *Experimental Math.* 14, 2005), and sums them by Horner's rule; a
+step from a state that is not finite is refused.  A step whose series has
+not got there by order ``TAYLOR_MAX_ORDER`` is split into halves, each taken
+the same way, in at most ``TAYLOR_SPLIT_STEPS`` more attempts (two a
+halving, so at most 128 levels deep), all within ``MAX_STEPS`` attempts a
+run, one kept for each step; past that it is refused.  The grid nodes stay
+at multiples of h.
 
 A run may stop at the first node where a named state component is negative
 (``integrate(..., stop=i)``), as at a projectile's landing.  The first zero
@@ -66,7 +69,7 @@ MAX_STEPS = 10**7  # step budget of one integration run
 FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
 TAYLOR_MAX_ORDER = 60  # highest order of one Taylor step
 TAYLOR_SPLIT_STEPS = 256  # attempts a split Taylor step may add at most
-TAYLOR_DISCARD = 2.0**-53  # a Taylor term below this times max|y| is discarded
+TAYLOR_DISCARD = 2.0**-53  # a Taylor term below this times its component's size is discarded
 
 
 class IntegrationError(RuntimeError):
@@ -301,14 +304,19 @@ def rhs_step(method: str, dim: int, rhs: RHS) -> Step:
 
 def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0) -> tuple[Vector, int]:
     """(y(t + h), attempts left of ``spare``) by a Taylor step ``depth`` halvings deep (see the module docstring)."""
-    cols = [y]
-    discard = TAYLOR_DISCARD * max(map(abs, y))
+    if not all(map(math.isfinite, y)):
+        raise ArithmeticError(f"state is not finite: {y!r}")
+    cols, sizes = [y], None  # sizes: 2^-53 times each component's size, once a term is below 2^-53 max|y|
+    discard = TAYLOR_DISCARD * (top := max(map(abs, y)))
     hk, below = 1.0, False  # |h|^k, and whether the last term was below the discard size
     for k in range(TAYLOR_MAX_ORDER):
         c = series(cols, k)
         cols.append(c)
         hk *= abs(h)
-        small = max(map(abs, c)) * hk <= discard and math.isfinite(sum(c))  # max skips a nan after the first
+        small = (largest := max(map(abs, c)) * hk) <= discard and math.isfinite(sum(c))  # max skips a later nan
+        if small and largest:
+            sizes = sizes or [TAYLOR_DISCARD * (min(max(abs(v), abs(h * d)), top) or top) for v, d in zip(y, cols[1])]
+            small = all(abs(ci) * hk <= size for ci, size in zip(c, sizes))
         if small and below:
             break
         below = small

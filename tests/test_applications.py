@@ -320,12 +320,14 @@ class TestBallistics:
 
     def test_near_vertical_range_against_the_drag_oracle(self):
         # the speed's branch points lie vx/g off the apex, 2.9e-5 s at 89.999
-        # degrees below: a Taylor step across the apex summed the branch that
-        # does not turn (3e-5 off at 89.9999), and one that ends there misses a
-        # slowly converging tail of terms too small to see (3e-10 at 89.999).
-        # Steps that halve the way to the apex leave 7.8e-12 here, and 2.1e-11
-        # over 40 specs drawn alike from another seed.  RK4 at the old default
-        # step of 1e-3 was up to 6.2e-7 off on these specs
+        # degrees below, so near the apex the terms of the small vx fall off
+        # slowly.  Judged against max|y|, its tail was discarded unconverged: a
+        # step across the apex summed the branch that does not turn (3e-5 off
+        # at 89.9999), and Newton steps onto the apex left 7.8e-12 here.
+        # Judged against vx's own size, the steps and the apex locator leave
+        # 5.5e-15 of the oracle at ds = 0.005 (1.3e-14 over 40 specs drawn
+        # alike from another seed); the bound stays as it was.  RK4 at the old
+        # default step of 1e-3 was up to 6.2e-7 off on these specs
         rng = random.Random(2211)
         specs = [BallisticsSpec(0.16, 0.005, 40.0, math.radians(alpha)) for alpha in (89.999, 89.9999)]
         for _ in range(10):
@@ -336,15 +338,27 @@ class TestBallistics:
             exact = oracles.drag_range(spec.mass, spec.drag, spec.v0, spec.alpha)
             assert abs(ballistics_range(spec) - exact) <= 5e-11 * exact, spec
 
+    @pytest.mark.parametrize("alpha", [89.9999, 89.9999999, 89.99999999999])
+    @pytest.mark.parametrize("mass, drag, v0", [(0.16, 0.005, 40.0), (0.01, 1e-4, 1.0), (1.0, 0.01, 40.0),
+                                                (1.0, 10.0, 1.0)])
+    def test_near_vertical_shots_against_the_fine_drag_oracle(self, mass, drag, v0, alpha):
+        # the shots of the CLI's near-vertical test.  With each Taylor term
+        # judged against the whole state, and Newton steps onto the apex, these
+        # were up to 2.0e-7 off (at 0.16, 0.005, 40 and 89.99999999999 degrees)
+        spec = BallisticsSpec(mass, drag, v0, math.radians(alpha))
+        exact = oracles.drag_range(mass, drag, v0, spec.alpha, ds=0.005)
+        assert abs(ballistics_range(spec) - exact) <= 1e-12 * exact
+
     def test_default_rhs_evaluations(self, series_calls):
-        # 242 series calls: Taylor steps to the first node past the apex, the
-        # Newton steps from the node before onto the apex, the steps on to the
-        # first node below ground and the landing locator's.  RK4 at 1e-3 evaluated the right-hand side
+        # 240 series calls: Taylor steps to the first node past the apex (108),
+        # the apex locator's one step from the node before (4), the steps on to
+        # the first node below ground (108) and the landing locator's (20).  Newton
+        # steps onto the apex took 242.  RK4 at 1e-3 evaluated the right-hand side
         # 21 000 times over a window two steps past the vacuum flight; a window
         # to 1.5x the vacuum time plus 1 s with bisection to 1e-10 s and a second
         # integration from launch took 56 536
         ballistics_range(BallisticsSpec(0.16, 0.0, 40.0, math.radians(40)))
-        assert series_calls[0] == 242
+        assert series_calls[0] == 240
 
     def test_range_integrates_once_from_launch(self, plans):
         spec = BallisticsSpec(0.16, 0.005, 40.0, math.radians(40))

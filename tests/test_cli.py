@@ -494,8 +494,8 @@ class TestBallistics:
         code, out, err = run(capsys, *shot, "--out", str(path))
         assert (code, err) == (0, "")
         # the run to the apex starts at launch, and so, when the apex lies in the
-        # first step, does the Newton step onto it (exact in a vacuum); the
-        # landing locator's steps start at the node before landing
+        # first step, does the apex locator's one step onto it (exact in a
+        # vacuum); the landing locator's steps start at the node before landing
         launch = starts.count(0.0)
         assert starts[:launch] == [0.0] * launch and launch == (2 if extra == ("--v0", "1e-3") else 1)
         assert run(capsys, *shot) == (0, out, "")
@@ -758,6 +758,7 @@ class TestErrorContract:
             (1, ("fn", "exp", "nan")),
             (1, ("fn", "exp", "inf")),
             (1, ("fn", "exp", "1000", "--h", "0.1")),  # overflows to inf
+            (1, ("fn", "exp", "711")),
             (1, ("fn", "exp", "0.5", "--h", "0")),
             (2, ("solve", str(nan_spec))),
             (2, ("solve", str(inf_y0_spec))),
@@ -818,6 +819,11 @@ class TestErrorContract:
         assert f"{nan_spec}:5: y0 must be finite, got (nan,)" in run(capsys, "solve", str(nan_spec))[2]
         assert f"{inf_y0_spec}:6: y0 must be finite, got (1.0, inf)" in run(capsys, "solve", str(inf_y0_spec))[2]
         assert "h=1e-300" in run(capsys, "fn", "exp", "1", "--h", "1e-300")[2]
+        # refused at the first node that overflowed, not split 128 times from it
+        assert run(capsys, "fn", "exp", "711")[2] == (
+            "stepcalc: integration failed at t=710.0: state is not finite: (inf,)\n")
+        assert run(capsys, "fn", "exp", "1000", "--h", "0.1")[2] == (
+            "stepcalc: integration failed at t=709.8000000000001: state is not finite: (inf,)\n")
         assert "h=1e-08" in run(capsys, "table", "--h", "1e-8")[2]
         assert "100 levels" in run(capsys, "deriv", "(" * 3000 + "x" + ")" * 3000, "--at", "1")[2]
         assert "unexpected character" in run(capsys, "deriv", "x²", "--at", "1")[2]

@@ -359,6 +359,30 @@ class TestTaylor:
         with pytest.raises(IntegrationError, match="terms above the discard size"):
             integrate(ivp, StepPlan(1.0, 1.0), "taylor")
 
+    def test_a_small_component_is_judged_against_its_own_size(self):
+        # y2' = 2 y2 from 1e-12 beside a constant 1: judged against max|y| = 1,
+        # y2's terms were discarded below 2^-53, 1.1e-4 of y2, and the steps
+        # ended 2.2e-7 and 2.4e-7 off
+        ivp = IVP(2, None, 0.0, (1.0, 1e-12), series=lambda cols, k: (0.0, 2.0 * cols[k][1] / (k + 1)))
+        exact = 1e-12 * math.exp(2.0)
+        for h in (0.5, 0.1):
+            value = integrate_final(ivp, StepPlan(h, 1.0), "taylor")[1]
+            assert value[0] == 1.0 and abs(value[1] - exact) <= 1e-14 * exact, h
+
+    def test_a_component_at_rest_is_judged_against_the_state(self):
+        # u = 1 - cos t with u(0) = u'(0) = 0 beside (sin t, cos t): a size of
+        # 0 would discard only exact zeros, and the step from t = 0 would be
+        # split 13 times, until its terms underflow by order 60
+        orders = []
+
+        def series(cols, k):
+            orders.append(k)
+            return (cols[k][1] / (k + 1), -cols[k][0] / (k + 1), cols[k][0] / (k + 1))
+
+        value = integrate_final(IVP(3, None, 0.0, (0.0, 1.0, 0.0), series=series), StepPlan(0.5, 1.0), "taylor")[1]
+        assert orders.count(0) == 2  # one attempt a step
+        assert abs(value[2] - (1.0 - math.cos(1.0))) <= 1e-15
+
     def test_a_failing_series_fails_like_a_failing_rhs(self):
         def series(cols, k):
             if k == 3:
