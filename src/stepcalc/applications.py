@@ -294,9 +294,14 @@ def rectify(curve: Callable[[float], tuple[float, float]],
     """Total length of the inscribed polyline on a uniform parameter grid."""
     if segments < 1:
         raise ValueError("need at least one segment")
+    span = t_end - t_start
+    # an infinite or nan end makes span non-finite too; with span * segments
+    # finite, no node's span * i overflows
+    if not math.isfinite(span * segments):
+        raise ValueError(f"cannot step t0={t_start!r} to t1={t_end!r} in n={segments} segments: "
+                         "(t1 - t0) * n is not finite")
     total = 0.0
     px, py = curve(t_start)
-    span = t_end - t_start
     for i in range(1, segments + 1):
         x, y = curve(t_start + span * i / segments)
         total += math.hypot(x - px, y - py)

@@ -6,6 +6,10 @@ table), pi (series summation), pendulum, ballistics, lox, ellipk, rectify.
 
 A request builds only the subparser it names and imports only the modules
 that subparser and its handler use; any other argument list builds them all.
+A parser is built once per process for each tuple of names, from the library
+constants as they are at its first use, and is shared by every later request
+that names the same subcommand; callers must not add arguments or defaults
+to it.
 
 Exit codes: 0 success, 1 runtime/domain error, 2 usage/parse error.
 """
@@ -13,6 +17,7 @@ Exit codes: 0 success, 1 runtime/domain error, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -317,8 +322,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: usage error: {message}\n")
 
 
+@functools.cache
 def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
-    """The parser with a subparser for each subcommand in ``names``."""
+    """The parser with a subparser for each subcommand in ``names`` (a tuple).
+
+    It is built once per process for each ``names``, with the defaults the
+    library constants have at that first call, and every later call returns
+    the same shared parser: add no arguments or defaults to it.
+    """
     parser = _Parser(
         prog="stepcalc",
         description="Limit-free calculus toolkit: ODE-defined functions, exact "
@@ -431,7 +442,7 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+    parser = build_parser(tuple(argv[:1]) if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

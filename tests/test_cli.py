@@ -699,6 +699,18 @@ class TestLeanParser:
         else:
             assert lean[0] == 2 and "usage error: " in lean[2]
 
+    def test_shared_parsers_give_the_outcomes_of_fresh_ones(self, capsys, monkeypatch):
+        sequence = [["pi", "--terms", "10", "--corrected"], ["pi", "--terms", "10"],
+                    ["fn", "sin", "1", "--h", "0.25"], ["fn", "sin", "1"],
+                    ["fn", "sin", "x"], ["fn", "--help"], ["rectify", "--t1", "inf"], ["frobnicate"]]
+        shared = [run(capsys, *argv) for argv in sequence * 2]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in sequence * 2]
+        assert shared == fresh
+        assert [code for code, _, _ in shared[:len(sequence)]] == [0, 0, 0, 0, 2, 0, 1, 2]
+        assert shared[:len(sequence)] == shared[len(sequence):]
+        assert build_parser(("fn",)) is build_parser(("fn",))
+
     def test_default_is_the_full_parser(self):
         listed = re.findall(r"^    (\S+)", build_parser().format_help(), re.MULTILINE)
         assert tuple(listed) == COMMANDS
@@ -780,6 +792,9 @@ class TestErrorContract:
             (2, ("frobnicate",)),
             (1, ("rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")),
             (1, ("rectify", "--x-expr", "abs((0-1)^0.5)", *curve)),
+            (1, ("rectify", "--t1", "1e308", "-n", "3")),  # finite ends, but (t1 - t0) * n overflows
+            (1, ("rectify", "--t1", "inf")),
+            (1, ("rectify", "--x-expr", "t", "--y-expr", "t", "--t0", "0", "--t1", "inf")),
             (2, ("pendulum", "--theta0", "1", "--sweep", "--sweep-points", "0")),
             (2, ("pendulum", "--theta0", "1", "--sweep", "--sweep-points", "-2")),
             (2, ("rectify", "-n", "0")),
@@ -831,6 +846,9 @@ class TestErrorContract:
             "stepcalc: unbound variable 'y' (at position 0)\n")
         assert run(capsys, "rectify", "--x-expr", "abs((0-1)^0.5)", *curve)[2] == (
             "stepcalc: power with a complex result (at position 9)\n")
+        assert run(capsys, "rectify", "--t1", "1e308", "-n", "3")[2] == (
+            "stepcalc: cannot step t0=0.0 to t1=1e+308 in n=3 segments: (t1 - t0) * n is not finite\n")
+        assert "t0=0.0 to t1=inf in n=1024 segments" in run(capsys, "rectify", "--t1", "inf")[2]
         # only nesting is bounded: a chain of any length is no error
         assert run(capsys, "deriv", "+".join(["x"] * 3000), "--at", "1") == (0, "3000\n", "")
         assert "argument --sweep-points" in run(capsys, "pendulum", "--theta0", "1", "--sweep",
