@@ -7,3 +7,47 @@ discarding infinitesimals.
 """
 
 __version__ = "0.1.0"
+
+
+class Record:
+    """Base of the package's immutable records: plain classes, which cost
+    nothing to import and run no generated code.
+
+    A record's fields are its class's ``__slots__``, in constructor order.
+    Its ``__init__`` validates them and sets each once by ``object.__setattr__``;
+    setting or deleting one later raises ``AttributeError``.  ``==`` and
+    ``hash`` hold between records of one class and use every field but those
+    the class names in its ``uncompared`` keyword; ``repr`` shows them all.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._compared = tuple(name for name in cls.__slots__ if name not in uncompared)
+
+    def replace(self, **changes):
+        """A record of this class with the named fields changed, validated anew."""
+        return type(self)(**{name: getattr(self, name) for name in self.__slots__} | changes)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not by setting slots
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import Callable
 
+from . import Record
 from .functions import make_inv_gudermannian
 from .solver import IVP, StepPlan, Trajectory, find_zero_crossings, integrate, integrate_final
 
@@ -29,13 +29,16 @@ ELLIPTIC_TOL = 1e-12
 ELLIPTIC_MAX_STEPS = 2**18
 
 
-@dataclass(frozen=True)
-class PendulumSpec:
-    length: float
-    gravity: float = STANDARD_GRAVITY
-    theta0: float = 0.5  # amplitude, radians
+class PendulumSpec(Record):
+    """A simple pendulum of ``length`` (m) released from rest at amplitude
+    ``theta0`` (radians) under ``gravity`` (m/s^2)."""
 
-    def __post_init__(self):
+    __slots__ = ("length", "gravity", "theta0")
+
+    def __init__(self, length: float, gravity: float = STANDARD_GRAVITY, theta0: float = 0.5):
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "gravity", gravity)
+        object.__setattr__(self, "theta0", theta0)
         if not 0.0 < self.length < math.inf:
             raise ValueError(f"length must be finite and positive, got {self.length!r}")
         if not 0.0 < self.gravity < math.inf:
@@ -50,42 +53,46 @@ class PendulumSpec:
         return 2.0 * math.pi * math.sqrt(self.length / self.gravity)
 
 
-@dataclass(frozen=True)
-class BallisticsSpec:
-    mass: float
-    drag: float  # quadratic drag coefficient, kg/m; 0 means vacuum
-    v0: float
-    alpha: float  # launch angle, radians
-    gravity: float = STANDARD_GRAVITY
+class BallisticsSpec(Record):
+    """A projectile of ``mass`` (kg) launched at ``v0`` (m/s) and angle ``alpha``
+    (radians) under ``gravity``, against quadratic drag of coefficient ``drag``
+    (kg/m; 0 means vacuum)."""
 
-    def __post_init__(self):
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
-        if not 0.0 <= self.drag < math.inf:
-            raise ValueError(f"drag coefficient must be finite and non-negative, got {self.drag!r}")
-        if not 0.0 < self.v0 < math.inf:
-            raise ValueError(f"launch speed must be finite and positive, got {self.v0!r}")
-        if not 0.0 < self.alpha < math.pi / 2:
+    __slots__ = ("mass", "drag", "v0", "alpha", "gravity")
+
+    def __init__(self, mass: float, drag: float, v0: float, alpha: float, gravity: float = STANDARD_GRAVITY):
+        if not 0.0 < mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {mass!r}")
+        if not 0.0 <= drag < math.inf:
+            raise ValueError(f"drag coefficient must be finite and non-negative, got {drag!r}")
+        if not 0.0 < v0 < math.inf:
+            raise ValueError(f"launch speed must be finite and positive, got {v0!r}")
+        if not 0.0 < alpha < math.pi / 2:
             raise ValueError("launch angle must lie in (0, pi/2)")
-        if not 0.0 < self.gravity < math.inf:
-            raise ValueError(f"gravity must be finite and positive, got {self.gravity!r}")
-        if not self.drag / self.mass < math.inf:
-            raise ValueError(f"drag/mass ratio must be finite, got {self.drag / self.mass!r}")
+        if not 0.0 < gravity < math.inf:
+            raise ValueError(f"gravity must be finite and positive, got {gravity!r}")
+        if not drag / mass < math.inf:
+            raise ValueError(f"drag/mass ratio must be finite, got {drag / mass!r}")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "drag", drag)
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "gravity", gravity)
 
 
-@dataclass(frozen=True)
-class GeoPoint:
+class GeoPoint(Record):
     """Latitude/longitude in radians; the poles are excluded because the
     meridional parts diverge there."""
 
-    lat: float
-    lon: float
+    __slots__ = ("lat", "lon")
 
-    def __post_init__(self):
-        if not abs(self.lat) < math.pi / 2:
+    def __init__(self, lat: float, lon: float):
+        if not abs(lat) < math.pi / 2:
             raise ValueError("latitude must lie strictly between the poles")
-        if not math.isfinite(self.lon):
-            raise ValueError(f"longitude must be finite, got {self.lon!r}")
+        if not math.isfinite(lon):
+            raise ValueError(f"longitude must be finite, got {lon!r}")
+        object.__setattr__(self, "lat", lat)
+        object.__setattr__(self, "lon", lon)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +262,7 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
         raise RuntimeError(f"the apex is not above ground; the vacuum range is {vacuum_range(spec)!r}")
     t, y = apex
     n = sum(s < t for s in rise.times)  # the nodes before the apex
-    fall = integrate(replace(ivp, t0=t, y0=y), StepPlan(h, vacuum_time + 2.0 * h), "taylor", stop=1)
+    fall = integrate(ivp.replace(t0=t, y0=y), StepPlan(h, vacuum_time + 2.0 * h), "taylor", stop=1)
     traj = Trajectory(rise.times[:n] + fall.times, rise.states[:n] + fall.states)
     if not traj.states[-1][1] < 0.0:
         raise RuntimeError(f"projectile never landed within the window; the vacuum range is {vacuum_range(spec)!r}")

@@ -20,7 +20,6 @@ import argparse
 import functools
 import math
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -355,6 +354,7 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
 
     if p := command("deriv", cmd_deriv, "exact derivative of a rational expression"):
+        from fractions import Fraction
         p.add_argument("expr", help="rational expression in one variable, e.g. 'x^2'")
         p.add_argument("--at", required=True, type=_option_type(Fraction),
                        help="evaluation point, integer or p/q")

@@ -43,9 +43,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
+
+from . import Record
 
 
 class ExprError(ValueError):
@@ -102,38 +103,52 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Syntax tree
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    text: str = field(compare=False)
-    pos: int = field(compare=False, default=0)
+# A node's ``pos`` is the byte offset of its token, and a number keeps its
+# source ``text``; ``==`` and ``hash`` leave both out, so equal trees compare
+# equal however they were spelled.
+
+class Num(Record, uncompared=("text", "pos")):
+    __slots__ = ("value", "text", "pos")
+
+    def __init__(self, value: float, text: str, pos: int = 0):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int = field(compare=False, default=0)
+class Var(Record, uncompared=("pos",)):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: int = 0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-    pos: int = field(compare=False, default=0)
+class Neg(Record, uncompared=("pos",)):
+    __slots__ = ("operand", "pos")
+
+    def __init__(self, operand: Expr, pos: int = 0):
+        object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    pos: int = field(compare=False, default=0)
+class BinOp(Record, uncompared=("pos",)):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: Expr, right: Expr, pos: int = 0):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: "Expr"
-    pos: int = field(compare=False, default=0)
+class Call(Record, uncompared=("pos",)):
+    __slots__ = ("name", "arg", "pos")
+
+    def __init__(self, name: str, arg: Expr, pos: int = 0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "pos", pos)
 
 
 Expr = Num | Var | Neg | BinOp | Call

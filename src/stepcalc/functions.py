@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from . import Record
 from .solver import IVP, StepPlan, Trajectory, integrate
 
 DEFAULT_H = 1e-3  # RK4 step size of every ODE-defined function
@@ -22,8 +22,7 @@ POLE_STEPS = 16  # closest approach to a pole of the integrand, in steps
 DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 
 
-@dataclass(frozen=True)
-class OdeFunction:
+class OdeFunction(Record):
     """A named, ODE-backed real function of one real argument: by default by Taylor
     steps of ``TAYLOR_H`` where the IVP declares a series, else by RK4 steps of
     ``DEFAULT_H``.  An explicit small ``h`` keeps Taylor steps, at about 7 times
@@ -31,10 +30,13 @@ class OdeFunction:
     ``__call__`` its streaming form; both refuse a start or x within ``POLE_STEPS``
     steps of +-``pole``, and a subnormal value (no double holds it to the budget)."""
 
-    name: str
-    ivp: IVP
-    output: int
-    pole: float | None = None
+    __slots__ = ("name", "ivp", "output", "pole")
+
+    def __init__(self, name: str, ivp: IVP, output: int, pole: float | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ivp", ivp)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "pole", pole)
 
     def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
         return self.trajectory(x, method, h, record=False).final_state()[self.output]

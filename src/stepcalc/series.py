@@ -9,8 +9,9 @@ omitted term bounds the whole tail, so the reported bound is honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
+
+from . import Record
 
 DEFAULT_MAX_TERMS = 10**6  # cap on the terms a discard policy sums
 
@@ -19,39 +20,47 @@ class AlternationError(ValueError):
     """The series violated its asserted alternating/shrinking structure."""
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Record):
     """A series given by its term function; ``alternating`` is asserted by the
     caller and spot-checked during summation."""
 
-    term: Callable[[int], float]
-    alternating: bool = False
+    __slots__ = ("term", "alternating")
+
+    def __init__(self, term: Callable[[int], float], alternating: bool = False):
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "alternating", alternating)
 
 
-@dataclass(frozen=True)
-class DiscardPolicy:
+class DiscardPolicy(Record):
     """When a term is small enough to neglect: an absolute or relative
     threshold, plus a hard cap on the number of terms."""
 
-    mode: str  # "absolute" or "relative"
-    threshold: float
-    max_terms: int = DEFAULT_MAX_TERMS
+    __slots__ = ("mode", "threshold", "max_terms")
 
-    def __post_init__(self):
-        if self.mode not in ("absolute", "relative"):
-            raise ValueError(f"mode must be 'absolute' or 'relative', got {self.mode!r}")
-        if not self.threshold > 0:
+    def __init__(self, mode: str, threshold: float, max_terms: int = DEFAULT_MAX_TERMS):
+        if mode not in ("absolute", "relative"):
+            raise ValueError(f"mode must be 'absolute' or 'relative', got {mode!r}")
+        if not threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.max_terms < 1:
+        if max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "max_terms", max_terms)
 
 
-@dataclass(frozen=True)
-class DiscardSum:
-    value: float
-    terms_used: int
-    discarded_bound: float
-    hit_cap: bool = False
+class DiscardSum(Record):
+    """What ``sum_until_discardable`` returns: the sum of ``terms_used`` terms,
+    the magnitude of the first term left out (which bounds the discarded tail of
+    an alternating series), and whether ``max_terms`` stopped the sum."""
+
+    __slots__ = ("value", "terms_used", "discarded_bound", "hit_cap")
+
+    def __init__(self, value: float, terms_used: int, discarded_bound: float, hit_cap: bool = False):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "terms_used", terms_used)
+        object.__setattr__(self, "discarded_bound", discarded_bound)
+        object.__setattr__(self, "hit_cap", hit_cap)
 
 
 def partial_sum(spec: SeriesSpec, n: int) -> float:

@@ -52,11 +52,11 @@ soon after, not at ``t_end``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+from . import Record
 
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
@@ -82,8 +82,7 @@ class IntegrationError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class IVP:
+class IVP(Record, uncompared=("steps",)):
     """An initial-value problem y' = rhs(t, y), y(t0) = y0.
 
     It declares ``rhs`` (for Euler and RK4), a ``series`` (for Taylor steps),
@@ -93,34 +92,38 @@ class IVP:
     step calls it with k = 0, 1, 2, ... in order, so a series may keep the coefficients
     of its intermediates (a sine, a speed) from call to call, anew at k = 0.
     ``steps`` maps "euler" or "rk4" to a step ``step(t, h, y)`` that computes
-    what ``rhs_step`` of ``rhs`` does, bit for bit, with ``rhs`` inlined.
+    what ``rhs_step`` of ``rhs`` does, bit for bit, with ``rhs`` inlined; it is
+    ``rhs`` in another form, so ``==`` and ``hash`` leave it out.  ``y0`` is
+    kept as a tuple of floats.  ``replace(t0=..., y0=...)`` restarts the
+    problem from another node.
     """
 
-    dim: int
-    rhs: RHS | None
-    t0: float
-    y0: Vector
-    integrand: Callable[[float], float] | None = None
-    series: Series | None = None
-    steps: Mapping[str, Step] = dataclasses.field(default_factory=dict, compare=False)  # rhs's, so not compared
+    __slots__ = ("dim", "rhs", "t0", "y0", "integrand", "series", "steps")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, rhs: RHS | None, t0: float, y0: Vector,
+                 integrand: Callable[[float], float] | None = None, series: Series | None = None,
+                 steps: Mapping[str, Step] | None = None):
+        if dim < 1:
             raise ValueError("dim must be positive")
-        if self.integrand is not None and self.dim != 1:
-            raise ValueError(f"an integrand needs dim 1, got dim {self.dim}")
-        if len(self.y0) != self.dim:
-            raise ValueError(f"y0 has length {len(self.y0)}, expected {self.dim}")
-        y0 = tuple(float(v) for v in self.y0)
-        if not math.isfinite(self.t0):
-            raise ValueError(f"initial time t0 must be finite, got {self.t0!r}")
+        if integrand is not None and dim != 1:
+            raise ValueError(f"an integrand needs dim 1, got dim {dim}")
+        if len(y0) != dim:
+            raise ValueError(f"y0 has length {len(y0)}, expected {dim}")
+        y0 = tuple(float(v) for v in y0)
+        if not math.isfinite(t0):
+            raise ValueError(f"initial time t0 must be finite, got {t0!r}")
         if not all(map(math.isfinite, y0)):
             raise ValueError(f"initial state y0 must be finite, got {y0!r}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "y0", y0)
+        object.__setattr__(self, "integrand", integrand)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "steps", {} if steps is None else steps)
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(Record):
     """Step size and target time for one integration run.
 
     Without ``steps``, steps of ``h`` run from t0 and the last one is
@@ -128,19 +131,20 @@ class StepPlan:
     into that many equal steps, and ``h`` is their size.
     """
 
-    h: float
-    t_end: float
-    steps: int | None = None
+    __slots__ = ("h", "t_end", "steps")
 
-    def __post_init__(self):
-        if not self.h > 0:
+    def __init__(self, h: float, t_end: float, steps: int | None = None):
+        if not h > 0:
             raise ValueError("step size h must be positive")
-        if not math.isfinite(self.h):
-            raise ValueError(f"step size h must be finite, got {self.h!r}")
-        if not math.isfinite(self.t_end):
-            raise ValueError(f"end time t_end must be finite, got {self.t_end!r}")
-        if self.steps is not None and not 1 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"step count must lie in [1, {MAX_STEPS}], got {self.steps!r}")
+        if not math.isfinite(h):
+            raise ValueError(f"step size h must be finite, got {h!r}")
+        if not math.isfinite(t_end):
+            raise ValueError(f"end time t_end must be finite, got {t_end!r}")
+        if steps is not None and not 1 <= steps <= MAX_STEPS:
+            raise ValueError(f"step count must lie in [1, {MAX_STEPS}], got {steps!r}")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def divided(cls, t0: float, t_end: float, h: float) -> "StepPlan":
@@ -159,12 +163,14 @@ def _step_count(span: float, h: float) -> int:
     return max(1, math.ceil(span / h))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Node times and states recorded by an integrator."""
 
-    times: tuple[float, ...]
-    states: tuple[Vector, ...]
+    __slots__ = ("times", "states")
+
+    def __init__(self, times: tuple[float, ...], states: tuple[Vector, ...]):
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
@@ -360,7 +366,7 @@ def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP, method: str 
         if b == 0.0:
             return traj.times[i], states[i]
         if a != 0.0 and (a < 0.0) != (b < 0.0):
-            local = dataclasses.replace(ivp, t0=traj.times[i - 1], y0=states[i - 1])
+            local = ivp.replace(t0=traj.times[i - 1], y0=states[i - 1])
             return _refine_crossing(local, component, traj.times[i], states[i], method)
     return None
 

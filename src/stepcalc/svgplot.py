@@ -5,8 +5,9 @@ One polyline per series, axes with linear ticks, deterministic output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from . import Record
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -19,11 +20,15 @@ DEFAULT_WIDTH = 640
 DEFAULT_HEIGHT = 480
 
 
-@dataclass(frozen=True)
-class Series:
-    name: str
-    xs: Sequence[float]
-    ys: Sequence[float]
+class Series(Record):
+    """One named polyline of ``line_plot``."""
+
+    __slots__ = ("name", "xs", "ys")
+
+    def __init__(self, name: str, xs: Sequence[float], ys: Sequence[float]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
 
 def _bounds(values) -> tuple[float, float]:

@@ -10,9 +10,9 @@ as the comparison baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from . import Record
 from .solver import IVP, StepPlan, integrate_final
 from .functions import TAYLOR_H, circle_rhs, circle_series
 
@@ -29,16 +29,16 @@ DEFAULT_RADIUS = 1e7
 DEFAULT_H = 1e-3
 
 
-@dataclass(frozen=True)
-class SineTable:
+class SineTable(Record):
     """24 tabulated values v_k = R*sin(k * 225'), with difference columns."""
 
-    radius: float
-    values: tuple[float, ...]
+    __slots__ = ("radius", "values")
 
-    def __post_init__(self):
-        if len(self.values) != ENTRY_COUNT:
-            raise ValueError(f"expected {ENTRY_COUNT} entries, got {len(self.values)}")
+    def __init__(self, radius: float, values: tuple[float, ...]):
+        if len(values) != ENTRY_COUNT:
+            raise ValueError(f"expected {ENTRY_COUNT} entries, got {len(values)}")
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "values", values)
 
     def value_at_node(self, k: int) -> float:
         """v_k with the v_0 = 0 convention; k in 0..24."""

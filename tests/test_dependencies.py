@@ -1,9 +1,13 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and a request leaves its slow modules unimported."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "stepcalc").glob("*.py"))
@@ -37,3 +41,23 @@ def test_guard_sees_third_party_imports():
 def test_no_runtime_dependencies_declared():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+# modules whose import costs a one-shot process more than its work; dataclasses
+# loads inspect, ast, dis and tokenize, and fractions loads decimal and numbers
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast"}
+
+
+@pytest.mark.parametrize("calls, absent", [
+    ("cli.build_parser(); cli.main(['fn', 'sin', '1']); cli.main(['deriv', 'x^2', '--at=3'])", SLOW_IMPORTS),
+    ("cli.main(['fn', 'sin', '1'])", SLOW_IMPORTS | {"fractions"}),
+], ids=["full parser, fn and deriv", "fn"])
+def test_requests_leave_slow_modules_unimported(calls, absent):
+    # -S: without site, only stepcalc's own imports reach sys.modules
+    code = f"import sys; from stepcalc import cli; {calls}; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "stepcalc.functions" in loaded
+    assert absent.isdisjoint(loaded), sorted(absent & loaded)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -126,7 +125,7 @@ def quadrature(f):
     """y' = f(t), y(0) = 0, once with f declared as its integrand and once
     with the matching right-hand side only."""
     with_f = IVP(1, lambda t, y: (f(t),), 0.0, (0.0,), f)
-    return with_f, dataclasses.replace(with_f, integrand=None)
+    return with_f, with_f.replace(integrand=None)
 
 
 def run_both(f, plan, record=True):
@@ -210,13 +209,13 @@ class TestIntegrandRule:
                 return fn.ivp.rhs(t, y)
 
             ivp = IVP(1, rhs, 0.0, (0.0,), integrand)
-            return dataclasses.replace(fn, ivp=ivp)
+            return fn.replace(ivp=ivp)
 
         monkeypatch.setattr(applications, "make_inv_gudermannian", counted)
         value = applications.meridional_parts(1.0)
         n = math.ceil(1.0 / applications.MERIDIONAL_H)
         assert calls == {"integrand": 2 * n + 1, "rhs": 0}
-        plain = dataclasses.replace(make().ivp, integrand=None)
+        plain = make().ivp.replace(integrand=None)
         assert integrate_final(plain, StepPlan(applications.MERIDIONAL_H, 1.0))[1][0] == value
 
     def test_euler_calls_the_rhs(self):
@@ -225,11 +224,11 @@ class TestIntegrandRule:
 
         ivp = IVP(1, lambda t, y: (math.cos(t),), 0.0, (0.0,), unused)
         euler = integrate(ivp, StepPlan(0.1, 1.0), "euler")
-        assert euler == integrate(dataclasses.replace(ivp, integrand=None), StepPlan(0.1, 1.0), "euler")
+        assert euler == integrate(ivp.replace(integrand=None), StepPlan(0.1, 1.0), "euler")
 
     def test_an_integrand_alone_serves_rk4_and_not_euler(self):
         ivp = IVP(1, None, 0.0, (0.0,), math.cos)
-        with_rhs = dataclasses.replace(ivp, rhs=lambda t, y: (math.cos(t),))
+        with_rhs = ivp.replace(rhs=lambda t, y: (math.cos(t),))
         assert integrate(ivp, StepPlan(0.1, 1.0), "rk4") == integrate(with_rhs, StepPlan(0.1, 1.0), "rk4")
         with pytest.raises(ValueError) as err:
             integrate(ivp, StepPlan(0.1, 1.0), "euler")
@@ -302,7 +301,7 @@ class TestTaylor:
             calls.append(k)
             return (cols[k][0] / (k + 1),)
 
-        ivp = dataclasses.replace(EXP_SERIES, series=series)
+        ivp = EXP_SERIES.replace(series=series)
         traj = integrate(ivp, StepPlan(100.0, 200.0), "taylor")
         assert traj.times == (0.0, 100.0, 200.0)
         starts = [i for i, k in enumerate(calls) if k == 0]
@@ -323,7 +322,7 @@ class TestTaylor:
             return (cols[k][0] / (k + 1),)
 
         monkeypatch.setattr(solver, "MAX_STEPS", 40)
-        ivp = dataclasses.replace(EXP_SERIES, series=series)
+        ivp = EXP_SERIES.replace(series=series)
         with pytest.raises(IntegrationError, match=r"step h=100\.0 .* after 3 halvings") as info:
             integrate(ivp, StepPlan(100.0, 200.0), "taylor")
         assert info.value.t == 100.0 and calls.count(0) == 31 + 7
@@ -389,7 +388,7 @@ class TestTaylor:
                 raise ZeroDivisionError("boom")
             return (cols[k][0] / (k + 1),)
 
-        ivp = dataclasses.replace(EXP_SERIES, series=series)
+        ivp = EXP_SERIES.replace(series=series)
         with pytest.raises(IntegrationError, match="boom") as info:
             integrate(ivp, StepPlan(0.5, 1.0), "taylor")
         assert info.value.t == 0.0
@@ -534,7 +533,7 @@ class TestStop:
     def test_run_ends_at_the_first_negative_node(self):
         # y = (cos t, -sin t): nodes of 0.1 cross pi/2 between 1.5 and 1.6
         sin_fn, _ = functions.make_sincos()
-        ivp = dataclasses.replace(sin_fn.ivp, y0=(1.0, 0.0))
+        ivp = sin_fn.ivp.replace(y0=(1.0, 0.0))
         full = integrate(ivp, StepPlan(0.1, 10.0))
         stopped = integrate(ivp, StepPlan(0.1, 10.0), stop=0)
         assert stopped == Trajectory(full.times[:17], full.states[:17])
