@@ -117,7 +117,7 @@ def pendulum_ivp(spec: PendulumSpec) -> IVP:
             cos.append(-c / k)
         return (cols[k][1] / (k + 1), -ratio * sin[k] / (k + 1))
 
-    return IVP(2, None, 0.0, (spec.theta0, 0.0), series=series)
+    return IVP(None, 0.0, (spec.theta0, 0.0), series=series)
 
 
 def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
@@ -181,7 +181,7 @@ def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
     def integrand(t):
         return 1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2)
 
-    ivp = IVP(1, None, 0.0, (0.0,), integrand)
+    ivp = IVP(None, 0.0, (0.0,), integrand)
     if h is not None:
         return integrate_final(ivp, StepPlan.divided(0.0, phi, h))[1][0]
     n, used = 8, 8
@@ -240,7 +240,7 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
         return (vx / (k + 1), vy / (k + 1), -cm * ax / (k + 1), ((-g if k == 0 else 0.0) - cm * ay) / (k + 1))
 
     y0 = (0.0, 0.0, spec.v0 * math.cos(spec.alpha), spec.v0 * math.sin(spec.alpha))
-    return IVP(4, None, 0.0, y0, series=series)
+    return IVP(None, 0.0, y0, series=series)
 
 
 def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:

@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from typing import Sequence
+    from typing import Any, Callable, Sequence
 
     from .solver import IVP, StepPlan
 
@@ -65,26 +65,23 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
                 raise SpecFileError(f"duplicate key {key!r}", lineno)
             entries[key] = (value, lineno)
 
-    def take(key: str) -> tuple[str, int]:
+    def take(key: str, convert: Callable[[str], Any] = str, what: str = "") -> tuple[Any, int]:
+        """The value of ``key`` as ``convert`` gives it, refused as not ``what``, and its line."""
         if key not in entries:
             raise SpecFileError(f"missing required key {key!r}")
-        return entries.pop(key)
+        value, lineno = entries.pop(key)
+        try:
+            return convert(value), lineno
+        except ValueError:
+            raise SpecFileError(f"{key}: not {what}: {value!r}", lineno) from None
 
     def take_float(key: str) -> tuple[float, int]:
-        value, lineno = take(key)
-        try:
-            number = float(value)
-        except ValueError:
-            raise SpecFileError(f"{key}: not a number: {value!r}", lineno) from None
+        number, lineno = take(key, float, "a number")
         if not math.isfinite(number):
             raise SpecFileError(f"{key} must be finite, got {number!r}", lineno)
         return number, lineno
 
-    value, lineno = take("dim")
-    try:
-        dim = int(value)
-    except ValueError:
-        raise SpecFileError(f"dim: not an integer: {value!r}", lineno) from None
+    dim, lineno = take("dim", int, "an integer")
     if dim < 1:
         raise SpecFileError("dim must be positive", lineno)
 
@@ -109,11 +106,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     if not h > 0:
         raise SpecFileError("h must be positive", h_line)
 
-    value, lineno = take("y0")
-    try:
-        y0 = tuple(float(part) for part in value.split(","))
-    except ValueError:
-        raise SpecFileError(f"y0: not a comma-separated list of numbers: {value!r}", lineno) from None
+    y0, lineno = take("y0", lambda value: tuple(map(float, value.split(","))), "a comma-separated list of numbers")
     if len(y0) != dim:
         raise SpecFileError(f"y0 has {len(y0)} components, expected dim = {dim}", lineno)
     if not all(map(math.isfinite, y0)):
@@ -141,7 +134,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     # on any failure the step is taken again on the walker, which raises the positioned error
     step = expr.compile_guarded(f"cli.load_spec_file {method}", ["t", "h", "y"],
                                 solver.step_lines(method, dim, stage), solver.rhs_step(method, dim, rhs))
-    return solver.IVP(dim, rhs, t0, y0, steps={method: step}), plan, method
+    return solver.IVP(rhs, t0, y0, steps={method: step}), plan, method
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -172,7 +165,7 @@ def _plot_components(chosen: list[int] | None, dim: int) -> list[int]:
 def cmd_solve(args) -> int:
     from .solver import integrate
     ivp, plan, method = load_spec_file(args.spec)
-    components = _plot_components(args.components, ivp.dim)
+    components = _plot_components(args.components, len(ivp.y0))
     traj = integrate(ivp, plan, method)
     _write_text(args.out, traj.to_csv())
     if args.svg:

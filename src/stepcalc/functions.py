@@ -61,7 +61,7 @@ class OdeFunction(Record):
 
 def make_exp() -> OdeFunction:
     """exp as the solution of y' = y, y(0) = 1; Taylor coefficients c_(k+1) = c_k/(k+1)."""
-    ivp = IVP(1, lambda t, y: (y[0],), 0.0, (1.0,), series=lambda cols, k: (cols[k][0] / (k + 1),))
+    ivp = IVP(lambda t, y: (y[0],), 0.0, (1.0,), series=lambda cols, k: (cols[k][0] / (k + 1),))
     return OdeFunction("exp", ivp, 0)
 
 
@@ -75,7 +75,7 @@ def circle_series(cols, k):
 
 def make_sincos() -> tuple[OdeFunction, OdeFunction]:
     """sin and cos as the solution pair of y1' = y2, y2' = -y1, y(0) = (0, 1)."""
-    ivp = IVP(2, circle_rhs, 0.0, (0.0, 1.0), series=circle_series)
+    ivp = IVP(circle_rhs, 0.0, (0.0, 1.0), series=circle_series)
     return OdeFunction("sin", ivp, 0), OdeFunction("cos", ivp, 1)
 
 
@@ -101,7 +101,7 @@ def make_jacobi(k: float) -> tuple[OdeFunction, OdeFunction, OdeFunction]:
             sc += s * c2
         return (cd / (k + 1), -sd / (k + 1), -k2 * sc / (k + 1))
 
-    ivp = IVP(3, rhs, 0.0, (0.0, 1.0, 1.0), series=series)
+    ivp = IVP(rhs, 0.0, (0.0, 1.0, 1.0), series=series)
     return (
         OdeFunction("sn", ivp, 0),
         OdeFunction("cn", ivp, 1),
@@ -118,7 +118,7 @@ def make_inv_gudermannian(start: float = 0.0) -> OdeFunction:
     def sec(t):
         return 1.0 / math.cos(t)
 
-    ivp = IVP(1, lambda t, y: (sec(t),), start, (0.0,), sec)
+    ivp = IVP(lambda t, y: (sec(t),), start, (0.0,), sec)
     return OdeFunction("invgd", ivp, 0, pole=math.pi / 2)
 
 

@@ -26,10 +26,10 @@ s_i = max(|y_i|, |h c_1,i|) at most max|y|, or max|y| where that is 0 (Jorba
 and Zou, *Experimental Math.* 14, 2005), and sums them by Horner's rule; a
 step from a state that is not finite is refused.  A step whose series has
 not got there by order ``TAYLOR_MAX_ORDER`` is split into halves, each taken
-the same way, in at most ``TAYLOR_SPLIT_STEPS`` more attempts (two a
-halving, so at most 128 levels deep), all within ``MAX_STEPS`` attempts a
-run, one kept for each step; past that it is refused.  The grid nodes stay
-at multiples of h.
+the same way (the first on the coefficients its node already has), in at most
+``TAYLOR_SPLIT_STEPS`` more attempts (two a halving, so at most 128 levels
+deep), all within ``MAX_STEPS`` attempts a run, one kept for each step; past
+that it is refused.  The grid nodes stay at multiples of h.
 
 A run may stop at the first node where a named state component is negative
 (``integrate(..., stop=i)``), as at a projectile's landing.  The first zero
@@ -94,27 +94,24 @@ class IVP(Record, uncompared=("steps",)):
     ``steps`` maps "euler" or "rk4" to a step ``step(t, h, y)`` that computes
     what ``rhs_step`` of ``rhs`` does, bit for bit, with ``rhs`` inlined; it is
     ``rhs`` in another form, so ``==`` and ``hash`` leave it out.  ``y0`` is
-    kept as a tuple of floats.  ``replace(t0=..., y0=...)`` restarts the
-    problem from another node.
+    kept as a tuple of floats, and its length is the dimension.
+    ``replace(t0=..., y0=...)`` restarts the problem from another node.
     """
 
-    __slots__ = ("dim", "rhs", "t0", "y0", "integrand", "series", "steps")
+    __slots__ = ("rhs", "t0", "y0", "integrand", "series", "steps")
 
-    def __init__(self, dim: int, rhs: RHS | None, t0: float, y0: Vector,
+    def __init__(self, rhs: RHS | None, t0: float, y0: Vector,
                  integrand: Callable[[float], float] | None = None, series: Series | None = None,
                  steps: Mapping[str, Step] | None = None):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        if integrand is not None and dim != 1:
-            raise ValueError(f"an integrand needs dim 1, got dim {dim}")
-        if len(y0) != dim:
-            raise ValueError(f"y0 has length {len(y0)}, expected {dim}")
+        if not y0:
+            raise ValueError("initial state y0 must not be empty")
+        if integrand is not None and len(y0) != 1:
+            raise ValueError(f"an integrand needs dim 1, got dim {len(y0)}")
         y0 = tuple(float(v) for v in y0)
         if not math.isfinite(t0):
             raise ValueError(f"initial time t0 must be finite, got {t0!r}")
         if not all(map(math.isfinite, y0)):
             raise ValueError(f"initial state y0 must be finite, got {y0!r}")
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "y0", y0)
@@ -209,7 +206,7 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     if (series if method == "taylor" else f or ivp.rhs) is None:
         needs = "a series" if method == "taylor" else "a right-hand side"
         raise ValueError(f"method {method!r} needs an IVP that declares {needs}")
-    step = None if f or series else ivp.steps.get(method) or rhs_step(method, ivp.dim, ivp.rhs)
+    step = None if f or series else ivp.steps.get(method) or rhs_step(method, len(ivp.y0), ivp.rhs)
     t0, t_end = ivp.t0, plan.t_end
     t, y = t0, ivp.y0
     if t_end == t0:
@@ -308,15 +305,17 @@ def rhs_step(method: str, dim: int, rhs: RHS) -> Step:
     return _rhs_step_factory(method, dim)(rhs)
 
 
-def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0) -> tuple[Vector, int]:
-    """(y(t + h), attempts left of ``spare``) by a Taylor step ``depth`` halvings deep (see the module docstring)."""
+def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0,
+                 given: Sequence[Vector] = ()) -> tuple[Vector, int]:
+    """(y(t + h), attempts left of ``spare``) by a Taylor step ``depth`` halvings deep (see the module docstring),
+    on the coefficients at y of an attempt refused there, all ``TAYLOR_MAX_ORDER`` of them, if ``given``."""
     if not all(map(math.isfinite, y)):
         raise ArithmeticError(f"state is not finite: {y!r}")
     cols, sizes = [y], None  # sizes: 2^-53 times each component's size, once a term is below 2^-53 max|y|
     discard = TAYLOR_DISCARD * (top := max(map(abs, y)))
     hk, below = 1.0, False  # |h|^k, and whether the last term was below the discard size
     for k in range(TAYLOR_MAX_ORDER):
-        c = series(cols, k)
+        c = given[k + 1] if given else series(cols, k)
         cols.append(c)
         hk *= abs(h)
         small = (largest := max(map(abs, c)) * hk) <= discard and math.isfinite(sum(c))  # max skips a later nan
@@ -328,7 +327,7 @@ def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0
         below = small
     else:
         if spare >= 2:
-            y, spare = _taylor_step(series, y, h / 2, spare - 2, depth + 1)
+            y, spare = _taylor_step(series, y, h / 2, spare - 2, depth + 1, cols)
             return _taylor_step(series, y, h / 2, spare, depth + 1)
         raise ArithmeticError(f"Taylor series at step h={h * 2**depth!r} has terms above the discard size at order "
                               f"{TAYLOR_MAX_ORDER} after {depth} halvings, all its budget allows; take a smaller step")

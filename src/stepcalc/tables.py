@@ -13,8 +13,8 @@ import math
 from typing import Callable
 
 from . import Record
-from .solver import IVP, StepPlan, integrate_final
-from .functions import TAYLOR_H, circle_rhs, circle_series
+from .solver import StepPlan, integrate_final
+from .functions import TAYLOR_H, make_sincos
 
 #: Grid step in arcminutes (3 degrees 45 minutes) and in degrees.
 STEP_ARCMIN = 225.0
@@ -80,9 +80,9 @@ def generate_sine_table(
 ) -> SineTable:
     """Tabulate R*sin by one pass of ODE integration across the quadrant.
 
-    The integration is segmented at the 24 grid angles, each segment in
-    equal steps of at most ``h``, so every sample lands on its node exactly;
-    the state carries over between segments.  ``h`` defaults by method.
+    The sine IVP of ``make_sincos`` is segmented at the 24 grid angles, each
+    segment in equal steps of at most ``h``, so every sample lands on its node
+    exactly; the state carries over between segments.  ``h`` defaults by method.
     """
     h = (TAYLOR_H if method == "taylor" else DEFAULT_H) if h is None else h
     if not radius > 0:
@@ -90,13 +90,12 @@ def generate_sine_table(
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius!r}")
     StepPlan.divided(0.0, math.pi / 2.0, h)  # one step budget for the quadrant, before any segment
-    t = 0.0
-    state = (0.0, 1.0)
+    sine = make_sincos()[0].ivp
+    t, state = sine.t0, sine.y0
     values = []
     for k in range(1, ENTRY_COUNT + 1):
         target = k * math.pi / 48.0  # k * 225 arcmin in radians
-        ivp = IVP(2, circle_rhs, t, state, series=circle_series)
-        t, state = integrate_final(ivp, StepPlan.divided(t, target, h), method)
+        t, state = integrate_final(sine.replace(t0=t, y0=state), StepPlan.divided(t, target, h), method)
         values.append(radius * state[0])
     return SineTable(radius, tuple(values))
 

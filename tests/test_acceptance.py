@@ -79,7 +79,7 @@ def test_criterion_03_non_archimedean_order():
 def test_criterion_04_ode_defined_exp():
     with verdict(4, "exp(1) from y' = y within 1e-9; Euler 1st / RK4 4th order"):
         assert abs(make_exp()(1.0, method="rk4", h=1e-3) - oracles.E) < 1e-9
-        ivp = IVP(1, lambda t, y: (y[0],), 0.0, (1.0,))
+        ivp = IVP(lambda t, y: (y[0],), 0.0, (1.0,))
 
         def err(method, h):
             return abs(integrate_final(ivp, StepPlan(h, 1.0), method)[1][0] - oracles.E)

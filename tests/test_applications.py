@@ -61,7 +61,7 @@ def series_calls(monkeypatch):
                 count[0] += 1
                 return ivp.series(cols, k)
 
-            return IVP(ivp.dim, None, ivp.t0, ivp.y0, series=series)
+            return IVP(None, ivp.t0, ivp.y0, series=series)
         return make
 
     for name in ("pendulum_ivp", "ballistics_ivp"):
@@ -73,7 +73,7 @@ def _step_to_landing(spec, traj, t_land):
     """One Taylor step to t_land from the last node of ``traj`` before it."""
     i = bisect.bisect_left(traj.times, t_land) - 1
     ivp = ballistics_ivp(spec)
-    node = IVP(ivp.dim, ivp.rhs, traj.times[i], traj.states[i], series=ivp.series)
+    node = IVP(ivp.rhs, traj.times[i], traj.states[i], series=ivp.series)
     return integrate_final(node, StepPlan(t_land - traj.times[i], t_land), "taylor")
 
 

@@ -48,16 +48,20 @@ def test_no_runtime_dependencies_declared():
 SLOW_IMPORTS = {"dataclasses", "inspect", "ast"}
 
 
-@pytest.mark.parametrize("calls, absent", [
-    ("cli.build_parser(); cli.main(['fn', 'sin', '1']); cli.main(['deriv', 'x^2', '--at=3'])", SLOW_IMPORTS),
-    ("cli.main(['fn', 'sin', '1'])", SLOW_IMPORTS | {"fractions"}),
-], ids=["full parser, fn and deriv", "fn"])
-def test_requests_leave_slow_modules_unimported(calls, absent):
+@pytest.mark.parametrize("calls, present, absent", [
+    ("cli.build_parser(); cli.main(['fn', 'sin', '1']); cli.main(['deriv', 'x^2', '--at=3'])",
+     {"stepcalc.functions"}, SLOW_IMPORTS),
+    ("cli.main(['fn', 'sin', '1'])", {"stepcalc.functions"}, SLOW_IMPORTS | {"fractions"}),
+    # a derivative loads no integrator
+    ("cli.main(['deriv', 'x^2', '--at=3'])", {"stepcalc.nonarch"},
+     SLOW_IMPORTS | {"stepcalc.solver", "stepcalc.functions", "stepcalc.applications"}),
+], ids=["full parser, fn and deriv", "fn", "deriv"])
+def test_requests_leave_slow_modules_unimported(calls, present, absent):
     # -S: without site, only stepcalc's own imports reach sys.modules
     code = f"import sys; from stepcalc import cli; {calls}; print(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
-    assert "stepcalc.functions" in loaded
+    assert present <= loaded, sorted(present - loaded)
     assert absent.isdisjoint(loaded), sorted(absent & loaded)

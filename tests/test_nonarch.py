@@ -73,6 +73,45 @@ class TestFieldOps:
         assert hash(a) == hash(b)
 
 
+# the results the field arithmetic above does not reach: zero polynomials,
+# constants taken as operands, reprs, and operands of the wrong type
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Poly((1, 2)) - Poly((1,)), Poly((0, 2))),
+    (lambda: repr(Poly((0, 2))), "Poly(2*eps)"),
+    (lambda: repr(Poly()), "Poly(0)"),
+    (lambda: repr(Poly((1, 0, 3))), "Poly(1 + 3*eps^2)"),
+    (lambda: Poly().order(), ValueError("order of the zero polynomial is undefined")),
+    (lambda: Poly().leading(), ValueError("zero polynomial has no leading coefficient")),
+    (lambda: divmod(Poly((1,)), Poly()), ZeroDivisionError("polynomial division by zero")),
+    (lambda: Poly((1, 0, 1)).exact_div(Poly((0, 1))), ValueError("inexact polynomial division")),
+    (lambda: Poly((1,)) == 1, False),
+    (lambda: poly_gcd(Poly(), Poly()), Poly()),
+    (lambda: repr(RatFunc(3)), "RatFunc(Poly(3), Poly(1))"),
+    (lambda: repr(RatFunc(Poly.identity(), 2)), "RatFunc(Poly(1/2*eps), Poly(1))"),
+    (lambda: RatFunc(1, Poly()), ZeroDivisionError("division by the zero rational function")),
+    (lambda: repr(1 - EPSILON), "RatFunc(Poly(1 + -1*eps), Poly(1))"),
+    (lambda: EPSILON == "x", False),
+    (lambda: EPSILON + "x", TypeError),
+    (lambda: EPSILON - "x", TypeError),
+    (lambda: "x" - EPSILON, TypeError),
+    (lambda: EPSILON * "x", TypeError),
+    (lambda: EPSILON / "x", TypeError),
+    (lambda: "x" / EPSILON, TypeError),
+    (lambda: EPSILON ** 0.5, TypeError),
+    (lambda: EPSILON < "x", TypeError("cannot compare RatFunc with <class 'str'>")),
+], ids=["poly sub", "poly repr", "poly repr 0", "poly repr eps^2", "order 0", "leading 0", "divmod 0",
+        "inexact div", "poly == int", "gcd 0 0", "int numerator", "int denominator", "zero denominator",
+        "int - eps", "== str", "+ str", "- str", "str -", "* str", "/ str", "str /", "** float", "< str"])
+def test_edges_of_the_exact_arithmetic(call, expected):
+    if isinstance(expected, (type, Exception)):  # an exception class is Python's own refusal, its text not ours
+        kind = expected if isinstance(expected, type) else type(expected)
+        with pytest.raises(kind) as err:
+            call()
+        assert kind is expected or str(err.value) == str(expected)
+    else:
+        assert call() == expected
+
+
 class TestOrderAndSign:
     def test_order_examples(self):
         assert EPSILON.order() == 1

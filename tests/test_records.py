@@ -14,14 +14,14 @@ def rhs(t, y):
     return (y[0],)
 
 
-EXP = IVP(1, rhs, 0.0, (1.0,))
+EXP = IVP(rhs, 0.0, (1.0,))
 X = expr.Var("x")
 
 # each record class with one construction by position, defaults left out
 # where it has them, and the same one by keyword with every field named
 CASES = [
-    (IVP, (1, rhs, 0.0, (1.0,)),
-     dict(dim=1, rhs=rhs, t0=0.0, y0=(1.0,), integrand=None, series=None, steps={})),
+    (IVP, (rhs, 0.0, (1.0,)),
+     dict(rhs=rhs, t0=0.0, y0=(1.0,), integrand=None, series=None, steps={})),
     (StepPlan, (0.1, 1.0), dict(h=0.1, t_end=1.0, steps=None)),
     (Trajectory, ((0.0, 1.0), ((1.0,), (2.0,))), dict(times=(0.0, 1.0), states=((1.0,), (2.0,)))),
     (functions.OdeFunction, ("exp", EXP, 0), dict(name="exp", ivp=EXP, output=0, pole=None)),
@@ -74,7 +74,7 @@ class TestRecord:
 
 
 def test_replace_validates_the_new_record():
-    assert EXP.replace(t0=2.0, y0=(3,)) == IVP(1, rhs, 2.0, (3.0,))
+    assert EXP.replace(t0=2.0, y0=(3,)) == IVP(rhs, 2.0, (3.0,))
     with pytest.raises(ValueError, match=r"^initial time t0 must be finite, got inf$"):
         EXP.replace(t0=math.inf)
     with pytest.raises(TypeError):
@@ -86,7 +86,7 @@ def test_uncompared_fields_are_left_out_of_equality():
     assert hash(expr.parse("1 + x")) == hash(expr.parse("1+x"))
     assert repr(expr.parse("1 + x")) != repr(expr.parse("1+x"))
     assert expr.Num(1.0, "1.0", 3) == expr.Num(1.0, "1e0", 7) != expr.Num(2.0, "1.0", 3)
-    assert IVP(1, rhs, 0.0, (1.0,), steps={"rk4": None}) == EXP
+    assert IVP(rhs, 0.0, (1.0,), steps={"rk4": None}) == EXP
     assert expr.Var("x") != expr.Call("x", X) and expr.Var("x") != "x"
 
 
