@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import Record
 from .functions import make_inv_gudermannian
-from .solver import IVP, StepPlan, Trajectory, find_zero_crossings, integrate, integrate_final
+from .solver import IVP, StepPlan, Trajectory, Vector, find_zero_crossings, integrate, integrate_final
 
 STANDARD_GRAVITY = 9.80665
 EARTH_RADIUS = 6371000.0
@@ -243,13 +243,14 @@ def ballistics_ivp(spec: BallisticsSpec) -> IVP:
     return IVP(None, 0.0, y0, series=series)
 
 
-def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Trajectory:
-    """Flight trajectory in Taylor steps, up to the first node below ground.
+def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> tuple[Trajectory, Vector]:
+    """Flight trajectory in Taylor steps, up to the first node below ground, and its landing state.
 
     A run stops at the first node past the apex, the crossing locator finds
-    the apex (vy = 0) from the node before, and a run goes on from there.
-    Drag only shortens ascent and flight: the runs end two steps past their
-    vacuum times.  The step is at most 4/3 of the shortest ascent drag allows
+    the apex (vy = 0) from the node before, and a run goes on from there;
+    the locator finds the landing (y = 0) on the same IVP.  Drag only
+    shortens ascent and flight: the runs end two steps past their vacuum
+    times.  The step is at most 4/3 of the shortest ascent drag allows
     (ln(1 + u)/u vy0/g, u = cm v0 vy0/g), so heavy drag splits few steps.
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
@@ -266,21 +267,12 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> Traj
     traj = Trajectory(rise.times[:n] + fall.times, rise.states[:n] + fall.states)
     if not traj.states[-1][1] < 0.0:
         raise RuntimeError(f"projectile never landed within the window; the vacuum range is {vacuum_range(spec)!r}")
-    return traj
+    return traj, find_zero_crossings(traj, 1, ivp, "taylor")[1]  # apex above ground, last node below
 
 
 def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
-    """Horizontal distance to the landing point, on the ``ballistics_trajectory``."""
-    return landing_range(spec, ballistics_trajectory(spec, h))
-
-
-def landing_range(spec: BallisticsSpec, traj: Trajectory) -> float:
-    """x of the landing state on ``traj`` by the crossing locator, one Taylor step from the node before the
-    landing (or the node landed on); a ``ballistics_trajectory`` holds one, ending below ground past its apex."""
-    crossing = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
-    if crossing is None:
-        raise RuntimeError("the projectile lands within the first step of the trajectory; take a smaller step")
-    return crossing[1][0]
+    """Horizontal distance to the landing point: x of the landing state that ``ballistics_trajectory`` locates."""
+    return ballistics_trajectory(spec, h)[1][0]
 
 
 def vacuum_range(spec: BallisticsSpec) -> float:

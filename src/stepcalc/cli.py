@@ -249,8 +249,8 @@ def cmd_pendulum(args) -> int:
 def cmd_ballistics(args) -> int:
     from . import applications
     spec = applications.BallisticsSpec(args.mass, args.drag, args.v0, math.radians(args.alpha), args.g)
-    traj = applications.ballistics_trajectory(spec, h=args.h)
-    print(_fmt(applications.landing_range(spec, traj)))
+    traj, landing = applications.ballistics_trajectory(spec, h=args.h)
+    print(_fmt(landing[0]))
     if args.out:
         _write_text(args.out, traj.to_csv())
     return 0

@@ -308,7 +308,8 @@ def rhs_step(method: str, dim: int, rhs: RHS) -> Step:
 def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0,
                  given: Sequence[Vector] = ()) -> tuple[Vector, int]:
     """(y(t + h), attempts left of ``spare``) by a Taylor step ``depth`` halvings deep (see the module docstring),
-    on the coefficients at y of an attempt refused there, all ``TAYLOR_MAX_ORDER`` of them, if ``given``."""
+    on the coefficients at y of an attempt refused there, all ``TAYLOR_MAX_ORDER`` of them, if ``given``; ``given``
+    may also be the orders that an accepted longer step from y computed, as a term small there is small here."""
     if not all(map(math.isfinite, y)):
         raise ArithmeticError(f"state is not finite: {y!r}")
     cols, sizes = [y], None  # sizes: 2^-53 times each component's size, once a term is below 2^-53 max|y|

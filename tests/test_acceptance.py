@@ -134,7 +134,7 @@ def test_criterion_07_heavier_ball_monotonicity():
         assert all(r < vacuum for r in ranges)
         for m in (0.06, 0.16, 0.5, 1.0):
             spec = applications.BallisticsSpec(m, drag, v0, alpha)
-            traj = applications.ballistics_trajectory(spec, h=1e-3)
+            traj, _ = applications.ballistics_trajectory(spec, h=1e-3)
             energies = [applications.mechanical_energy(spec, s) for s in traj.states]
             for before, after in zip(energies, energies[1:]):
                 assert after <= before + 1e-9 * energies[0]

@@ -28,7 +28,7 @@ from stepcalc.applications import (
     unit_circle,
     vacuum_range,
 )
-from stepcalc.solver import IVP, IntegrationError, StepPlan, find_zero_crossings, integrate_final
+from stepcalc.solver import IVP, IntegrationError, StepPlan, Trajectory, find_zero_crossings, integrate_final
 
 
 @pytest.fixture
@@ -282,7 +282,7 @@ class TestBallistics:
 
     def test_energy_never_increases_under_drag(self):
         spec = BallisticsSpec(0.16, 0.005, 40.0, math.radians(40))
-        traj = ballistics_trajectory(spec, h=1e-3)
+        traj, _ = ballistics_trajectory(spec, h=1e-3)
         energies = [mechanical_energy(spec, s) for s in traj.states]
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-9 * energies[0]
@@ -369,8 +369,9 @@ class TestBallistics:
 
     def test_landing_state_is_one_step_from_the_node_before(self):
         spec = BallisticsSpec(0.16, 0.05, 40.0, math.radians(40))
-        traj = ballistics_trajectory(spec)
-        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
+        traj, state = ballistics_trajectory(spec)
+        t, located = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
+        assert located == state
         assert abs(state[1]) < 1e-12  # the height at the landing
         assert _step_to_landing(spec, traj, t) == (t, state)
 
@@ -383,27 +384,40 @@ class TestBallistics:
             spec = BallisticsSpec(10 ** rng.uniform(-1, 1), rng.choice([0.0, 0.005, 0.05, 1.0]),
                                   10 ** rng.uniform(-1, 2), math.radians(rng.uniform(1, 89)))
             h = rng.choice([BALLISTICS_H, 0.01, 0.1, 0.5])
-            traj = ballistics_trajectory(spec, h)
+            traj, _ = ballistics_trajectory(spec, h)
             t_land = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")[0]
             assert ballistics_range(spec, h) == _step_to_landing(spec, traj, t_land)[1][0], (spec, h)
 
     def test_landing_on_a_node_is_that_node(self):
         # sin(alpha) = 0.5 and g = 8: every height is exact, 0 at t = 1
         spec = BallisticsSpec(1.0, 0.0, 8.0, math.asin(0.5), gravity=8.0)
-        traj = ballistics_trajectory(spec, 0.25)
+        traj, state = ballistics_trajectory(spec, 0.25)
         assert traj.times[4] == 1.0 and traj.states[4][1] == 0.0
-        t, state = find_zero_crossings(traj, 1, ballistics_ivp(spec), "taylor")
-        assert t == 1.0 and state is traj.states[4]
+        assert state is traj.states[4]
         assert ballistics_range(spec, 0.25) == state[0]
 
     def test_window_ends_two_steps_past_the_vacuum_flight(self):
         # the window is an upper bound: the run stops at the first node below ground
         for drag in (0.0, 0.005):
             spec = BallisticsSpec(0.16, drag, 40.0, math.radians(40))
-            traj = ballistics_trajectory(spec)
+            traj, _ = ballistics_trajectory(spec)
             vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
             assert traj.times[-1] < vacuum_time + 2.0 * BALLISTICS_H
             assert traj.states[-1][1] < 0.0 < min(state[1] for state in traj.states[1:-1])
+
+    def test_a_fall_that_never_lands_is_refused(self, monkeypatch):
+        # drag only shortens the flight, so no run the package makes ends above
+        # ground; a fall run whose nodes below ground are dropped stands in for one
+        def airborne(ivp, plan, method, stop=None):
+            traj = solver.integrate(ivp, plan, method, stop=stop)
+            if stop != 1:
+                return traj
+            kept = [(t, state) for t, state in zip(traj.times, traj.states) if state[1] >= 0.0]
+            return Trajectory(*map(tuple, zip(*kept)))
+
+        monkeypatch.setattr(applications, "integrate", airborne)
+        with pytest.raises(RuntimeError, match="projectile never landed within the window"):
+            ballistics_trajectory(BallisticsSpec(0.16, 0.005, 40.0, math.radians(40)))
 
     @pytest.mark.parametrize("v0", [1e-2, 1e-3, 1e-5, 1e-150])
     def test_flight_shorter_than_one_step_lands(self, v0):

@@ -81,6 +81,12 @@ class TestParseAndEvaluate:
     def test_variables(self):
         assert variables(parse("2*t + y1 - sin(y2)")) == {"t", "y1", "y2"}
 
+    def test_a_value_that_is_not_a_node_is_refused(self):
+        for walk in (expr.evaluate, expr.evaluate_exact):
+            with pytest.raises(TypeError) as err:
+                walk(1.5, {})
+            assert str(err.value) == "not an expression node: 1.5"
+
 
 class TestErrorPositions:
     @pytest.mark.parametrize(

@@ -361,6 +361,41 @@ class TestTaylor:
             integrate(ivp, StepPlan(1e5, 1e5), "taylor")
         assert len(attempts) == 249 <= 1 + solver.TAYLOR_SPLIT_STEPS and calls.count(0) == 121
 
+    def test_a_shorter_step_stops_within_the_orders_of_a_longer_one(self):
+        # take s < h.  Each component's discard size at s is at least s/h of its
+        # size at h, and a term's weight |c_k| s^k at most s/h of |c_k| h^k
+        # (k >= 1): a term small at h is small at s, so a step of s from a node
+        # stops at or before the order where an accepted step of h stopped, and
+        # gives the bits of a fresh step on the coefficients the h step computed
+        def recording(series):
+            computed = []
+
+            def recorded(cols, k):
+                computed.append(series(cols, k))
+                return computed[-1]
+            return recorded, computed
+
+        problems = [functions.make_exp().ivp, functions.make_sincos()[0].ivp,
+                    functions.make_jacobi(0.5)[0].ivp, functions.make_jacobi(1.0)[0].ivp,
+                    applications.pendulum_ivp(applications.PendulumSpec(1.0, theta0=2.5)),
+                    applications.ballistics_ivp(applications.BallisticsSpec(0.16, 0.005, 40.0, math.radians(89.999)))]
+        cases = 0
+        for ivp in problems:
+            for y in integrate(ivp, StepPlan(0.5, 2.0), "taylor").states:
+                for h in (0.5, 0.1, 0.01):
+                    series, computed = recording(ivp.series)
+                    try:
+                        solver._taylor_step(series, y, h, 0)
+                    except ArithmeticError:
+                        continue  # refused unsplit: no accepted step of h here
+                    for s in (h * 0.999, h * 0.5, h * 0.1, h * 1e-3):
+                        series, fresh_orders = recording(ivp.series)
+                        fresh = solver._taylor_step(series, y, s, 0)
+                        assert len(fresh_orders) <= len(computed), (ivp.y0, y, h, s)
+                        assert solver._taylor_step(ivp.series, y, s, 0, given=[y, *computed]) == fresh, (y, h, s)
+                        cases += 1
+        assert cases == 328
+
     def test_a_nan_term_is_not_small(self):
         # max(map(abs, c)) skips a nan after the first component: terms that
         # overflow into nan there (as the speed's do under heavy drag) were taken
