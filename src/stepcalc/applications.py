@@ -7,9 +7,10 @@ rectification by inscribed chords, and rhumb-line navigation on the sphere.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import Record
 from .functions import make_inv_gudermannian
@@ -288,9 +289,40 @@ def mechanical_energy(spec: BallisticsSpec, state) -> float:
 # ---------------------------------------------------------------------------
 # Rectification
 
-def rectify(curve: Callable[[float], tuple[float, float]],
-            t_start: float, t_end: float, segments: int) -> float:
-    """Total length of the inscribed polyline on a uniform parameter grid."""
+def polyline_lines(point: Callable[[list[str], str], Sequence[str]]) -> list[str]:
+    """The body of ``length(curve, t_start, span, segments)``, ``rectify``'s loop, ending in
+    ``return``.  ``point(lines, t)`` appends the curve at the time coded ``t`` and returns
+    the code of x and y, in locals other than the loop's ``_n _total _px _py _i _t``."""
+    lines = ["_n = _float(segments)", "_total = 0.0"]
+    x, y = point(lines, "t_start")
+    lines += [f"_px = {x}", f"_py = {y}", "for _i in _range(1, segments + 1):", "_t = t_start + span * _i / _n"]
+    body = len(lines) - 1
+    x, y = point(lines, "_t")
+    lines += [f"_total += _hypot({x} - _px, {y} - _py)", f"_px = {x}", f"_py = {y}"]
+    lines[body:] = [f"    {line}" for line in lines[body:]]
+    return [*lines, "return _total"]
+
+
+@functools.cache
+def curve_polyline() -> Callable[..., float]:
+    """``length(curve, t_start, span, segments)`` of ``polyline_lines`` that calls
+    ``curve`` at each node; the code is generated once per process."""
+    def point(lines: list[str], t: str) -> tuple[str, str]:
+        lines.append(f"_x, _y = curve({t})")  # unpacking a value of the wrong length raises ValueError
+        return "_x", "_y"
+
+    body = "".join(f"    {line}\n" for line in polyline_lines(point))
+    namespace = {"__builtins__": {}, "_float": float, "_range": range, "_hypot": math.hypot}
+    exec(compile(f"def _length(curve, t_start, span, segments):\n{body}",
+                 "<stepcalc applications.rectify>", "exec"), namespace)
+    return namespace["_length"]
+
+
+def rectify(curve: Callable[[float], tuple[float, float]], t_start: float, t_end: float, segments: int,
+            length: Callable[..., float] | None = None) -> float:
+    """Length of the polyline inscribed in ``curve`` on the nodes t_start + span * i / n, i = 0 .. n,
+    with span = t_end - t_start and n = ``float(segments)``: the chords' ``math.hypot`` lengths summed
+    left to right by ``length(curve, t_start, span, segments)``, ``curve_polyline`` by default."""
     if segments < 1:
         raise ValueError("need at least one segment")
     span = t_end - t_start
@@ -299,12 +331,7 @@ def rectify(curve: Callable[[float], tuple[float, float]],
     if not math.isfinite(span * segments):
         raise ValueError(f"cannot step t0={t_start!r} to t1={t_end!r} in n={segments} segments: "
                          "(t1 - t0) * n is not finite")
-    total = 0.0
-    px, py = curve(t_start)
-    for i in range(1, segments + 1):
-        x, y = curve(t_start + span * i / segments)
-        total += math.hypot(x - px, y - py)
-        px, py = x, y
+    total = (length or curve_polyline())(curve, t_start, span, segments)
     if not math.isfinite(total):
         raise ValueError(f"polyline length is not finite: {total!r}")
     return total

@@ -271,20 +271,44 @@ def cmd_ellipk(args) -> int:
     return 0
 
 
-def cmd_rectify(args) -> int:
+def _polyline(x_source: str, y_source: str) -> tuple[Callable[[float], tuple[float, ...]], Callable[..., float]]:
+    """``applications.rectify``'s curve and length for x(t), y(t): the polyline loop with both trees inlined.
+    On any failure the loop runs again on the trees compiled alone, which re-run on the walker where they
+    fail: errors and their positions are the walker's, and the nodes before the failing one are not walked."""
     from . import applications, expr
+    trees = [expr.parse(x_source), expr.parse(y_source)]
+
+    def point(lines: list[str], t: str) -> list[str]:
+        return expr.emit_float(trees, {"t": t}, lines, {})
+
+    def again(walk, t_start: float, span: float, segments: int) -> float:
+        lines: list[str] = []
+        x, y = point(lines, "t")
+        curve = expr.compile_guarded("cli.rectify curve", ["t"], [*lines, f"return {x}, {y}"], walk)
+        return applications.curve_polyline()(curve, t_start, span, segments)
+
+    length = expr.compile_guarded("cli.rectify", ["curve", "t_start", "span", "segments"],
+                                  applications.polyline_lines(point), again)
+    return expr.walker(trees, ["t"]), length
+
+
+_circle = functools.cache(lambda: _polyline("cos(t)", "sin(t)"))  # its code never changes
+
+
+def cmd_rectify(args) -> int:
+    from . import applications
     if args.x_expr or args.y_expr:
         if not (args.x_expr and args.y_expr):
             raise ValueError("provide both --x-expr and --y-expr, or neither")
-        curve = expr.compile_float([expr.parse(args.x_expr), expr.parse(args.y_expr)], ["t"])
+        curve, length = _polyline(args.x_expr, args.y_expr)
         t_start, t_end = args.t0, args.t1
     else:
-        curve = applications.unit_circle
+        curve, length = _circle()
         t_start = 0.0 if args.t0 is None else args.t0
         t_end = 2.0 * math.pi if args.t1 is None else args.t1
     if t_start is None or t_end is None:
         raise ValueError("explicit curves need --t0 and --t1")
-    print(_fmt(applications.rectify(curve, t_start, t_end, args.segments)))
+    print(_fmt(applications.rectify(curve, t_start, t_end, args.segments, length)))
     return 0
 
 

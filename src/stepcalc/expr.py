@@ -21,9 +21,9 @@ iterative, so operator chains such as ``x+x+...+x`` may be of any length.
 
 ``evaluate`` walks a tree over doubles and is the reference evaluator.
 ``emit_float`` writes trees as straight-line Python statements, for callers
-that evaluate the same trees many times: ``compile_float`` makes them one
-function of the variables, and the spec-file IVP of ``cli`` inlines them at
-each stage of an Euler or RK4 step from ``solver.step_lines``.
+that evaluate the same trees many times: ``cli`` inlines them at each stage of
+a spec file's Euler or RK4 step (``solver.step_lines``) and at each node of
+``rectify``'s polyline loop (``applications.polyline_lines``).
 ``compile_guarded`` compiles such code so that on any failure it re-runs the
 work on ``evaluate``, so errors and their positions are the walker's.
 
@@ -422,23 +422,11 @@ def compile_guarded(label: str, args: Sequence[str], lines: Sequence[str],
         "        pass",
         f"    return _fallback({params})",
     ])
-    namespace = {"__builtins__": {}, "_float": float, "_Exception": Exception, "_fallback": fallback}
+    namespace = {"__builtins__": {}, "_float": float, "_range": range, "_hypot": math.hypot,
+                 "_Exception": Exception, "_fallback": fallback}
     namespace.update((f"_{name}", fn) for name, fn in BUILTINS.items())
     exec(compile(source, f"<stepcalc {label}>", "exec"), namespace)
     return namespace["_compiled"]
-
-
-def compile_float(trees: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple[float, ...]]:
-    """One function ``f(*values)`` returning ``evaluate`` of every tree, in
-    order, with ``params[i]`` bound to ``values[i]`` (floats), as straight-line
-    code from ``emit_float`` over parameters ``_p<i>``; on any exception it
-    re-runs ``evaluate``, which raises the positioned ``ExprEvalError``.
-    """
-    args = [f"_p{i}" for i in range(len(params))]
-    lines: list[str] = []
-    results = emit_float(trees, dict(zip(params, args)), lines, {})
-    lines.append(f"return ({''.join(f'{result}, ' for result in results)})")
-    return compile_guarded("expr.compile_float", args, lines, walker(trees, params))
 
 
 #: Largest degree bound, of numerator or denominator, that exact evaluation

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -6,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 import oracles
 import stepcalc
-from stepcalc import applications, cli, functions, series, solver, svgplot, tables
+from stepcalc import applications, cli, expr, functions, series, solver, svgplot, tables
 from stepcalc.cli import COMMANDS, MAX_SWEEP_POINTS, build_parser, main
 from stepcalc.expr import MAX_EXACT_BITS, MAX_EXACT_DEGREE
 from stepcalc.nonarch import EPSILON, RatFunc
@@ -646,6 +648,140 @@ class TestRectify:
             assert (code, out) == (0, f"{n}\n")
 
 
+def plain_rectify(curve, t_start, t_end, segments):
+    """``applications.rectify`` as a plain Python loop, before its loop was
+    generated: the oracle of the bits."""
+    if segments < 1:
+        raise ValueError("need at least one segment")
+    span = t_end - t_start
+    if not math.isfinite(span * segments):
+        raise ValueError(f"cannot step t0={t_start!r} to t1={t_end!r} in n={segments} segments: "
+                         "(t1 - t0) * n is not finite")
+    total = 0.0
+    px, py = curve(t_start)
+    for i in range(1, segments + 1):
+        x, y = curve(t_start + span * i / segments)
+        total += math.hypot(x - px, y - py)
+        px, py = x, y
+    if not math.isfinite(total):
+        raise ValueError(f"polyline length is not finite: {total!r}")
+    return total
+
+
+# identities exact in floating point (sin^2 + cos^2 to an ulp), with the nodes each adds
+RECTIFY_PADS = ((2, "({}) * 1"), (2, "({}) + 0"), (2, "1 * ({})"), (2, "({}) / 1"), (2, "-(-({}))"),
+                (4, "({}) - (t - t)"), (8, "({}) * (sin(t)^2 + cos(t)^2)"))
+
+
+def padded_curve(rng):
+    """x and y sources of a line or a circle of 1 to 30 nodes each, and a t0 and t1."""
+    t0 = rng.uniform(-1.0, 1.0)
+    shape = rng.choice(["t", "line", "circle"])
+    if shape == "t":
+        sources, nodes = ["t", "t"], 1
+    elif shape == "line":
+        a, b, c, d = (repr(rng.uniform(-2.0, 2.0)) for _ in range(4))
+        sources, nodes = [f"{a} + {b} * t", f"{c} + {d} * t"], 5
+    else:
+        r, w, p, cx, cy = (repr(rng.uniform(0.5, 2.0)) for _ in range(5))
+        sources, nodes = [f"{cx} + {r} * cos({w} * t + {p})", f"{cy} + {r} * sin({w} * t + {p})"], 9
+    padded = []
+    for source in sources:
+        size, target = nodes, rng.randint(nodes, 30)
+        while size < target:
+            extra, template = rng.choice(RECTIFY_PADS)
+            source, size = template.format(source), size + extra
+        padded.append(source)
+    return padded, t0, t0 + rng.uniform(0.5, 6.0)
+
+
+class TestRectifyLoop:
+    """``rectify``'s loop is generated: around a call to the curve in the
+    library, with the curve's trees inlined in the CLI.  Either way it gives
+    the plain loop's bits, and the CLI's fails as the walker does."""
+
+    @staticmethod
+    def walked(sources):
+        trees = [expr.parse(source) for source in sources]
+        return lambda t: tuple(expr.evaluate(tree, {"t": t}) for tree in trees)
+
+    def same_bits(self, capsys, curve, t_start, t_end, n, argv):
+        want = f"{plain_rectify(curve, t_start, t_end, n):.17g}"
+        assert f"{applications.rectify(curve, t_start, t_end, n):.17g}" == want
+        assert run(capsys, "rectify", *argv, "-n", str(n)) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 1023, 4096])
+    def test_the_circle(self, capsys, n):
+        self.same_bits(capsys, applications.unit_circle, 0.0, 2.0 * math.pi, n, [])
+
+    def test_a_backward_span_and_a_negative_zero_start(self, capsys):
+        assert run(capsys, "rectify", "-n", "7", "--t0", "5", "--t1", "-2") == (0, "6.7119575404588421\n", "")
+        self.same_bits(capsys, applications.unit_circle, 5.0, -2.0, 7, ["--t0", "5", "--t1", "-2"])
+        self.same_bits(capsys, applications.unit_circle, -0.0, 2.0 * math.pi, 5, ["--t0=-0.0"])
+
+    def test_padded_expression_curves(self, capsys):
+        rng = random.Random(20261020)
+        for _ in range(60):
+            sources, t0, t1 = padded_curve(rng)
+            argv = [f"--x-expr={sources[0]}", f"--y-expr={sources[1]}", f"--t0={t0!r}", f"--t1={t1!r}"]
+            self.same_bits(capsys, self.walked(sources), t0, t1, rng.randint(1, 300), argv)
+
+    def test_a_long_chain(self, capsys):
+        sources = ["+".join(["t"] * 3000), "t"]
+        self.same_bits(capsys, self.walked(sources), 0.0, 1.0, 7,
+                       ["--x-expr", sources[0], "--y-expr", "t", "--t0", "0", "--t1", "1"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ln(t)", "t", "1", "-1", "10"], "ln: ln of a non-positive number (at position 0)"),
+        (["1/(t-0.5)", "t", "0", "1", "2"], "division by zero (at position 1)"),
+    ])
+    def test_an_interior_failure_is_the_walkers(self, capsys, monkeypatch, argv, message):
+        x, y, t0, t1, n = argv
+        with pytest.raises(expr.ExprEvalError) as err:
+            plain_rectify(self.walked([x, y]), float(t0), float(t1), int(n))
+        assert str(err.value) == message
+        calls = []
+        walk = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda tree, env: calls.append(env["t"]) or walk(tree, env))
+        assert run(capsys, "rectify", "--x-expr", x, "--y-expr", y, "--t0", t0, "--t1", t1, "-n", n) == (
+            1, "", f"stepcalc: {message}\n")
+        assert len(set(calls)) == 1  # the walker ran at the failing node alone
+
+    def test_a_success_walks_no_tree(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(expr, "evaluate", lambda tree, env: calls.append(tree))
+        assert run(capsys, "rectify", "--x-expr", "t", "--y-expr", "t^2", "--t0", "0", "--t1", "1") == (
+            0, "1.4789427864619091\n", "")
+        assert run(capsys, "rectify", "-n", "3")[0] == 0
+        assert calls == []  # the start point too comes from generated code
+
+    def test_the_circle_compiles_once_and_curves_are_not_kept(self, capsys, monkeypatch):
+        compiled = []
+        compile_guarded = expr.compile_guarded
+
+        def counted(*args):
+            length = compile_guarded(*args)
+            compiled.append(weakref.ref(length))
+            return length
+
+        monkeypatch.setattr(expr, "compile_guarded", counted)
+        cli._circle.cache_clear()
+        for n in ("5", "6"):
+            run(capsys, "rectify", "-n", n)
+        assert len(compiled) == 1
+        for x in ("t", "2*t"):
+            assert run(capsys, "rectify", "--x-expr", x, "--y-expr", "0", "--t0", "0", "--t1", "1")[0] == 0
+        assert len(compiled) == 3
+        gc.collect()
+        assert compiled[0]() is not None and compiled[1]() is None and compiled[2]() is None
+
+    def test_globals_hold_no_builtins(self):
+        for length in (cli._circle()[1], applications.curve_polyline()):
+            namespace = length.__globals__
+            assert namespace["__builtins__"] == {}
+            assert all(name.startswith("_") for name in namespace)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -749,6 +885,9 @@ class TestErrorContract:
         inf_y0_spec.write_text(two_spec.read_text().replace("y0 = 1, 1", "y0 = 1, 1e400"))
         plot = ("solve", str(two_spec), "--svg", str(tmp_path / "two.svg"), "--components")
         curve = ("--y-expr", "t", "--t0", "0", "--t1", "10", "-n", "4")
+        # fail at an interior node of the generated loop
+        interior_ln = ("rectify", "--x-expr", "ln(t)", "--y-expr", "t", "--t0", "1", "--t1", "-1", "-n", "10")
+        interior_division = ("rectify", "--x-expr", "1/(t-0.5)", "--y-expr", "t", "--t0", "0", "--t1", "1", "-n", "2")
         lox = ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "20")
         # latitudes 1e-323 rad apart, a subnormal difference
         subnormal_lox = ("lox", "--lat1", "1.2748734119735194e-306", "--lon1", "0",
@@ -788,6 +927,8 @@ class TestErrorContract:
             (2, ("frobnicate",)),
             (1, ("rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")),
             (1, ("rectify", "--x-expr", "abs((0-1)^0.5)", *curve)),
+            (1, interior_ln),
+            (1, interior_division),
             (1, ("rectify", "--t1", "1e308", "-n", "3")),  # finite ends, but (t1 - t0) * n overflows
             (1, ("rectify", "--t1", "inf")),
             (1, ("rectify", "--x-expr", "t", "--y-expr", "t", "--t0", "0", "--t1", "inf")),
@@ -842,6 +983,8 @@ class TestErrorContract:
             "stepcalc: unbound variable 'y' (at position 0)\n")
         assert run(capsys, "rectify", "--x-expr", "abs((0-1)^0.5)", *curve)[2] == (
             "stepcalc: power with a complex result (at position 9)\n")
+        assert run(capsys, *interior_ln)[2] == "stepcalc: ln: ln of a non-positive number (at position 0)\n"
+        assert run(capsys, *interior_division)[2] == "stepcalc: division by zero (at position 1)\n"
         assert run(capsys, "rectify", "--t1", "1e308", "-n", "3")[2] == (
             "stepcalc: cannot step t0=0.0 to t1=1e+308 in n=3 segments: (t1 - t0) * n is not finite\n")
         assert "t0=0.0 to t1=inf in n=1024 segments" in run(capsys, "rectify", "--t1", "inf")[2]

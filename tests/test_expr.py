@@ -18,12 +18,14 @@ from stepcalc.expr import (
     NotRationalError,
     Num,
     Var,
-    compile_float,
+    compile_guarded,
+    emit_float,
     evaluate,
     evaluate_exact,
     parse,
     to_source,
     variables,
+    walker,
 )
 from stepcalc.nonarch import EPSILON, Jet, RatFunc, deriv_at, deriv_by_series
 
@@ -175,7 +177,7 @@ class TestTreeDepthLimit:
         printed = to_source(tree)
         assert to_source(parse(printed)) == printed
         assert evaluate(parse(printed), {"x": 0.5}) == evaluate(tree, {"x": 0.5})
-        assert compile_float([tree], ["x"])(0.5) == (evaluate(tree, {"x": 0.5}),)
+        assert compile_trees([tree], ["x"])(0.5) == (evaluate(tree, {"x": 0.5}),)
         assert variables(tree) == {"x"}
         return tree
 
@@ -441,7 +443,18 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-class TestCompileFloat:
+def compile_trees(trees, params):
+    """``f(*values)``: ``evaluate`` of every tree, in order, with ``params[i]``
+    bound to ``values[i]``, as ``emit_float``'s code compiled by
+    ``compile_guarded`` with the walker as its fallback."""
+    args = [f"_p{i}" for i in range(len(params))]
+    lines = []
+    results = emit_float(trees, dict(zip(params, args)), lines, {})
+    lines.append(f"return ({''.join(f'{result}, ' for result in results)})")
+    return compile_guarded("tests", args, lines, walker(trees, params))
+
+
+class TestEmitFloat:
     PARAMS = ["t", "y1", "y2", "y3", "y4"]
     VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 0.7, 1e-300, 1e200, -1e200, 700.0]
 
@@ -455,7 +468,7 @@ class TestCompileFloat:
         for _ in range(400):
             # the walker's trees come from the parser, as the CLI's do
             trees = [parse(to_source(random_float_tree(rng, 4))) for _ in range(rng.randint(1, 4))]
-            compiled = compile_float(trees, self.PARAMS)
+            compiled = compile_trees(trees, self.PARAMS)
             for _ in range(5):
                 values = [rng.choice(self.VALUES) for _ in self.PARAMS]
                 want = outcome(self.walked, trees, *values)
@@ -481,23 +494,23 @@ class TestCompileFloat:
     ])
     def test_failures_raise_the_walkers_error(self, source, message):
         trees = [parse("t"), parse(source)]
-        compiled = compile_float(trees, ["t", "y1"])
+        compiled = compile_trees(trees, ["t", "y1"])
         with pytest.raises(ExprEvalError) as err:
             compiled(1.0, -1.0)
         assert str(err.value) == message
         assert outcome(compiled, 1.0, -1.0) == outcome(self.walked, trees, 1.0, -1.0)
 
     def test_components_in_order_with_parameters_by_position(self):
-        compiled = compile_float([parse("y2"), parse("t - y1"), parse("2"), parse("-t^2")],
+        compiled = compile_trees([parse("y2"), parse("t - y1"), parse("2"), parse("-t^2")],
                                  ["y1", "t", "y2"])
         assert compiled(1.0, 5.0, 7.0) == (7.0, 4.0, 2.0, -25.0)
 
     def test_integral_powers_of_negative_bases_stay_real(self):
-        compiled = compile_float([parse("t^2"), parse("t^3"), parse("t^0"), parse("t^-1")], ["t"])
+        compiled = compile_trees([parse("t^2"), parse("t^3"), parse("t^0"), parse("t^-1")], ["t"])
         assert compiled(-2.0) == ((-2.0) ** 2, (-2.0) ** 3, 1.0, -0.5)
 
     def test_globals_hold_no_builtins(self):
-        compiled = compile_float([parse("sin(t)^0.5 + y1")], ["t", "y1"])
+        compiled = compile_trees([parse("sin(t)^0.5 + y1")], ["t", "y1"])
         namespace = compiled.__globals__
         assert namespace["__builtins__"] == {}
         assert all(name.startswith("_") for name in namespace)
@@ -512,7 +525,7 @@ class TestCompileFloat:
             return walker(tree, env)
 
         monkeypatch.setattr(expr, "evaluate", counted)
-        compiled = compile_float([parse("1 / t"), parse("t^0.5")], ["t"])
+        compiled = compile_trees([parse("1 / t"), parse("t^0.5")], ["t"])
         for t in (0.5, 1.0, 4.0):
             assert compiled(t) == (1 / t, math.sqrt(t))
         assert calls == []

@@ -15,7 +15,7 @@ from stepcalc.solver import (
     integrate,
     integrate_final,
 )
-from test_expr import TestCompileFloat, outcome, random_float_tree
+from test_expr import TestEmitFloat, outcome, random_float_tree
 
 EXP_IVP = IVP(lambda t, y: (y[0],), 0.0, (1.0,))
 
@@ -732,7 +732,7 @@ class TestGeneratedStep:
     step generated around a Python right-hand side, against the textbook step
     on the walker: the same bits, or the same exception and message."""
 
-    VALUES = TestCompileFloat.VALUES
+    VALUES = TestEmitFloat.VALUES
 
     def random_sources(self, rng, dim):
         allowed = {"t"} | {f"y{i}" for i in range(1, dim + 1)}
