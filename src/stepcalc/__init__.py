@@ -9,6 +9,16 @@ discarding infinitesimals.
 __version__ = "0.1.0"
 
 
+def generated(label: str, params: list[str], lines: list[str], names: dict):
+    """``_generated(*params)``: ``lines``, a function body, compiled as ``<stepcalc label>`` in a
+    namespace of ``names`` alone, with no builtins.  The package's one ``exec``: the generated
+    Euler and RK4 steps and ``rectify``'s polyline loops all compile here."""
+    source = "".join([f"def _generated({', '.join(params)}):\n", *(f"    {line}\n" for line in lines)])
+    namespace = {**names, "__builtins__": {}}
+    exec(compile(source, f"<stepcalc {label}>", "exec"), namespace)
+    return namespace["_generated"]
+
+
 class Record:
     """Base of the package's immutable records: plain classes, which cost
     nothing to import and run no generated code.

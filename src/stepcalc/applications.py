@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from . import Record
+from . import Record, generated
 from .functions import make_inv_gudermannian
 from .solver import IVP, StepPlan, Trajectory, Vector, find_zero_crossings, integrate, integrate_final
 
@@ -289,12 +289,17 @@ def mechanical_energy(spec: BallisticsSpec, state) -> float:
 # ---------------------------------------------------------------------------
 # Rectification
 
+#: What the code of ``polyline_lines`` reads besides its arguments.
+POLYLINE_NAMES = {"_float": float, "_range": range, "_hypot": math.hypot}
+
+
 def polyline_lines(point: Callable[[list[str], str], Sequence[str]]) -> list[str]:
     """The body of ``length(curve, t_start, span, segments)``, ``rectify``'s loop, ending in
     ``return``.  ``point(lines, t)`` appends the curve at the time coded ``t`` and returns
-    the code of x and y, in locals other than the loop's ``_n _total _px _py _i _t``."""
-    lines = ["_n = _float(segments)", "_total = 0.0"]
-    x, y = point(lines, "t_start")
+    the code of x and y, in locals other than the loop's ``_n _total _px _py _i _t``.
+    Each point is taken at ``_t``, the node, set before anything else can fail."""
+    lines = ["_t = t_start", "_n = _float(segments)", "_total = 0.0"]
+    x, y = point(lines, "_t")
     lines += [f"_px = {x}", f"_py = {y}", "for _i in _range(1, segments + 1):", "_t = t_start + span * _i / _n"]
     body = len(lines) - 1
     x, y = point(lines, "_t")
@@ -311,11 +316,8 @@ def curve_polyline() -> Callable[..., float]:
         lines.append(f"_x, _y = curve({t})")  # unpacking a value of the wrong length raises ValueError
         return "_x", "_y"
 
-    body = "".join(f"    {line}\n" for line in polyline_lines(point))
-    namespace = {"__builtins__": {}, "_float": float, "_range": range, "_hypot": math.hypot}
-    exec(compile(f"def _length(curve, t_start, span, segments):\n{body}",
-                 "<stepcalc applications.rectify>", "exec"), namespace)
-    return namespace["_length"]
+    return generated("applications.rectify", ["curve", "t_start", "span", "segments"], polyline_lines(point),
+                     POLYLINE_NAMES)
 
 
 def rectify(curve: Callable[[float], tuple[float, float]], t_start: float, t_end: float, segments: int,

@@ -132,8 +132,8 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
         return walk(t, *y)
 
     # on any failure the step is taken again on the walker, which raises the positioned error
-    step = expr.compile_guarded(f"cli.load_spec_file {method}", ["t", "h", "y"],
-                                solver.step_lines(method, dim, stage), solver.rhs_step(method, dim, rhs))
+    step = expr.compile_guarded(f"cli.load_spec_file {method}", ["t", "h", "y"], solver.step_lines(method, dim, stage),
+                                "_walk(t, h, y)", {"_walk": solver.rhs_step(method, dim, rhs)})
     return solver.IVP(rhs, t0, y0, steps={method: step}), plan, method
 
 
@@ -273,22 +273,16 @@ def cmd_ellipk(args) -> int:
 
 def _polyline(x_source: str, y_source: str) -> tuple[Callable[[float], tuple[float, ...]], Callable[..., float]]:
     """``applications.rectify``'s curve and length for x(t), y(t): the polyline loop with both trees inlined.
-    On any failure the loop runs again on the trees compiled alone, which re-run on the walker where they
-    fail: errors and their positions are the walker's, and the nodes before the failing one are not walked."""
+    The curve is the walker, which the loop calls only on a failure, at the failing node: errors and their
+    positions are the walker's, and no other node is walked."""
     from . import applications, expr
     trees = [expr.parse(x_source), expr.parse(y_source)]
 
     def point(lines: list[str], t: str) -> list[str]:
         return expr.emit_float(trees, {"t": t}, lines, {})
 
-    def again(walk, t_start: float, span: float, segments: int) -> float:
-        lines: list[str] = []
-        x, y = point(lines, "t")
-        curve = expr.compile_guarded("cli.rectify curve", ["t"], [*lines, f"return {x}, {y}"], walk)
-        return applications.curve_polyline()(curve, t_start, span, segments)
-
     length = expr.compile_guarded("cli.rectify", ["curve", "t_start", "span", "segments"],
-                                  applications.polyline_lines(point), again)
+                                  applications.polyline_lines(point), "curve(_t)", applications.POLYLINE_NAMES)
     return expr.walker(trees, ["t"]), length
 
 

@@ -24,8 +24,9 @@ iterative, so operator chains such as ``x+x+...+x`` may be of any length.
 that evaluate the same trees many times: ``cli`` inlines them at each stage of
 a spec file's Euler or RK4 step (``solver.step_lines``) and at each node of
 ``rectify``'s polyline loop (``applications.polyline_lines``).
-``compile_guarded`` compiles such code so that on any failure it re-runs the
-work on ``evaluate``, so errors and their positions are the walker's.
+``compile_guarded`` compiles such code in one ``try``: on any failure it takes
+only the failing step or node again on ``evaluate``, so errors and their
+positions are the walker's.
 
 ``evaluate_exact`` walks a tree over an exact field of rational functions
 of one variable: ``nonarch.RatFunc``, the reference, or ``nonarch.Jet``,
@@ -46,7 +47,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from . import Record
+from . import Record, generated
 
 
 class ExprError(ValueError):
@@ -380,7 +381,7 @@ def emit_float(trees: Sequence[Expr], args: Mapping[str, str], lines: list[str],
     results are bit-identical.  A power whose exponent is not an integral
     literal goes through ``_float``, which raises on a complex result; a name
     outside ``args`` becomes ``_unbound``, which nothing binds.  The lines
-    run in the namespace of ``compile_guarded``.
+    run in a function that ``compile_guarded`` compiles.
     """
     def emit(node: Expr, *operands: str) -> str:
         if isinstance(node, Num):
@@ -406,27 +407,16 @@ def emit_float(trees: Sequence[Expr], args: Mapping[str, str], lines: list[str],
     return [_fold(tree, emit) for tree in trees]
 
 
-def compile_guarded(label: str, args: Sequence[str], lines: Sequence[str],
-                    fallback: Callable[..., Any]) -> Callable[..., Any]:
-    """A function of ``args`` that runs ``lines``, straight-line statements
-    ending in a ``return`` (``emit_float``'s and the caller's own), and on any
-    exception returns ``fallback(*args)``: the same work on the walker, which
-    raises the positioned ``ExprEvalError``.  ``label`` names the code in
-    tracebacks."""
-    params = ", ".join(args)
-    source = "\n".join([
-        f"def _compiled({params}):",
-        "    try:",
-        *(f"        {line}" for line in lines),
-        "    except _Exception:",
-        "        pass",
-        f"    return _fallback({params})",
-    ])
-    namespace = {"__builtins__": {}, "_float": float, "_range": range, "_hypot": math.hypot,
-                 "_Exception": Exception, "_fallback": fallback}
-    namespace.update((f"_{name}", fn) for name, fn in BUILTINS.items())
-    exec(compile(source, f"<stepcalc {label}>", "exec"), namespace)
-    return namespace["_compiled"]
+def compile_guarded(label: str, args: Sequence[str], lines: Sequence[str], walk: str,
+                    names: Mapping[str, Any]) -> Callable[..., Any]:
+    """A function of ``args`` running ``lines``, a body ending in ``return`` (``emit_float``'s
+    statements and the caller's), in one ``try``.  On any exception the statement ``walk`` takes
+    the failing step or node again on the walker, which raises the positioned ``ExprEvalError``;
+    should it not, the exception is raised again.  The code reads ``names`` besides
+    ``emit_float``'s; ``label`` names it in tracebacks."""
+    body = ["try:", *(f"    {line}" for line in lines), "except _Exception:", f"    {walk}", "    raise"]
+    calls = {f"_{name}": fn for name, fn in BUILTINS.items()}
+    return generated(label, args, body, {"_float": float, "_Exception": Exception, **calls, **names})
 
 
 #: Largest degree bound, of numerator or denominator, that exact evaluation

@@ -5,9 +5,11 @@ classical fourth-order Runge-Kutta update, and a Taylor-series step.  An
 Euler or RK4 step is generated code: ``step_lines`` writes the method's
 stages once as straight-line Python around a stage emitter, which either
 calls the right-hand side (``rhs_step``, compiled once per method and
-dimension) or, for an IVP that declares its own ``steps``, inlines it.  Steps
-are laid out on a uniform grid from ``t0`` toward ``t_end``; the final step
-is shortened so the last node lands on ``t_end`` bit-exactly.  A plan with a
+dimension) or, for an IVP that declares its own ``steps``, inlines it; a spec
+file's inlined step takes a failing step again as ``rhs_step`` on the tree
+walker.  Both compile through ``stepcalc.generated``.  Steps are laid out on
+a uniform grid from ``t0`` toward ``t_end``; the final step is shortened so
+the last node lands on ``t_end`` bit-exactly.  A plan with a
 step count instead divides the span into that many equal steps
 (``StepPlan.divided``); the fixed-interval quadratures use it, because for a
 periodic integrand the equal-division grid converges geometrically where a
@@ -56,7 +58,7 @@ import functools
 import math
 from typing import Callable, Mapping, Sequence
 
-from . import Record
+from . import Record, generated
 
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
@@ -292,11 +294,8 @@ def _call_rhs(lines: list[str], t: str, y: list[str]) -> list[str]:
 
 @functools.lru_cache(maxsize=64)
 def _rhs_step_factory(method: str, dim: int) -> Callable[[RHS], Step]:
-    body = "".join(f"        {line}\n" for line in step_lines(method, dim, _call_rhs))
-    source = f"def _factory(_rhs):\n    def _step(t, h, y):\n{body}    return _step\n"
-    namespace: dict = {"__builtins__": {}}
-    exec(compile(source, f"<stepcalc solver.rhs_step {method} {dim}>", "exec"), namespace)
-    return namespace["_factory"]
+    step = [f"    {line}" for line in step_lines(method, dim, _call_rhs)]
+    return generated(f"solver.rhs_step {method} {dim}", ["_rhs"], ["def _step(t, h, y):", *step, "return _step"], {})
 
 
 def rhs_step(method: str, dim: int, rhs: RHS) -> Step:

@@ -734,18 +734,23 @@ class TestRectifyLoop:
     @pytest.mark.parametrize("argv, message", [
         (["ln(t)", "t", "1", "-1", "10"], "ln: ln of a non-positive number (at position 0)"),
         (["1/(t-0.5)", "t", "0", "1", "2"], "division by zero (at position 1)"),
+        (["ln(t)", "t", "0", "1", "4"], "ln: ln of a non-positive number (at position 0)"),  # the start node
+        (["ln(t)", "t", "1", "0", "10"], "ln: ln of a non-positive number (at position 0)"),  # the last node
     ])
     def test_an_interior_failure_is_the_walkers(self, capsys, monkeypatch, argv, message):
         x, y, t0, t1, n = argv
         with pytest.raises(expr.ExprEvalError) as err:
             plain_rectify(self.walked([x, y]), float(t0), float(t1), int(n))
         assert str(err.value) == message
-        calls = []
-        walk = expr.evaluate
+        calls, compiled = [], []
+        walk, compile_guarded = expr.evaluate, expr.compile_guarded
         monkeypatch.setattr(expr, "evaluate", lambda tree, env: calls.append(env["t"]) or walk(tree, env))
+        monkeypatch.setattr(expr, "compile_guarded", lambda *args: compiled.append(args) or compile_guarded(*args))
+        monkeypatch.setattr(applications, "curve_polyline", lambda: pytest.fail("a second loop ran"))
         assert run(capsys, "rectify", "--x-expr", x, "--y-expr", y, "--t0", t0, "--t1", t1, "-n", n) == (
             1, "", f"stepcalc: {message}\n")
         assert len(set(calls)) == 1  # the walker ran at the failing node alone
+        assert len(compiled) == 1  # and the loop was compiled once
 
     def test_a_success_walks_no_tree(self, capsys, monkeypatch):
         calls = []
@@ -775,9 +780,14 @@ class TestRectifyLoop:
         gc.collect()
         assert compiled[0]() is not None and compiled[1]() is None and compiled[2]() is None
 
-    def test_globals_hold_no_builtins(self):
-        for length in (cli._circle()[1], applications.curve_polyline()):
-            namespace = length.__globals__
+    def test_globals_hold_no_builtins(self, tmp_path):
+        # every generated function: the loops of rectify, and the steps of solve around a call and inlined
+        path = tmp_path / "pendulum.ivp"
+        path.write_text("dim = 2\nrhs_1 = y2\nrhs_2 = -sin(y1)\nt0 = 0\ny0 = 1, 0\nt_end = 1\nh = 0.1\nmethod = rk4\n")
+        ivp, _, method = cli.load_spec_file(str(path))
+        rhs_step = solver.rhs_step("rk4", 2, lambda t, y: (y[1], -y[0]))
+        for code in (cli._circle()[1], applications.curve_polyline(), rhs_step, ivp.steps[method]):
+            namespace = code.__globals__
             assert namespace["__builtins__"] == {}
             assert all(name.startswith("_") for name in namespace)
 

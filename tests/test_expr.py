@@ -446,12 +446,12 @@ def outcome(fn, *args):
 def compile_trees(trees, params):
     """``f(*values)``: ``evaluate`` of every tree, in order, with ``params[i]``
     bound to ``values[i]``, as ``emit_float``'s code compiled by
-    ``compile_guarded`` with the walker as its fallback."""
+    ``compile_guarded`` with the walker taking the values again on a failure."""
     args = [f"_p{i}" for i in range(len(params))]
     lines = []
     results = emit_float(trees, dict(zip(params, args)), lines, {})
     lines.append(f"return ({''.join(f'{result}, ' for result in results)})")
-    return compile_guarded("tests", args, lines, walker(trees, params))
+    return compile_guarded("tests", args, lines, f"_walk({', '.join(args)})", {"_walk": walker(trees, params)})
 
 
 class TestEmitFloat:
