@@ -294,27 +294,28 @@ def _children(node: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _postorder(tree: Expr, children: Callable[[Expr], tuple[Expr, ...]] = _children) -> list[Expr]:
-    """The nodes children first, left to right: the order in which a recursive
-    walker would finish them.  Iterative, so any tree fits the stack."""
+def _postorder(tree: Expr, children: Callable[[Expr], tuple[Expr, ...]] = _children) -> list[tuple[Expr, int]]:
+    """Each node with its count of ``children``, children first, left to right: the
+    order in which a recursive walker would finish them.  Iterative, so any tree fits the stack."""
     nodes = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        nodes.append(node)
-        stack.extend(children(node))
+        kids = children(node)
+        nodes.append((node, len(kids)))
+        stack.extend(kids)
     nodes.reverse()
     return nodes
 
 
 def _fold(tree: Expr, visit: Callable[..., Any],
           children: Callable[[Expr], tuple[Expr, ...]] = _children) -> Any:
-    """``visit(node, *child_values)`` for every node in ``_postorder``; the
-    value of the root.  A node that ``children`` calls a leaf is visited
+    """``visit(node, *child_values)`` for every node in ``_postorder``, which calls ``children``
+    once per node; the value of the root.  A node that ``children`` calls a leaf is visited
     where a recursive walker would enter it, and its subtree is not."""
     values: list[Any] = []
-    for node in _postorder(tree, children):
-        split = len(values) - len(children(node))
+    for node, count in _postorder(tree, children):
+        split = len(values) - count
         value = visit(node, *values[split:])
         del values[split:]
         values.append(value)
@@ -438,12 +439,13 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None =
 
     ``value_type`` is ``RatFunc`` (the default), canonical quotients, or
     ``Jet``, truncated series at a point; literals become its
-    ``from_fraction`` of their exact decimal value.  Only rational
-    operations are admitted: a transcendental call raises
-    :class:`NotRationalError`, and so does an exponent whose
-    ``constant_integer`` is None.  A divisor, or the base of a negative
-    power, that ``is_zero`` raises :class:`ExprEvalError`, and so does a
-    ``degree`` above ``MAX_EXACT_DEGREE`` and a power k of a constant
+    ``from_fraction`` of their exact decimal value (an int where the text is
+    all digits), and one with more digits than Python converts raises
+    :class:`ExprEvalError`.  Only rational operations are admitted: a
+    transcendental call raises :class:`NotRationalError`, and so does an
+    exponent whose ``constant_integer`` is None.  A divisor, or the base of
+    a negative power, that ``is_zero`` raises :class:`ExprEvalError`, and so
+    does a ``degree`` above ``MAX_EXACT_DEGREE`` and a power k of a constant
     (``degree`` 0) whose |k| * ``bits`` is above ``MAX_EXACT_BITS``.
     """
     if value_type is None:  # imported on use: parsing and float evaluation need no nonarch
@@ -454,7 +456,11 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None =
 
     def visit(node: Expr, *operands: Any) -> Any:
         if isinstance(node, Num):
-            return value_type.from_fraction(Fraction(node.text))
+            try:  # int() of an all-digit literal is much cheaper than Fraction(); 0.1, 2.50, 1e3 need one
+                value = int(node.text) if node.text.isdigit() else Fraction(node.text)
+            except ValueError:  # more digits than Python converts from text
+                raise ExprEvalError("number has too many digits to read exactly", node.pos) from None
+            return value_type.from_fraction(value)
         if isinstance(node, Var):
             try:
                 return env[node.name]
@@ -489,7 +495,7 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None =
 
 def variables(expr: Expr) -> set[str]:
     """Names of all free variables in the tree."""
-    return {node.name for node in _postorder(expr) if isinstance(node, Var)}
+    return {node.name for node, _ in _postorder(expr) if isinstance(node, Var)}
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ function is kept as the Taylor coefficients of a numerator and a
 denominator at ``x0 + eps``, discarding eps^P and higher, with degree bounds
 that make its zero test exact (Taylor arithmetic in Q[eps]; Griewank and
 Walther, *Evaluating Derivatives*, ch. 13).  That one test decides a divisor,
-the base of a negative power and, applied to e - c, whether an exponent e is
-the constant integer c.  ``deriv_by_series`` reads the derivative off it,
-raising P only where the denominator vanishes at x0.  No gcd is taken until
-the answer is reduced.  The command line uses this path; ``RatFunc`` and
-``deriv_at`` are the reference the tests check it against.
+the base of a negative power and, applied to e - c, whether a non-constant
+exponent e is the constant integer c.  ``deriv_by_series`` reads the
+derivative off it, raising P only where the denominator vanishes at x0.  No
+gcd is taken until the answer is reduced.  The command line uses this path;
+``RatFunc`` and ``deriv_at`` are the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ class Jet:
     ``is_zero`` is the one exact decision: a numerator that vanishes to
     every kept order is tested by replaying that recipe at degree + 1
     integer points, since a nonzero polynomial of degree d has at most d
-    roots.  ``constant_integer`` asks it whether ``self - c`` is zero.
+    roots.  ``constant_integer`` asks it whether ``self - c`` is zero, for a non-constant.
     """
 
     __slots__ = ("num", "den", "dn", "dd", "order", "_op", "_args")
@@ -466,8 +466,8 @@ class Jet:
 
     @classmethod
     def from_fraction(cls, q: RationalLike) -> "Jet":
-        """A constant; its one coefficient is the whole polynomial at any order."""
-        q = Fraction(q)
+        """A constant, ``q`` (an int or Fraction) taken as it is: its one
+        coefficient is the whole polynomial at any order."""
         return cls([q.numerator], [q.denominator], 0, 0, 1)
 
     @property
@@ -558,14 +558,16 @@ class Jet:
     def constant_integer(self) -> int | None:
         """The value if the element is a constant integer, else None.
 
-        The candidate c is N/D at x0, or, where D(x0) = 0, at the first of
-        the integer points 0..dd where D does not vanish (D has at most dd
-        roots); the element is c exactly when ``self - c`` is zero."""
+        A constant (``dn == dd == 0``) holds all of N and D, D not zero, so
+        it is c = N/D with no zero test.  Otherwise the candidate c is N/D at
+        x0, or, where D(x0) = 0, at the first of the integer points 0..dd where
+        D does not vanish (D has at most dd roots); the element is c exactly
+        when ``self - c`` is zero."""
         p = self if self.den[0] else next(p for p in map(self._at, range(self.dd + 1)) if p.den[0])
-        c = Fraction(p.num[0], p.den[0])
-        if c.denominator != 1 or not (self - Jet.from_fraction(c)).is_zero:
+        c, rem = divmod(p.num[0], p.den[0])
+        if rem or not (self.dn == self.dd == 0 or (self - Jet.from_fraction(c)).is_zero):
             return None
-        return c.numerator
+        return c
 
 
 def deriv_by_series(f: Callable[[Jet], Jet], x0: RationalLike) -> Fraction:

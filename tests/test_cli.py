@@ -253,6 +253,15 @@ class TestDeriv:
         assert run(capsys, "deriv", "x*2^20000", "--at", "1") == (
             1, "", "stepcalc: exact result has too many digits to print\n")
 
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6000,
+                        reason="this interpreter prints integers of any length")
+    def test_literal_over_the_digit_limit(self, capsys):
+        # refused where it stands, as any other exact evaluation error
+        zeros = "0" * 6000
+        for source in (f"x^{zeros}2", f"x*0.{zeros}1"):
+            assert run(capsys, "deriv", source, "--at", "3") == (
+                1, "", "stepcalc: number has too many digits to read exactly (at position 2)\n")
+
     def test_builds_no_ratfunc(self, capsys, monkeypatch):
         built = []
         init = RatFunc.__init__

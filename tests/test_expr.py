@@ -83,6 +83,17 @@ class TestParseAndEvaluate:
     def test_variables(self):
         assert variables(parse("2*t + y1 - sin(y2)")) == {"t", "y1", "y2"}
 
+    def test_fold_asks_each_node_for_its_children_once(self):
+        tree = parse("-(x + 2) * sin(x)^3 / 4 - x")
+        asked = []
+
+        def counting(node):
+            asked.append(id(node))
+            return expr._children(node)
+
+        assert expr._fold(tree, expr._print, counting)[0] == to_source(tree)
+        assert sorted(asked) == sorted(id(node) for node, _ in expr._postorder(tree))
+
     def test_a_value_that_is_not_a_node_is_refused(self):
         for walk in (expr.evaluate, expr.evaluate_exact):
             with pytest.raises(TypeError) as err:
@@ -370,9 +381,25 @@ class TestSeriesDerivative:
         ("x^(x/(x-x))", 2, (ExprEvalError, "division by zero (at position 4)")),
         ("x^((x-1)^2/(x-1)^2*(0-2))", 1, -2),
         ("x^2 + zz", 1, (ExprEvalError, "unbound variable 'zz' (at position 6)")),
+        # literals: integers of any size stay exact, and so do the decimal forms
+        ("12345678901234567891*x^2 + 0.1*x", 1, Fraction(246913578024691357821, 10)),
+        ("007*x^007", 1, 49),
+        ("x^2.0", 3, 6),
+        ("x^1e1", 1, 10),
+        ("x^(6/3)", 5, 10),
+        ("x^(5/3)", 5, (NotRationalError, "exponent must be a constant integer (at position 1)")),
     ])
     def test_named_cases(self, source, x0, expected):
         assert by_series(source, x0) == by_ratfunc(source, x0) == expected
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6000,
+                        reason="this interpreter converts integers of any length")
+    def test_literal_over_the_digit_limit(self):
+        zeros = "0" * 6000
+        for source in (f"x^{zeros}2", f"x*0.{zeros}1", f"x/1.{zeros}"):
+            for way in (by_series, by_ratfunc):
+                assert way(source, 3) == (ExprEvalError, "number has too many digits to read exactly"
+                                                         " (at position 2)"), way
 
     def test_matches_ratfunc_on_random_trees(self):
         rng = random.Random(20261018)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from stepcalc.nonarch import (
     EPSILON,
+    Jet,
     NoStandardPartError,
     Poly,
     RatFunc,
@@ -49,6 +50,22 @@ class TestPoly:
         common = Poly((1, 1))
         g = poly_gcd(common * Poly((2, 3)), common * Poly((-1, 0, 1)))
         assert g == common
+
+
+class TestJetConstants:
+    def test_from_fraction_keeps_the_value(self):
+        for q, num, den in ((5, 5, 1), (Fraction(6, 4), 3, 2), (Fraction(-1, 3), -1, 3)):
+            jet = Jet.from_fraction(q)
+            assert (jet.num, jet.den, jet.dn, jet.dd) == ([num], [den], 0, 0)
+
+    @pytest.mark.parametrize("num, den, expected", [(6, 3, 2), (3, -3, -1), (-6, 4, None), (0, 5, 0)])
+    def test_constant_integer_of_a_constant(self, num, den, expected):
+        # unreduced and negative denominators; the answer is the general
+        # rule's, which asks whether self - c is zero
+        jet = Jet([num], [den], 0, 0, 1)
+        c = Fraction(num, den)
+        assert (jet - Jet.from_fraction(c)).is_zero
+        assert jet.constant_integer() == (c.numerator if c.denominator == 1 else None) == expected
 
 
 class TestFieldOps:
