@@ -6,7 +6,28 @@ computed exactly in a non-Archimedean field of rational functions by
 discarding infinitesimals.
 """
 
+import math
+
 __version__ = "0.1.0"
+
+#: Largest |k| * bits of a constant base that an exact power k builds, ``bits`` being the bit length
+#: of the base's reduced numerator or denominator, and about that of the power's.  2^16 bits is about
+#: 19 700 digits, over four times the 4300 that Python prints of an integer; 10^19728 has just under
+#: 2^16 bits.  A power of a non-constant base is bounded by ``expr.MAX_EXACT_DEGREE`` alone.
+MAX_EXACT_BITS = 2**16
+MAX_EXACT_EXPONENT = int(MAX_EXACT_BITS * math.log10(2))  # the largest |exponent| exact_decimal reads
+
+
+def exact_decimal(text: str):
+    """``text`` in ``Fraction``'s syntax, exactly: an int where it is all digits (``int`` is much faster), else a
+    ``Fraction``.  ``OverflowError`` for an exponent above ``MAX_EXACT_EXPONENT``, before 10^|exponent| is built."""
+    if text.isdigit():
+        return int(text)
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > MAX_EXACT_EXPONENT:
+        raise OverflowError(f"decimal exponent above the exact limit of {MAX_EXACT_EXPONENT}")
+    from fractions import Fraction  # imported on use: most requests read no exact number
+    return Fraction(text)
 
 
 def generated(label: str, params: list[str], lines: list[str], names: dict):

@@ -100,25 +100,19 @@ class GeoPoint(Record):
 # Pendulum
 
 def pendulum_ivp(spec: PendulumSpec) -> IVP:
-    """theta'' = -(g/L) sin theta, released from rest.  The Taylor recurrence
-    takes sin and cos of theta from s_k = (1/k) sum j theta_j c_(k-j) and
-    c_k = -(1/k) sum j theta_j s_(k-j), j = 1..k, kept from one order to the next."""
+    """theta'' = -(g/L) sin theta, released from rest, as the polynomial system (theta, omega, s, c)' =
+    (omega, -(g/L) s, c omega, -s omega) from (theta0, 0, sin theta0, cos theta0), s and c being sin and
+    cos of theta; the Taylor recurrence takes the products' coefficients as Cauchy products."""
     ratio = spec.gravity / spec.length
-    sin, cos = [], []
 
     def series(cols, k):
-        if k == 0:
-            sin[:], cos[:] = [math.sin(cols[0][0])], [math.cos(cols[0][0])]
-        else:
-            s = c = 0.0
-            for j, (theta, _), sj, cj in zip(range(1, k + 1), cols[1:], reversed(sin), reversed(cos)):
-                s += j * theta * cj
-                c += j * theta * sj
-            sin.append(s / k)
-            cos.append(-c / k)
-        return (cols[k][1] / (k + 1), -ratio * sin[k] / (k + 1))
+        cw = sw = 0.0
+        for (_, _, s, c), (_, w, _, _) in zip(cols, reversed(cols)):
+            cw += c * w
+            sw += s * w
+        return (cols[k][1] / (k + 1), -ratio * cols[k][2] / (k + 1), cw / (k + 1), -sw / (k + 1))
 
-    return IVP(None, 0.0, (spec.theta0, 0.0), series=series)
+    return IVP(None, 0.0, (spec.theta0, 0.0, math.sin(spec.theta0), math.cos(spec.theta0)), series=series)
 
 
 def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:
@@ -206,8 +200,10 @@ def elliptic_K(k: float) -> float:
 
 
 def pendulum_period_elliptic(spec: PendulumSpec) -> float:
-    """Exact-period route: T = 4 sqrt(L/g) K(sin(theta0/2))."""
+    """Exact-period route: T = 4 sqrt(L/g) K(sin(theta0/2)), refused where sin(theta0/2) rounds to 1."""
     k = math.sin(spec.theta0 / 2.0)
+    if k == 1.0:  # from theta0 = 3.141592632516369 on
+        raise ValueError(f"sin(theta0/2) rounds to 1 at theta0={spec.theta0!r}, too close to pi; use --method ode")
     return 4.0 * math.sqrt(spec.length / spec.gravity) * elliptic_K(k)
 
 

@@ -314,6 +314,8 @@ def _option_type(convert, positive=False, at_most=None):
     def parse(text: str):
         try:
             value = convert(text)
+        except OverflowError as exc:  # exact_decimal's exponent bound
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
         if positive and not value > 0:
@@ -365,9 +367,9 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
 
     if p := command("deriv", cmd_deriv, "exact derivative of a rational expression"):
-        from fractions import Fraction
+        from . import exact_decimal
         p.add_argument("expr", help="rational expression in one variable, e.g. 'x^2'")
-        p.add_argument("--at", required=True, type=_option_type(Fraction),
+        p.add_argument("--at", required=True, type=_option_type(exact_decimal),
                        help="evaluation point, integer or p/q")
 
     if p := command("fn", cmd_fn, "evaluate an ODE-defined function"):

@@ -44,10 +44,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from . import Record, generated
+from . import MAX_EXACT_BITS, Record, exact_decimal, generated
 
 
 class ExprError(ValueError):
@@ -426,22 +425,15 @@ def compile_guarded(label: str, args: Sequence[str], lines: Sequence[str], walk:
 #: d^2; at this bound they take about 1 s on a 2-core x86_64 machine.
 MAX_EXACT_DEGREE = 2048
 
-#: Largest |k| * bits of a constant base that an exact power k builds,
-#: ``bits`` being the bit length of the base's reduced numerator or
-#: denominator, and about that of the power's.  2^16 bits is about 19 700
-#: digits, over four times the 4300 that Python prints of an integer.  A
-#: power of a non-constant base is bounded by ``MAX_EXACT_DEGREE`` alone.
-MAX_EXACT_BITS = 2**16
-
 
 def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None = None) -> Any:
     """Evaluate over an exact field of rational functions of one variable.
 
     ``value_type`` is ``RatFunc`` (the default), canonical quotients, or
     ``Jet``, truncated series at a point; literals become its
-    ``from_fraction`` of their exact decimal value (an int where the text is
-    all digits), and one with more digits than Python converts raises
-    :class:`ExprEvalError`.  Only rational operations are admitted: a
+    ``from_fraction`` of their ``exact_decimal`` value, and one with more
+    digits than Python converts, or a decimal exponent of magnitude above
+    ``MAX_EXACT_EXPONENT``, raises :class:`ExprEvalError`.  Only rational operations are admitted: a
     transcendental call raises :class:`NotRationalError`, and so does an
     exponent whose ``constant_integer`` is None.  A divisor, or the base of
     a negative power, that ``is_zero`` raises :class:`ExprEvalError`, and so
@@ -456,10 +448,12 @@ def evaluate_exact(expr: Expr, env: Mapping[str, Any], value_type: type | None =
 
     def visit(node: Expr, *operands: Any) -> Any:
         if isinstance(node, Num):
-            try:  # int() of an all-digit literal is much cheaper than Fraction(); 0.1, 2.50, 1e3 need one
-                value = int(node.text) if node.text.isdigit() else Fraction(node.text)
+            try:
+                value = exact_decimal(node.text)
             except ValueError:  # more digits than Python converts from text
                 raise ExprEvalError("number has too many digits to read exactly", node.pos) from None
+            except OverflowError as exc:
+                raise ExprEvalError(str(exc), node.pos) from None
             return value_type.from_fraction(value)
         if isinstance(node, Var):
             try:

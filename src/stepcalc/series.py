@@ -64,26 +64,18 @@ class DiscardSum(Record):
 
 
 def partial_sum(spec: SeriesSpec, n: int) -> float:
-    """Sum of the first ``n`` terms, left to right, with compensated (Kahan)
-    accumulation, so multi-million-term sums are not polluted by rounding."""
-    term = spec.term
-    s = 0.0
-    c = 0.0
-    for k in range(n):
-        y = term(k) - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
+    """Sum of the first ``n`` terms, correctly rounded by ``math.fsum``, so
+    multi-million-term sums are not polluted by rounding."""
+    return math.fsum(map(spec.term, range(n)))
 
 
 def sum_until_discardable(spec: SeriesSpec, policy: DiscardPolicy) -> DiscardSum:
     """Sum until the next term falls below the discard threshold.
 
     Stops before adding the first term whose magnitude is below the threshold
-    (absolute, or relative to the running sum); that magnitude bounds the
-    discarded tail for an alternating series with shrinking terms.  Hitting
-    ``max_terms`` first is reported in the result, not raised.
+    (absolute, or relative to the running sum, compensated (Kahan) for it);
+    that magnitude bounds the discarded tail for an alternating series with
+    shrinking terms.  Hitting ``max_terms`` first is reported, not raised.
     """
     if not spec.alternating:
         raise ValueError("sum_until_discardable requires an alternating series "

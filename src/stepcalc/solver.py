@@ -92,7 +92,7 @@ class IVP(Record, uncompared=("steps",)):
     ``series(cols, k)`` is the Taylor coefficient vector of order k + 1 at a node,
     from those of orders 0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor
     step calls it with k = 0, 1, 2, ... in order, so a series may keep the coefficients
-    of its intermediates (a sine, a speed) from call to call, anew at k = 0.
+    of an intermediate (ballistics' speed) from call to call, anew at k = 0.
     ``steps`` maps "euler" or "rk4" to a step ``step(t, h, y)`` that computes
     what ``rhs_step`` of ``rhs`` does, bit for bit, with ``rhs`` inlined; it is
     ``rhs`` in another form, so ``==`` and ``hash`` leave it out.  ``y0`` is

@@ -105,6 +105,15 @@ class TestPendulum:
         ]
         assert periods[0] < periods[1] < periods[2]
 
+    def test_elliptic_route_refuses_where_the_modulus_rounds_to_one(self):
+        # sin(theta0/2) is 1.0 from theta0 = 3.141592632516369 on, and the
+        # modulus check of elliptic_F named a k of 1.0 that no one gave
+        assert math.sin(3.1415926325163686 / 2.0) < 1.0 == math.sin(3.141592632516369 / 2.0)
+        for theta0 in (3.141592632516369, 3.14159265, math.pi - 1e-15):
+            match = rf"rounds to 1 at theta0={re.escape(repr(theta0))}, too close to pi; use --method ode"
+            with pytest.raises(ValueError, match=match):
+                pendulum_period_elliptic(PendulumSpec(1.0, theta0=theta0))
+
     def test_right_angle_ratio_matches_agm_oracle(self):
         spec = PendulumSpec(1.0, theta0=math.pi / 2)
         ratio = pendulum_period_elliptic(spec) / spec.small_angle_period()
@@ -114,12 +123,13 @@ class TestPendulum:
 
     def test_ode_period_bits_of_the_quarter_period(self):
         # four times the first zero of theta, by Taylor steps; against
-        # oracles.pendulum_period these are 2.2e-16, 2.2e-16, 1.1e-16 and 5.6e-16 off
-        # (RK4 at 5e-4, and at 1e-2 for 3.1, gave 5.0e-14, 3.4e-14, 2.8e-14 and 6.4e-9)
+        # oracles.pendulum_period these are 2.2e-16, 2.1e-16, 0 and 5.3e-16 off
+        # (RK4 at 5e-4, and at 1e-2 for 3.1, gave 5.0e-14, 3.4e-14, 2.8e-14 and 6.4e-9;
+        # the host sine of theta at each node gave 3.2964951518018144, 1.3e-16 off, at 2.5)
         cases = [
             (0.25, PENDULUM_H, "2.014275008457609"),
             (1.0, PENDULUM_H, "2.1395029393375617"),
-            (2.5, PENDULUM_H, "3.2964951518018144"),
+            (2.5, PENDULUM_H, "3.296495151801815"),
             (3.1, 1e-2, "6.718454384594633"),
         ]
         for theta0, h, expected in cases:
@@ -154,13 +164,39 @@ class TestPendulum:
                 exact = 4.0 * math.sqrt(length / spec.gravity) * k
                 assert abs(pendulum_period_ode(spec) - exact) <= 5e-11 * exact, (theta0, length)
 
+    def test_period_near_pi_at_the_default_step(self):
+        # sin theta and cos theta are integrated with theta, so no host sine of
+        # a node's theta, rounded to 4.4e-16 beside a sine of about pi - theta,
+        # sets the error: the host sine gave 1.6e-13, 1.3e-12, 2.1e-11,
+        # 2.4e-10, 4.0e-10 and 1.8e-9 here
+        for theta0 in (3.1415, 3.14159, 3.141592, 3.1415926, 3.14159265, 3.141592653):
+            exact = oracles.pendulum_period(theta0)
+            assert abs(pendulum_period_ode(PendulumSpec(1.0, theta0=theta0)) - exact) <= 1e-15 * exact, theta0
+
+    def test_series_keeps_nothing_between_calls(self, monkeypatch):
+        # each order comes from the columns alone: asked in any order, or
+        # again, the series gives the coefficients of the in-order calls
+        ivp = pendulum_ivp(PendulumSpec(1.0, theta0=2.5))
+        series, cols = ivp.series, [ivp.y0]
+        for k in range(12):
+            cols.append(series(cols, k))
+        for k in (11, 3, 0, 7, 3):
+            assert series(cols[:k + 1], k) == cols[k + 1], k
+        # and the only host sine of a whole run is that of the release state
+        calls = []
+        sin = math.sin
+        monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
+        pendulum_period_ode(PendulumSpec(1.0, theta0=2.5))
+        assert calls == [2.5]
+
     def test_default_rhs_evaluations(self, series_calls):
-        # 175 series calls: 6 Taylor steps up to the first node past the zero of
-        # theta and the locator's steps.  RK4 at 5e-4 evaluated the right-hand
-        # side 4296 times, and the turning-point routes over a whole period
-        # 85 752 (h = 1e-4, bisection to 1e-10 s) and 17 152 (h = 5e-4)
+        # 186 series calls: 6 Taylor steps up to the first node past the zero of
+        # theta and the locator's steps (175 with the host sine of theta, whose
+        # two components alone judged the terms).  RK4 at 5e-4 evaluated the
+        # right-hand side 4296 times, and the turning-point routes over a whole
+        # period 85 752 (h = 1e-4, bisection to 1e-10 s) and 17 152 (h = 5e-4)
         pendulum_period_ode(PendulumSpec(1.0, theta0=1.0))
-        assert series_calls[0] == 175
+        assert series_calls[0] == 186
 
     # All but (1.5, 2.0) were refused under RK4, the first four with a period
     # outside the bracket (2.5, 0.4 and 2.385, 1.15 gave 2.9975 for 3.2965 and
@@ -192,8 +228,9 @@ class TestPendulum:
 
     def test_period_against_the_complementary_modulus_oracle(self):
         # oracles.pendulum_period takes AGM(1, cos(theta0/2)), which holds near pi.
-        # Near pi the ulp of theta0, 4.4e-16, is 4.4e-7 of pi - theta0 = 1e-9, and
-        # sets the error: the period grows like ln(1 / (pi - theta0))
+        # The near cases are within 4.4e-16; with the host sine of each node's
+        # theta, whose ulp of 4.4e-16 is 4.4e-7 of pi - theta0 = 1e-9, they were
+        # up to 9.4e-9 off
         rng = random.Random(22)
         near = [3.14, 3.141, 3.1415926, math.pi - 1e-9] + [rng.uniform(3.14, math.pi - 1e-9) for _ in range(12)]
         cases = [(rng.uniform(1e-3, 3.1), 1e-13) for _ in range(40)] + [(3.1, 1e-13)]

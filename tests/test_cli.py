@@ -942,6 +942,11 @@ class TestErrorContract:
             (2, ("solve", str(inf_t_end_spec))),
             (2, ("deriv", "²", "--at", "1")),
             (2, ("deriv", "x²", "--at", "1")),
+            # decimal exponents past the exact limit, refused before their power of ten is built
+            (1, ("deriv", "x*0e9999999", "--at", "1")),
+            (1, ("deriv", "x+1e-9999999", "--at", "1")),
+            (2, ("deriv", "x", "--at", "1e9999999")),
+            (2, ("deriv", "x", "--at", "0e9999999")),
             (2, ("pi", "--terms", "0")),
             (2, ("frobnicate",)),
             (1, ("rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")),
@@ -972,6 +977,7 @@ class TestErrorContract:
             (1, ("pendulum", "--theta0", "1", "--length", "1e300", "--g", "1e-300")),  # period overflows
             (1, ("pendulum", "--theta0", "1", "--length", "1e-300", "--g", "1e300")),  # period underflows
             (1, ("pendulum", "--theta0", "1", "--method", "ode", "--g", "inf")),
+            (1, ("pendulum", "--theta0", "3.14159265")),  # the elliptic route: sin(theta0/2) rounds to 1
             *((1, (*shot, *extra)) for extra in ballistics_refusals),
             (1, ("ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-300")),  # range underflows
             (1, ("fn", "sin", "1e9", "--h", "100")),  # 10^7 steps, each split, are beyond the step budget
@@ -998,6 +1004,13 @@ class TestErrorContract:
         assert "h=1e-08" in run(capsys, "table", "--h", "1e-8")[2]
         assert "100 levels" in run(capsys, "deriv", "(" * 3000 + "x" + ")" * 3000, "--at", "1")[2]
         assert "unexpected character" in run(capsys, "deriv", "x²", "--at", "1")[2]
+        assert run(capsys, "deriv", "x*0e9999999", "--at", "1")[2] == (
+            "stepcalc: decimal exponent above the exact limit of 19728 (at position 2)\n")
+        assert run(capsys, "deriv", "x", "--at", "1e9999999")[2] == (
+            "stepcalc deriv: usage error: argument --at: decimal exponent above the exact limit of 19728, "
+            "got '1e9999999'\n")
+        assert run(capsys, "pendulum", "--theta0", "3.14159265")[2] == (
+            "stepcalc: sin(theta0/2) rounds to 1 at theta0=3.14159265, too close to pi; use --method ode\n")
         assert run(capsys, "rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")[2] == (
             "stepcalc: unbound variable 'y' (at position 0)\n")
         assert run(capsys, "rectify", "--x-expr", "abs((0-1)^0.5)", *curve)[2] == (

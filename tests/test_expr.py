@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from stepcalc import expr
+import stepcalc
+from stepcalc import exact_decimal, expr
 from stepcalc.expr import (
     BUILTINS,
     MAX_DEPTH,
@@ -388,6 +389,11 @@ class TestSeriesDerivative:
         ("x^1e1", 1, 10),
         ("x^(6/3)", 5, 10),
         ("x^(5/3)", 5, (NotRationalError, "exponent must be a constant integer (at position 1)")),
+        # decimal exponents up to MAX_EXACT_EXPONENT; past it a literal is refused
+        # before its power of ten is built (x*0e9999999 took 8.4 s to give 0)
+        ("x*0e19728 + 1e-19728*x^2", 1, Fraction(2, 10**19728)),
+        ("x*0e9999999", 1, (ExprEvalError, "decimal exponent above the exact limit of 19728 (at position 2)")),
+        ("x+1e-9999999", 1, (ExprEvalError, "decimal exponent above the exact limit of 19728 (at position 2)")),
     ])
     def test_named_cases(self, source, x0, expected):
         assert by_series(source, x0) == by_ratfunc(source, x0) == expected
@@ -400,6 +406,24 @@ class TestSeriesDerivative:
             for way in (by_series, by_ratfunc):
                 assert way(source, 3) == (ExprEvalError, "number has too many digits to read exactly"
                                                          " (at position 2)"), way
+
+    def test_exact_decimal(self):
+        # one reader for literals and --at: all digits read as an int, other
+        # forms of Fraction's syntax as a Fraction, an exponent of magnitude
+        # above MAX_EXACT_EXPONENT refused before its power of ten is built
+        assert stepcalc.MAX_EXACT_EXPONENT == math.floor(expr.MAX_EXACT_BITS * math.log10(2)) == 19728
+        assert type(exact_decimal("007")) is int and exact_decimal("007") == 7
+        for text, value in (("2.5E+3", 2500), (" -1/3 ", Fraction(-1, 3)), ("1e19728", 10**19728),
+                            ("0e-19728", 0), ("1_0e1_0", 10**11)):
+            assert exact_decimal(text) == value, text
+        for text in ("1e19729", "0e-19729", "1e9999999", "0E9_999_999", " 2.5e+0019729 "):
+            with pytest.raises(OverflowError, match="decimal exponent above the exact limit of 19728"):
+                exact_decimal(text)
+        for text in ("abc", "1e", "e5", "1/2e3", "nan", "\u00b2"):
+            with pytest.raises(ValueError):
+                exact_decimal(text)
+        with pytest.raises(ZeroDivisionError):
+            exact_decimal("1/0")
 
     def test_matches_ratfunc_on_random_trees(self):
         rng = random.Random(20261018)

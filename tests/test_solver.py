@@ -394,7 +394,7 @@ class TestTaylor:
                         assert len(fresh_orders) <= len(computed), (ivp.y0, y, h, s)
                         assert solver._taylor_step(ivp.series, y, s, 0, given=[y, *computed]) == fresh, (y, h, s)
                         cases += 1
-        assert cases == 328
+        assert cases == 324
 
     def test_a_nan_term_is_not_small(self):
         # max(map(abs, c)) skips a nan after the first component: terms that
