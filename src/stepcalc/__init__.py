@@ -32,8 +32,8 @@ def exact_decimal(text: str):
 
 def generated(label: str, params: list[str], lines: list[str], names: dict):
     """``_generated(*params)``: ``lines``, a function body, compiled as ``<stepcalc label>`` in a
-    namespace of ``names`` alone, with no builtins.  The package's one ``exec``: the generated
-    Euler and RK4 steps and ``rectify``'s polyline loops all compile here."""
+    namespace of ``names`` alone, with no builtins.  The package's one ``exec``: the records'
+    constructors, the generated Euler and RK4 steps and ``rectify``'s polyline loops all compile here."""
     source = "".join([f"def _generated({', '.join(params)}):\n", *(f"    {line}\n" for line in lines)])
     namespace = {**names, "__builtins__": {}}
     exec(compile(source, f"<stepcalc {label}>", "exec"), namespace)
@@ -41,12 +41,14 @@ def generated(label: str, params: list[str], lines: list[str], names: dict):
 
 
 class Record:
-    """Base of the package's immutable records: plain classes, which cost
-    nothing to import and run no generated code.
+    """Base of the package's immutable records: plain classes, not dataclasses.
 
-    A record's fields are its class's ``__slots__``, in constructor order.
-    Its ``__init__`` validates them and sets each once by ``object.__setattr__``;
-    setting or deleting one later raises ``AttributeError``.  ``==`` and
+    A record's fields are its class's ``__slots__``, in constructor order.  A
+    class that defines no ``__init__`` gets one generated from its slots, once,
+    when the class is made: its parameters are the slots, with defaults from
+    the class's ``_defaults`` mapping, and it sets each field once by
+    ``object.__setattr__``, then calls the class's ``_check`` if it has one.
+    Setting or deleting a field later raises ``AttributeError``.  ``==`` and
     ``hash`` hold between records of one class and use every field but those
     the class names in its ``uncompared`` keyword; ``repr`` shows them all.
     """
@@ -56,6 +58,13 @@ class Record:
     def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
         cls._compared = tuple(name for name in cls.__slots__ if name not in uncompared)
+        if "__init__" not in cls.__dict__:
+            defaults = getattr(cls, "_defaults", {})  # a default is read by its field's name in the namespace
+            params = [f"{name}={name}" if name in defaults else name for name in cls.__slots__]
+            lines = [f"_set(self, {name!r}, {name})" for name in cls.__slots__]
+            lines += ["self._check()"] if hasattr(cls, "_check") else []
+            cls.__init__ = generated(f"{cls.__qualname__}.__init__", ["self", *params], lines,
+                                     {**defaults, "_set": object.__setattr__})
 
     def replace(self, **changes):
         """A record of this class with the named fields changed, validated anew."""

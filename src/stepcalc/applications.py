@@ -35,11 +35,9 @@ class PendulumSpec(Record):
     ``theta0`` (radians) under ``gravity`` (m/s^2)."""
 
     __slots__ = ("length", "gravity", "theta0")
+    _defaults = {"gravity": STANDARD_GRAVITY, "theta0": 0.5}
 
-    def __init__(self, length: float, gravity: float = STANDARD_GRAVITY, theta0: float = 0.5):
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "gravity", gravity)
-        object.__setattr__(self, "theta0", theta0)
+    def _check(self):
         if not 0.0 < self.length < math.inf:
             raise ValueError(f"length must be finite and positive, got {self.length!r}")
         if not 0.0 < self.gravity < math.inf:
@@ -60,25 +58,21 @@ class BallisticsSpec(Record):
     (kg/m; 0 means vacuum)."""
 
     __slots__ = ("mass", "drag", "v0", "alpha", "gravity")
+    _defaults = {"gravity": STANDARD_GRAVITY}
 
-    def __init__(self, mass: float, drag: float, v0: float, alpha: float, gravity: float = STANDARD_GRAVITY):
-        if not 0.0 < mass < math.inf:
-            raise ValueError(f"mass must be finite and positive, got {mass!r}")
-        if not 0.0 <= drag < math.inf:
-            raise ValueError(f"drag coefficient must be finite and non-negative, got {drag!r}")
-        if not 0.0 < v0 < math.inf:
-            raise ValueError(f"launch speed must be finite and positive, got {v0!r}")
-        if not 0.0 < alpha < math.pi / 2:
+    def _check(self):
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
+        if not 0.0 <= self.drag < math.inf:
+            raise ValueError(f"drag coefficient must be finite and non-negative, got {self.drag!r}")
+        if not 0.0 < self.v0 < math.inf:
+            raise ValueError(f"launch speed must be finite and positive, got {self.v0!r}")
+        if not 0.0 < self.alpha < math.pi / 2:
             raise ValueError("launch angle must lie in (0, pi/2)")
-        if not 0.0 < gravity < math.inf:
-            raise ValueError(f"gravity must be finite and positive, got {gravity!r}")
-        if not drag / mass < math.inf:
-            raise ValueError(f"drag/mass ratio must be finite, got {drag / mass!r}")
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "drag", drag)
-        object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gravity", gravity)
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError(f"gravity must be finite and positive, got {self.gravity!r}")
+        if not self.drag / self.mass < math.inf:
+            raise ValueError(f"drag/mass ratio must be finite, got {self.drag / self.mass!r}")
 
 
 class GeoPoint(Record):
@@ -87,13 +81,11 @@ class GeoPoint(Record):
 
     __slots__ = ("lat", "lon")
 
-    def __init__(self, lat: float, lon: float):
-        if not abs(lat) < math.pi / 2:
+    def _check(self):
+        if not abs(self.lat) < math.pi / 2:
             raise ValueError("latitude must lie strictly between the poles")
-        if not math.isfinite(lon):
-            raise ValueError(f"longitude must be finite, got {lon!r}")
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", lon)
+        if not math.isfinite(self.lon):
+            raise ValueError(f"longitude must be finite, got {self.lon!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +192,18 @@ def elliptic_K(k: float) -> float:
 
 
 def pendulum_period_elliptic(spec: PendulumSpec) -> float:
-    """Exact-period route: T = 4 sqrt(L/g) K(sin(theta0/2)), refused where sin(theta0/2) rounds to 1."""
+    """Exact-period route: T = 4 sqrt(L/g) K(sin(theta0/2)), refused in theta0's terms where sin(theta0/2)
+    rounds to 1 and where the quadrature of K does not converge within its budget (at amplitudes
+    scattered from 3.14035 on, most of those past 3.1409)."""
     k = math.sin(spec.theta0 / 2.0)
     if k == 1.0:  # from theta0 = 3.141592632516369 on
         raise ValueError(f"sin(theta0/2) rounds to 1 at theta0={spec.theta0!r}, too close to pi; use --method ode")
-    return 4.0 * math.sqrt(spec.length / spec.gravity) * elliptic_K(k)
+    try:
+        quarter = elliptic_K(k)
+    except ArithmeticError:
+        raise ArithmeticError(f"elliptic integral did not converge to {ELLIPTIC_TOL:g} within {ELLIPTIC_MAX_STEPS} "
+                              f"steps at theta0={spec.theta0!r}, too close to pi; use --method ode") from None
+    return 4.0 * math.sqrt(spec.length / spec.gravity) * quarter
 
 
 # ---------------------------------------------------------------------------

@@ -109,46 +109,27 @@ def tokenize(source: str) -> list[Token]:
 
 class Num(Record, uncompared=("text", "pos")):
     __slots__ = ("value", "text", "pos")
-
-    def __init__(self, value: float, text: str, pos: int = 0):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
+    _defaults = {"pos": 0}
 
 
 class Var(Record, uncompared=("pos",)):
     __slots__ = ("name", "pos")
-
-    def __init__(self, name: str, pos: int = 0):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pos", pos)
+    _defaults = {"pos": 0}
 
 
 class Neg(Record, uncompared=("pos",)):
     __slots__ = ("operand", "pos")
-
-    def __init__(self, operand: Expr, pos: int = 0):
-        object.__setattr__(self, "operand", operand)
-        object.__setattr__(self, "pos", pos)
+    _defaults = {"pos": 0}
 
 
 class BinOp(Record, uncompared=("pos",)):
     __slots__ = ("op", "left", "right", "pos")
-
-    def __init__(self, op: str, left: Expr, right: Expr, pos: int = 0):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "pos", pos)
+    _defaults = {"pos": 0}
 
 
 class Call(Record, uncompared=("pos",)):
     __slots__ = ("name", "arg", "pos")
-
-    def __init__(self, name: str, arg: Expr, pos: int = 0):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "pos", pos)
+    _defaults = {"pos": 0}
 
 
 Expr = Num | Var | Neg | BinOp | Call

@@ -31,12 +31,7 @@ class OdeFunction(Record):
     steps of +-``pole``, and a subnormal value (no double holds it to the budget)."""
 
     __slots__ = ("name", "ivp", "output", "pole")
-
-    def __init__(self, name: str, ivp: IVP, output: int, pole: float | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ivp", ivp)
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "pole", pole)
+    _defaults = {"pole": None}
 
     def __call__(self, x: float, method: str | None = None, h: float | None = None) -> float:
         return self.trajectory(x, method, h, record=False).final_state()[self.output]

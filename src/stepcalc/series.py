@@ -9,7 +9,6 @@ omitted term bounds the whole tail, so the reported bound is honest.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from . import Record
 
@@ -25,10 +24,7 @@ class SeriesSpec(Record):
     caller and spot-checked during summation."""
 
     __slots__ = ("term", "alternating")
-
-    def __init__(self, term: Callable[[int], float], alternating: bool = False):
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "alternating", alternating)
+    _defaults = {"alternating": False}
 
 
 class DiscardPolicy(Record):
@@ -36,17 +32,15 @@ class DiscardPolicy(Record):
     threshold, plus a hard cap on the number of terms."""
 
     __slots__ = ("mode", "threshold", "max_terms")
+    _defaults = {"max_terms": DEFAULT_MAX_TERMS}
 
-    def __init__(self, mode: str, threshold: float, max_terms: int = DEFAULT_MAX_TERMS):
-        if mode not in ("absolute", "relative"):
-            raise ValueError(f"mode must be 'absolute' or 'relative', got {mode!r}")
-        if not threshold > 0:
+    def _check(self):
+        if self.mode not in ("absolute", "relative"):
+            raise ValueError(f"mode must be 'absolute' or 'relative', got {self.mode!r}")
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if max_terms < 1:
+        if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "max_terms", max_terms)
 
 
 class DiscardSum(Record):
@@ -55,12 +49,7 @@ class DiscardSum(Record):
     an alternating series), and whether ``max_terms`` stopped the sum."""
 
     __slots__ = ("value", "terms_used", "discarded_bound", "hit_cap")
-
-    def __init__(self, value: float, terms_used: int, discarded_bound: float, hit_cap: bool = False):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "terms_used", terms_used)
-        object.__setattr__(self, "discarded_bound", discarded_bound)
-        object.__setattr__(self, "hit_cap", hit_cap)
+    _defaults = {"hit_cap": False}
 
 
 def partial_sum(spec: SeriesSpec, n: int) -> float:

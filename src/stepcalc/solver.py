@@ -131,19 +131,17 @@ class StepPlan(Record):
     """
 
     __slots__ = ("h", "t_end", "steps")
+    _defaults = {"steps": None}
 
-    def __init__(self, h: float, t_end: float, steps: int | None = None):
-        if not h > 0:
+    def _check(self):
+        if not self.h > 0:
             raise ValueError("step size h must be positive")
-        if not math.isfinite(h):
-            raise ValueError(f"step size h must be finite, got {h!r}")
-        if not math.isfinite(t_end):
-            raise ValueError(f"end time t_end must be finite, got {t_end!r}")
-        if steps is not None and not 1 <= steps <= MAX_STEPS:
-            raise ValueError(f"step count must lie in [1, {MAX_STEPS}], got {steps!r}")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "t_end", t_end)
-        object.__setattr__(self, "steps", steps)
+        if not math.isfinite(self.h):
+            raise ValueError(f"step size h must be finite, got {self.h!r}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"end time t_end must be finite, got {self.t_end!r}")
+        if self.steps is not None and not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"step count must lie in [1, {MAX_STEPS}], got {self.steps!r}")
 
     @classmethod
     def divided(cls, t0: float, t_end: float, h: float) -> "StepPlan":
@@ -166,10 +164,6 @@ class Trajectory(Record):
     """Node times and states recorded by an integrator."""
 
     __slots__ = ("times", "states")
-
-    def __init__(self, times: tuple[float, ...], states: tuple[Vector, ...]):
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:

@@ -25,11 +25,6 @@ class Series(Record):
 
     __slots__ = ("name", "xs", "ys")
 
-    def __init__(self, name: str, xs: Sequence[float], ys: Sequence[float]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
 
 def _bounds(values) -> tuple[float, float]:
     lo = min(values)

@@ -34,11 +34,9 @@ class SineTable(Record):
 
     __slots__ = ("radius", "values")
 
-    def __init__(self, radius: float, values: tuple[float, ...]):
-        if len(values) != ENTRY_COUNT:
-            raise ValueError(f"expected {ENTRY_COUNT} entries, got {len(values)}")
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "values", values)
+    def _check(self):
+        if len(self.values) != ENTRY_COUNT:
+            raise ValueError(f"expected {ENTRY_COUNT} entries, got {len(self.values)}")
 
     def value_at_node(self, k: int) -> float:
         """v_k with the v_0 = 0 convention; k in 0..24."""

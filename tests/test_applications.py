@@ -114,6 +114,13 @@ class TestPendulum:
             with pytest.raises(ValueError, match=match):
                 pendulum_period_elliptic(PendulumSpec(1.0, theta0=theta0))
 
+    def test_elliptic_route_refuses_in_theta0_terms_where_its_quadrature_does_not_converge(self):
+        # the step doubling of K(sin(theta0/2)) runs out of budget; the refusal names the amplitude given
+        message = ("elliptic integral did not converge to 1e-12 within 262144 steps at theta0=3.1415, "
+                   "too close to pi; use --method ode")
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            pendulum_period_elliptic(PendulumSpec(1.0, theta0=3.1415))
+
     def test_right_angle_ratio_matches_agm_oracle(self):
         spec = PendulumSpec(1.0, theta0=math.pi / 2)
         ratio = pendulum_period_elliptic(spec) / spec.small_angle_period()

@@ -978,6 +978,7 @@ class TestErrorContract:
             (1, ("pendulum", "--theta0", "1", "--length", "1e-300", "--g", "1e300")),  # period underflows
             (1, ("pendulum", "--theta0", "1", "--method", "ode", "--g", "inf")),
             (1, ("pendulum", "--theta0", "3.14159265")),  # the elliptic route: sin(theta0/2) rounds to 1
+            (1, ("pendulum", "--theta0", "3.1415")),  # the elliptic route: its quadrature does not converge
             *((1, (*shot, *extra)) for extra in ballistics_refusals),
             (1, ("ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-300")),  # range underflows
             (1, ("fn", "sin", "1e9", "--h", "100")),  # 10^7 steps, each split, are beyond the step budget
@@ -1011,6 +1012,9 @@ class TestErrorContract:
             "got '1e9999999'\n")
         assert run(capsys, "pendulum", "--theta0", "3.14159265")[2] == (
             "stepcalc: sin(theta0/2) rounds to 1 at theta0=3.14159265, too close to pi; use --method ode\n")
+        assert run(capsys, "pendulum", "--theta0", "3.1415")[2] == (
+            "stepcalc: elliptic integral did not converge to 1e-12 within 262144 steps at theta0=3.1415, "
+            "too close to pi; use --method ode\n")
         assert run(capsys, "rectify", "--x-expr", "t", "--y-expr", "y", "--t0", "0", "--t1", "1")[2] == (
             "stepcalc: unbound variable 'y' (at position 0)\n")
         assert run(capsys, "rectify", "--x-expr", "abs((0-1)^0.5)", *curve)[2] == (

@@ -33,6 +33,11 @@ def test_sources_import_only_the_standard_library():
         assert non_stdlib_imports(path.read_text()) == [], path.name
 
 
+def test_generated_code_compiles_in_one_place():
+    # stepcalc.generated: the records' constructors, the Euler and RK4 steps and the polyline loops
+    assert sum(path.read_text().count("exec(") for path in SOURCES) == 1
+
+
 def test_guard_sees_third_party_imports():
     source = "import os\nfrom . import expr\ndef f():\n    import numpy.linalg\n    from scipy import special\n"
     assert non_stdlib_imports(source) == ["numpy.linalg", "scipy"]

@@ -2,6 +2,7 @@
 and compared, hashed, shown and copied field by field."""
 
 import copy
+import inspect
 import math
 
 import pytest
@@ -43,6 +44,29 @@ CASES = [
     (expr.Call, ("sin", X), dict(name="sin", arg=X, pos=0)),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
+
+
+# each record class's constructor parameters in order, with a default where one is given:
+# the public signatures, which a constructor generated from the slots keeps
+SIGNATURES = {
+    IVP: ["rhs", "t0", "y0", ("integrand", None), ("series", None), ("steps", None)],
+    StepPlan: ["h", "t_end", ("steps", None)],
+    Trajectory: ["times", "states"],
+    functions.OdeFunction: ["name", "ivp", "output", ("pole", None)],
+    applications.PendulumSpec: ["length", ("gravity", 9.80665), ("theta0", 0.5)],
+    applications.BallisticsSpec: ["mass", "drag", "v0", "alpha", ("gravity", 9.80665)],
+    applications.GeoPoint: ["lat", "lon"],
+    series.SeriesSpec: ["term", ("alternating", False)],
+    series.DiscardPolicy: ["mode", "threshold", ("max_terms", 1000000)],
+    series.DiscardSum: ["value", "terms_used", "discarded_bound", ("hit_cap", False)],
+    svgplot.Series: ["name", "xs", "ys"],
+    tables.SineTable: ["radius", "values"],
+    expr.Num: ["value", "text", ("pos", 0)],
+    expr.Var: ["name", ("pos", 0)],
+    expr.Neg: ["operand", ("pos", 0)],
+    expr.BinOp: ["op", "left", "right", ("pos", 0)],
+    expr.Call: ["name", "arg", ("pos", 0)],
+}
 
 
 def test_every_record_class_is_covered():
@@ -95,3 +119,10 @@ def test_repeated_runs_give_equal_trajectories():
     a, b = integrate(EXP, plan), integrate(EXP, plan)
     assert a is not b and a == b and repr(a) == repr(b)
     assert a != integrate(EXP, StepPlan(0.2, 1.0))
+
+
+@pytest.mark.parametrize("cls", Record.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_constructor_parameters_and_defaults_stay(cls):
+    parameters = inspect.signature(cls).parameters.values()
+    assert [p.name if p.default is p.empty else (p.name, p.default) for p in parameters] == SIGNATURES[cls]
+    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
