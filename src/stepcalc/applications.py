@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from . import Record, generated
 from .functions import make_inv_gudermannian
-from .solver import IVP, StepPlan, Trajectory, Vector, find_zero_crossings, integrate, integrate_final
+from .solver import IVP, StepPlan, Trajectory, Vector, find_zero_crossings, integrate, integrate_final, polynomial_ivp
 
 STANDARD_GRAVITY = 9.80665
 EARTH_RADIUS = 6371000.0
@@ -92,19 +92,11 @@ class GeoPoint(Record):
 # Pendulum
 
 def pendulum_ivp(spec: PendulumSpec) -> IVP:
-    """theta'' = -(g/L) sin theta, released from rest, as the polynomial system (theta, omega, s, c)' =
+    """theta'' = -(g/L) sin theta, released from rest, declared as the polynomial system (theta, omega, s, c)' =
     (omega, -(g/L) s, c omega, -s omega) from (theta0, 0, sin theta0, cos theta0), s and c being sin and
-    cos of theta; the Taylor recurrence takes the products' coefficients as Cauchy products."""
-    ratio = spec.gravity / spec.length
-
-    def series(cols, k):
-        cw = sw = 0.0
-        for (_, _, s, c), (_, w, _, _) in zip(cols, reversed(cols)):
-            cw += c * w
-            sw += s * w
-        return (cols[k][1] / (k + 1), -ratio * cols[k][2] / (k + 1), cw / (k + 1), -sw / (k + 1))
-
-    return IVP(None, 0.0, (spec.theta0, 0.0, math.sin(spec.theta0), math.cos(spec.theta0)), series=series)
+    cos of theta."""
+    system = [(1, 1), (-(spec.gravity / spec.length), 2), (1, 3, 1), (-1, 2, 1)]
+    return polynomial_ivp(0.0, (spec.theta0, 0.0, math.sin(spec.theta0), math.cos(spec.theta0)), system)
 
 
 def pendulum_period_ode(spec: PendulumSpec, h: float = PENDULUM_H) -> float:

@@ -4,8 +4,8 @@ Each entry couples an initial-value problem with an output component: the
 value at ``x`` is obtained by integrating from the initial time to ``x``
 (backward when ``x`` lies before it).  No closed forms, no host special
 functions on the product path; plain integration is the point.  All but
-invgd, whose integrand has poles on the real axis, declare the recurrence
-of their Taylor coefficients and take Taylor steps by default.
+invgd, whose integrand has poles on the real axis, declare a polynomial
+system (``solver.polynomial_ivp``) and take Taylor steps by default.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import Record
-from .solver import IVP, StepPlan, Trajectory, integrate
+from .solver import IVP, StepPlan, Trajectory, integrate, polynomial_ivp
 
 DEFAULT_H = 1e-3  # RK4 step size of every ODE-defined function
 TAYLOR_H = 0.5  # Taylor step size of the functions that declare a series
@@ -55,48 +55,22 @@ class OdeFunction(Record):
 
 
 def make_exp() -> OdeFunction:
-    """exp as the solution of y' = y, y(0) = 1; Taylor coefficients c_(k+1) = c_k/(k+1)."""
-    ivp = IVP(lambda t, y: (y[0],), 0.0, (1.0,), series=lambda cols, k: (cols[k][0] / (k + 1),))
-    return OdeFunction("exp", ivp, 0)
-
-
-def circle_rhs(t, y):
-    return (y[1], -y[0])
-
-
-def circle_series(cols, k):
-    return (cols[k][1] / (k + 1), -cols[k][0] / (k + 1))
+    """exp as the solution of y' = y, y(0) = 1."""
+    return OdeFunction("exp", polynomial_ivp(0.0, (1.0,), [(1, 0)]), 0)
 
 
 def make_sincos() -> tuple[OdeFunction, OdeFunction]:
     """sin and cos as the solution pair of y1' = y2, y2' = -y1, y(0) = (0, 1)."""
-    ivp = IVP(circle_rhs, 0.0, (0.0, 1.0), series=circle_series)
+    ivp = polynomial_ivp(0.0, (0.0, 1.0), [(1, 1), (-1, 0)])
     return OdeFunction("sin", ivp, 0), OdeFunction("cos", ivp, 1)
 
 
 def make_jacobi(k: float) -> tuple[OdeFunction, OdeFunction, OdeFunction]:
-    """Jacobi elliptic sn, cn, dn with modulus k from their coupled system.
-
-    sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn, starting at (0, 1, 1); the
-    Taylor recurrence takes the products' coefficients as Cauchy products.
-    """
+    """Jacobi elliptic sn, cn, dn with modulus k as the polynomial system
+    sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn from (0, 1, 1)."""
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"modulus k must lie in [0, 1], got {k!r}")
-    k2 = k * k
-
-    def rhs(t, y):
-        sn, cn, dn = y
-        return (cn * dn, -sn * dn, -k2 * sn * cn)
-
-    def series(cols, k):
-        cd = sd = sc = 0.0
-        for (s, c, _), (s2, c2, d2) in zip(cols, reversed(cols)):
-            cd += c * d2
-            sd += s * d2
-            sc += s * c2
-        return (cd / (k + 1), -sd / (k + 1), -k2 * sc / (k + 1))
-
-    ivp = IVP(rhs, 0.0, (0.0, 1.0, 1.0), series=series)
+    ivp = polynomial_ivp(0.0, (0.0, 1.0, 1.0), [(1, 1, 2), (-1, 0, 2), (-(k * k), 0, 1)])
     return (
         OdeFunction("sn", ivp, 0),
         OdeFunction("cn", ivp, 1),

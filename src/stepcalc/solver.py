@@ -7,7 +7,8 @@ stages once as straight-line Python around a stage emitter, which either
 calls the right-hand side (``rhs_step``, compiled once per method and
 dimension) or, for an IVP that declares its own ``steps``, inlines it; a spec
 file's inlined step takes a failing step again as ``rhs_step`` on the tree
-walker.  Both compile through ``stepcalc.generated``.  Steps are laid out on
+walker.  Both compile through ``stepcalc.generated``, as does the code that
+``polynomial_ivp`` writes for a polynomial system.  Steps are laid out on
 a uniform grid from ``t0`` toward ``t_end``; the final step is shortened so
 the last node lands on ``t_end`` bit-exactly.  A plan with a
 step count instead divides the span into that many equal steps
@@ -296,6 +297,37 @@ def rhs_step(method: str, dim: int, rhs: RHS) -> Step:
     """One Euler or RK4 step ``step(t, h, y)`` of ``step_lines`` that calls
     ``rhs`` at each stage; the code is generated once per (method, dim)."""
     return _rhs_step_factory(method, dim)(rhs)
+
+
+def polynomial_ivp(t0: float, y0: Vector, system: Sequence[tuple]) -> IVP:
+    """The IVP y_i' = c y_j or c y_j y_l, declared by one ``(c, j)`` or ``(c, j, l)`` per component i, with its
+    ``rhs``, c y_j y_l left to right, and its ``series``: order k + 1 of c y_j y_l is c sum y_j,m y_l,(k-m) / (k + 1),
+    m = 0..k, one accumulator per distinct (j, l) in one loop over the columns (Parker and Sochacki, 1996).  A c
+    of +-1 is written as a sign and any other c passed in, so the code compiles once per shape."""
+    signs = [{1: "", -1: "-"}.get(c) for c, *_ in system]
+    shape = tuple((sign, *factors) for sign, (_, *factors) in zip(signs, system))
+    rhs, series = _polynomial_factory(shape)(*(c for sign, (c, *_) in zip(signs, system) if sign is None))
+    return IVP(rhs, t0, y0, series=series)
+
+
+@functools.lru_cache(maxsize=64)
+def _polynomial_factory(shape: tuple) -> Callable[..., tuple[RHS, Series]]:
+    a, b = ("".join(f"_{x}{i}, " for i in range(len(shape))) for x in "ab")  # a state's names, as tuple items
+    products = list(dict.fromkeys(tuple(factors) for _, *factors in shape if factors[1:]))
+    params, rhs, series = [], "", ""
+    for i, (sign, *factors) in enumerate(shape):
+        params += [f"_c{i}"] if sign is None else []
+        c = f"_c{i} * " if sign is None else sign
+        term = f"_p{products.index(tuple(factors))}" if factors[1:] else f"cols[k][{factors[0]}]"
+        rhs += c + " * ".join(f"_a{j}" for j in factors) + ", "
+        series += f"{c}{term} / (k + 1), "
+    lines = ["def _rhs(t, y):", f"    {a}= y", f"    return ({rhs})", "def _series(cols, k):",
+             *(f"    _p{n} = 0.0" for n in range(len(products)))]
+    if products:
+        lines.append(f"    for ({a}), ({b}) in zip(cols, reversed(cols)):")
+        lines += [f"        _p{n} += _a{j} * _b{l}" for n, (j, l) in enumerate(products)]
+    lines += [f"    return ({series})", "return _rhs, _series"]
+    return generated(f"solver.polynomial_ivp {shape}", params, lines, {"zip": zip, "reversed": reversed})
 
 
 def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0,

@@ -120,6 +120,10 @@ VECTORS = [
     ("fn", "cos", "2", "--method", "taylor", "--h", "0.05", "--out", "fn.csv"),
     ("fn", "exp", "-700"),
     ("fn", "sn", "2", "--k", "1", "--h", "2"),
+    ("fn", "sn", "1.5", "--k", "1", "--method", "rk4"),
+    ("fn", "cn", "2", "--k", "0", "--method", "euler"),
+    ("fn", "sin", "2", "--method", "rk4"),
+    ("fn", "exp", "1", "--method", "euler"),
     ("fn", "gamma", "1"),
     ("fn", "invgd", "1.5707963267948966"),
     ("fn", "invgd", "1.5707"),

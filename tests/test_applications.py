@@ -50,7 +50,7 @@ def plans(monkeypatch):
 @pytest.fixture
 def series_calls(monkeypatch):
     """Taylor-coefficient evaluations (``series`` calls) of the pendulum and
-    ballistics problems, which declare no right-hand side."""
+    ballistics problems."""
     count = [0]
 
     def counted(make_ivp):
@@ -79,11 +79,19 @@ def _step_to_landing(spec, traj, t_land):
 
 class TestPendulum:
     def test_rk4_and_euler_are_refused(self):
-        # the pendulum and ballistics IVPs declare only their series, for Taylor steps
-        for ivp in (pendulum_ivp(PendulumSpec(1.0)), ballistics_ivp(BallisticsSpec(1.0, 0.1, 10.0, 0.5))):
-            for method in ("rk4", "euler"):
-                with pytest.raises(ValueError, match=f"method '{method}' needs an IVP that declares a right-hand side"):
-                    solver.integrate(ivp, StepPlan(0.1, 1.0), method)
+        # the ballistics IVP declares only its series, for Taylor steps
+        ivp = ballistics_ivp(BallisticsSpec(1.0, 0.1, 10.0, 0.5))
+        for method in ("rk4", "euler"):
+            with pytest.raises(ValueError, match=f"method '{method}' needs an IVP that declares a right-hand side"):
+                solver.integrate(ivp, StepPlan(0.1, 1.0), method)
+
+    def test_rk4_on_the_declared_system_matches_taylor_steps(self):
+        # the pendulum's polynomial system writes its right-hand side too: RK4
+        # steps of 1e-3 agree with Taylor steps to 3.8e-11 at t = 1
+        ivp = pendulum_ivp(PendulumSpec(1.0, theta0=2.5))
+        rk4 = integrate_final(ivp, StepPlan(1e-3, 1.0), "rk4")[1]
+        taylor = integrate_final(ivp, StepPlan(PENDULUM_H, 1.0), "taylor")[1]
+        assert max(abs(a - b) for a, b in zip(rk4, taylor, strict=True)) <= 1e-10
 
     def test_small_angle_limit(self):
         spec = PendulumSpec(1.0, theta0=0.01)
@@ -180,16 +188,23 @@ class TestPendulum:
             exact = oracles.pendulum_period(theta0)
             assert abs(pendulum_period_ode(PendulumSpec(1.0, theta0=theta0)) - exact) <= 1e-15 * exact, theta0
 
-    def test_series_keeps_nothing_between_calls(self, monkeypatch):
-        # each order comes from the columns alone: asked in any order, or
-        # again, the series gives the coefficients of the in-order calls
-        ivp = pendulum_ivp(PendulumSpec(1.0, theta0=2.5))
+    @pytest.mark.parametrize("make", [
+        lambda: functions.make_exp().ivp,
+        lambda: functions.make_sincos()[0].ivp,
+        lambda: functions.make_jacobi(0.6)[0].ivp,
+        lambda: pendulum_ivp(PendulumSpec(1.0, theta0=2.5)),
+    ], ids=["exp", "sincos", "jacobi", "pendulum"])
+    def test_series_keeps_nothing_between_calls(self, make):
+        # every generated series: each order comes from the columns alone, so
+        # asked in any order, or again, it gives the coefficients of the in-order calls
+        ivp = make()
         series, cols = ivp.series, [ivp.y0]
         for k in range(12):
             cols.append(series(cols, k))
         for k in (11, 3, 0, 7, 3):
             assert series(cols[:k + 1], k) == cols[k + 1], k
-        # and the only host sine of a whole run is that of the release state
+
+    def test_the_only_host_sine_is_that_of_the_release_state(self, monkeypatch):
         calls = []
         sin = math.sin
         monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))

@@ -351,12 +351,13 @@ class TestTaylor:
         # (249 made, as the refusal leaves some funded halves untried; 121 of
         # them at a new node, as a first half takes its parent's coefficients)
         calls = []
+        circle = functions.make_sincos()[0].ivp
 
         def series(cols, k):
             calls.append(k)
-            return functions.circle_series(cols, k)
+            return circle.series(cols, k)
 
-        ivp = IVP(functions.circle_rhs, 0.0, (0.0, 1.0), series=series)
+        ivp = IVP(circle.rhs, 0.0, (0.0, 1.0), series=series)
         with pytest.raises(IntegrationError, match=r"step h=100000\.0 "):
             integrate(ivp, StepPlan(1e5, 1e5), "taylor")
         assert len(attempts) == 249 <= 1 + solver.TAYLOR_SPLIT_STEPS and calls.count(0) == 121
@@ -441,6 +442,85 @@ class TestTaylor:
         with pytest.raises(IntegrationError, match="boom") as info:
             integrate(ivp, StepPlan(0.5, 1.0), "taylor")
         assert info.value.t == 0.0
+
+
+def hand_systems(k2, ratio):
+    """The hand right-hand sides and Taylor recurrences that exp, sin/cos, sn/cn/dn
+    (k2 = k^2) and the pendulum (ratio = g/L) wrote before they were declared as
+    polynomial systems, kept as the reference of the generated ones."""
+    def jacobi_rhs(t, y):
+        sn, cn, dn = y
+        return (cn * dn, -sn * dn, -k2 * sn * cn)
+
+    def jacobi_series(cols, k):
+        cd = sd = sc = 0.0
+        for (s, c, _), (s2, c2, d2) in zip(cols, reversed(cols)):
+            cd += c * d2
+            sd += s * d2
+            sc += s * c2
+        return (cd / (k + 1), -sd / (k + 1), -k2 * sc / (k + 1))
+
+    def pendulum_rhs(t, y):
+        _, w, s, c = y
+        return (w, -ratio * s, c * w, -s * w)
+
+    def pendulum_series(cols, k):
+        cw = sw = 0.0
+        for (_, _, s, c), (_, w, _, _) in zip(cols, reversed(cols)):
+            cw += c * w
+            sw += s * w
+        return (cols[k][1] / (k + 1), -ratio * cols[k][2] / (k + 1), cw / (k + 1), -sw / (k + 1))
+
+    return {
+        "exp": (lambda t, y: (y[0],), lambda cols, k: (cols[k][0] / (k + 1),)),
+        "sincos": (lambda t, y: (y[1], -y[0]), lambda cols, k: (cols[k][1] / (k + 1), -cols[k][0] / (k + 1))),
+        "jacobi": (jacobi_rhs, jacobi_series),
+        "pendulum": (pendulum_rhs, pendulum_series),
+    }
+
+
+def coefficients(series, y0, orders=40):
+    cols = [y0]
+    for k in range(orders):
+        cols.append(series(cols, k))
+    return cols
+
+
+class TestPolynomialIvp:
+    @pytest.mark.parametrize("k, length", [(0.0, 1.0), (0.3, 0.5), (0.6, 2.0), (1.0, 1.0)])
+    def test_generated_code_gives_the_bits_of_the_hand_recurrences(self, k, length):
+        # random states, not only those on a solution, and 40 orders from each
+        spec = applications.PendulumSpec(length, theta0=1.0)
+        hand = hand_systems(k * k, spec.gravity / spec.length)
+        generated = {"exp": functions.make_exp().ivp, "sincos": functions.make_sincos()[0].ivp,
+                     "jacobi": functions.make_jacobi(k)[0].ivp, "pendulum": applications.pendulum_ivp(spec)}
+        rng = random.Random(36)
+        for name, ivp in generated.items():
+            rhs, series = hand[name]
+            for _ in range(50):
+                y = tuple(rng.uniform(-3.0, 3.0) for _ in ivp.y0)
+                assert ivp.rhs(0.0, y) == rhs(0.0, y), (name, y)
+                assert coefficients(ivp.series, y) == coefficients(series, y), (name, y)
+
+    def test_a_square(self):
+        # y' = y^2 from 1 is 1/(1 - t): every coefficient is exactly 1
+        ivp = solver.polynomial_ivp(0.0, (1.0,), [(1, 0, 0)])
+        assert coefficients(ivp.series, ivp.y0) == [(1.0,)] * 41
+        assert ivp.rhs(0.0, (3.0,)) == (9.0,)
+
+    def test_a_constant_on_a_linear_term(self):
+        # y' = 3 y from 1 is exp(3 t): coefficients 3^n / n!
+        ivp = solver.polynomial_ivp(0.0, (1.0,), [(3.0, 0)])
+        assert ivp.rhs(0.0, (2.0,)) == (6.0,)
+        for n, (c,) in enumerate(coefficients(ivp.series, ivp.y0)):
+            assert abs(c - 3**n / math.factorial(n)) <= 1e-15 * c, n
+
+    def test_moduli_share_one_compiled_shape(self):
+        before = solver._polynomial_factory.cache_info()
+        sn3, sn6 = functions.make_jacobi(0.3)[0].ivp, functions.make_jacobi(0.6)[0].ivp
+        after = solver._polynomial_factory.cache_info()
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
+        assert coefficients(sn3.series, sn3.y0, 4) != coefficients(sn6.series, sn6.y0, 4)
 
 
 class TestStepBudget:
