@@ -139,26 +139,29 @@ def _pendulum_period_bound(spec: PendulumSpec) -> float:
 
 
 def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
-    """Incomplete elliptic integral of the first kind, by direct quadrature.
-
-    The integrand 1/sqrt(1 - k^2 sin^2 t) is integrated as an ODE from 0 to
-    phi by RK4 (composite Simpson here, two evaluations a step) in equal
-    steps; no transformation tricks on the product path.  With ``h``, one
-    pass of ceil(phi/h) steps.  Without, the step count doubles from 8 until
-    two passes agree to ``ELLIPTIC_TOL``, or raises ``ArithmeticError`` past
-    ``ELLIPTIC_MAX_STEPS`` (k near 1).  The complete integral converges
-    geometrically, its integrand being even and pi-periodic.
-    """
+    """Incomplete elliptic integral of the first kind, by the quadrature of ``_elliptic_quadrature`` on
+    k^2 and k'^2 = (1 - k)(1 + k)."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus k must lie in [0, 1), got {k!r}")
     if not 0.0 <= phi <= math.pi / 2:
         raise ValueError(f"amplitude must lie in [0, pi/2], got {phi!r}")
+    return _elliptic_quadrature(phi, k * k, (1.0 - k) * (1.0 + k), h, f"k={k!r}")
+
+
+def _elliptic_quadrature(phi: float, k2: float, kc2: float, h: float | None, at: str) -> float:
+    """The integral of 1/sqrt(kc2 + k2 cos^2 t) from 0 to phi: Carlson's form on the complementary modulus
+    kc2 = k'^2 (DLMF 19.25(i)), where no 1 - k^2 sin^2 t cancels near k = 1.  It is integrated as an ODE by
+    RK4 (composite Simpson here, two evaluations a step) in equal steps; no transformation tricks on the
+    product path.  With ``h``, one pass of ceil(phi/h) steps.  Without, the step count doubles from 8
+    until two passes agree to ``ELLIPTIC_TOL``, or past ``ELLIPTIC_MAX_STEPS`` (kc2 near 0) raises
+    ``ArithmeticError`` naming the request by ``at``.  The complete integral converges geometrically, its
+    integrand being even and pi-periodic.
+    """
     if phi == 0.0:
         return 0.0
-    k2 = k * k
 
     def integrand(t):
-        return 1.0 / math.sqrt(1.0 - k2 * math.sin(t) ** 2)
+        return 1.0 / math.sqrt(kc2 + k2 * math.cos(t) ** 2)
 
     ivp = IVP(None, 0.0, (0.0,), integrand)
     if h is not None:
@@ -172,10 +175,8 @@ def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
         if abs(value - previous) <= ELLIPTIC_TOL * abs(value):
             return value
         previous = value
-    raise ArithmeticError(
-        f"elliptic integral at k={k!r} did not converge to {ELLIPTIC_TOL:g} "
-        f"within {ELLIPTIC_MAX_STEPS} steps"
-    )
+    raise ArithmeticError(f"elliptic integral did not converge to {ELLIPTIC_TOL:g} "
+                          f"within {ELLIPTIC_MAX_STEPS} steps at {at}")
 
 
 def elliptic_K(k: float) -> float:
@@ -184,17 +185,12 @@ def elliptic_K(k: float) -> float:
 
 
 def pendulum_period_elliptic(spec: PendulumSpec) -> float:
-    """Exact-period route: T = 4 sqrt(L/g) K(sin(theta0/2)), refused in theta0's terms where sin(theta0/2)
-    rounds to 1 and where the quadrature of K does not converge within its budget (at amplitudes
-    scattered from 3.14035 on, most of those past 3.1409)."""
-    k = math.sin(spec.theta0 / 2.0)
-    if k == 1.0:  # from theta0 = 3.141592632516369 on
-        raise ValueError(f"sin(theta0/2) rounds to 1 at theta0={spec.theta0!r}, too close to pi; use --method ode")
-    try:
-        quarter = elliptic_K(k)
-    except ArithmeticError:
-        raise ArithmeticError(f"elliptic integral did not converge to {ELLIPTIC_TOL:g} within {ELLIPTIC_MAX_STEPS} "
-                              f"steps at theta0={spec.theta0!r}, too close to pi; use --method ode") from None
+    """Exact-period route: T = 4 sqrt(L/g) K(sin(theta0/2)), K integrated on k^2 = sin^2(theta0/2) and
+    k'^2 = cos^2(theta0/2) directly, so no complement rounds away near pi.  Where the quadrature does not
+    converge within its budget (from theta0 = 3.14142 on) it is refused in theta0's terms."""
+    half = spec.theta0 / 2.0
+    quarter = _elliptic_quadrature(math.pi / 2, math.sin(half) ** 2, math.cos(half) ** 2, None,
+                                   f"theta0={spec.theta0!r}, too close to pi; use --method ode")
     return 4.0 * math.sqrt(spec.length / spec.gravity) * quarter
 
 

@@ -83,10 +83,8 @@ def generate_sine_table(
     exactly; the state carries over between segments.  ``h`` defaults by method.
     """
     h = (TAYLOR_H if method == "taylor" else DEFAULT_H) if h is None else h
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    if not math.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     StepPlan.divided(0.0, math.pi / 2.0, h)  # one step budget for the quadrant, before any segment
     sine = make_sincos()[0].ivp
     t, state = sine.t0, sine.y0

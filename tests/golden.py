@@ -148,6 +148,7 @@ VECTORS = [
     ("table", "--h", "1e-3"),
     ("table", "--radius", "60", "--out", "table.csv"),
     ("table", "--radius", "inf"),
+    ("table", "--radius", "nan"),
     ("table", "--h", "1e-8"),
     # pi
     ("pi",),
@@ -179,6 +180,7 @@ VECTORS = [
     ("pendulum", "--theta0", "2", "--length", "2.5", "--g", "1", "--method", "ode"),
     ("pendulum", "--theta0", "1.5707963267948966", "--sweep"),
     ("pendulum", "--theta0", "3", "--sweep", "--sweep-points", "5", "--out", "sweep.csv"),
+    ("pendulum", "--theta0", "3.1414"),
     ("pendulum", "--theta0", "3.1415"),
     ("pendulum", "--theta0", "3.1415", "--sweep", "--sweep-points", "2"),
     ("pendulum", "--theta0", "3.14159265"),
@@ -249,6 +251,7 @@ VECTORS = [
     ("ellipk", "--k", "0.5", "--h", "0.01"),
     ("ellipk", "--k", "0.99"),
     ("ellipk", "--k", "0.9999"),
+    ("ellipk", "--k", "0.9999999"),
     ("ellipk", "--k", "0.999999999999"),
     ("ellipk", "--k", "1"),
     ("ellipk", "--k", "0.5", "--phi", "2"),

@@ -114,20 +114,31 @@ class TestPendulum:
         assert periods[0] < periods[1] < periods[2]
 
     def test_elliptic_route_refuses_where_the_modulus_rounds_to_one(self):
-        # sin(theta0/2) is 1.0 from theta0 = 3.141592632516369 on, and the
-        # modulus check of elliptic_F named a k of 1.0 that no one gave
+        # sin(theta0/2) is 1.0 from theta0 = 3.141592632516369 on; K is integrated
+        # on cos^2(theta0/2), so the refusal there is the quadrature's, as it is
+        # at 3.1415926325163686, where it is not 1.0
         assert math.sin(3.1415926325163686 / 2.0) < 1.0 == math.sin(3.141592632516369 / 2.0)
-        for theta0 in (3.141592632516369, 3.14159265, math.pi - 1e-15):
-            match = rf"rounds to 1 at theta0={re.escape(repr(theta0))}, too close to pi; use --method ode"
-            with pytest.raises(ValueError, match=match):
+        for theta0 in (3.1415926325163686, 3.141592632516369, math.pi - 1e-15):
+            match = rf"within 262144 steps at theta0={re.escape(repr(theta0))}, too close to pi; use --method ode$"
+            with pytest.raises(ArithmeticError, match=match):
                 pendulum_period_elliptic(PendulumSpec(1.0, theta0=theta0))
 
-    def test_elliptic_route_refuses_in_theta0_terms_where_its_quadrature_does_not_converge(self):
-        # the step doubling of K(sin(theta0/2)) runs out of budget; the refusal names the amplitude given
-        message = ("elliptic integral did not converge to 1e-12 within 262144 steps at theta0=3.1415, "
-                   "too close to pi; use --method ode")
-        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
-            pendulum_period_elliptic(PendulumSpec(1.0, theta0=3.1415))
+    @pytest.mark.parametrize("theta0", [3.14, 3.14085, 3.14086, 3.1409, 3.14127, 3.1414,
+                                        3.14142, 3.1415, 3.14159265, math.nextafter(math.pi, 0.0)])
+    def test_elliptic_route_near_pi_answers_or_gives_the_one_refusal(self, theta0):
+        # K on k'^2 = cos^2(theta0/2): up to 3.1414 within 1e-13 of the AGM period
+        # (on sin(theta0/2) it was 3.4e-12 off at 3.14 and 2.1e-10 at 3.14127, and
+        # refused at 3.1409 and 3.1414); from 3.14142 on the quadrature's one refusal,
+        # which names the amplitude given
+        spec = PendulumSpec(1.0, theta0=theta0)
+        if theta0 < 3.14142:
+            exact = oracles.pendulum_period(theta0)
+            assert abs(pendulum_period_elliptic(spec) - exact) <= 1e-13 * exact
+        else:
+            message = (f"elliptic integral did not converge to 1e-12 within 262144 steps at theta0={theta0!r}, "
+                       "too close to pi; use --method ode")
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                pendulum_period_elliptic(spec)
 
     def test_right_angle_ratio_matches_agm_oracle(self):
         spec = PendulumSpec(1.0, theta0=math.pi / 2)

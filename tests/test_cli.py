@@ -619,13 +619,20 @@ class TestEllipk:
     def test_zero_amplitude(self, capsys):
         assert run(capsys, "ellipk", "--k", "0.5", "--phi", "0") == (0, "0\n", "")
 
+    @pytest.mark.parametrize("k", ["0.9999", "0.999999", "0.9999999"])
+    def test_near_unit_modulus(self, capsys, k):
+        # K integrated on k'^2 = (1 - k)(1 + k): on 1 - k^2 sin^2 t these were
+        # 3.3e-14, 4.1e-13 and 2.4e-12 off a 50-digit AGM
+        code, out, _ = run(capsys, "ellipk", "--k", k)
+        assert code == 0
+        exact = oracles.elliptic_K_agm(float(k))
+        assert abs(float(out) - exact) <= 1e-13 * exact
+
     def test_refuses_near_unit_modulus(self, capsys):
         # step doubling converges ever slower as k -> 1; past its step budget
         # the answer is refused rather than printed with unknown error
-        code, out, err = run(capsys, "ellipk", "--k", "0.999999999999")
-        assert (code, out) == (1, "")
-        assert err.startswith("stepcalc: ") and err.count("\n") == 1
-        assert "did not converge" in err
+        assert run(capsys, "ellipk", "--k", "0.999999999999") == (1, "", (
+            "stepcalc: elliptic integral did not converge to 1e-12 within 262144 steps at k=0.999999999999\n"))
 
 
 class TestRectify:
@@ -977,8 +984,8 @@ class TestErrorContract:
             (1, ("pendulum", "--theta0", "1", "--length", "1e300", "--g", "1e-300")),  # period overflows
             (1, ("pendulum", "--theta0", "1", "--length", "1e-300", "--g", "1e300")),  # period underflows
             (1, ("pendulum", "--theta0", "1", "--method", "ode", "--g", "inf")),
-            (1, ("pendulum", "--theta0", "3.14159265")),  # the elliptic route: sin(theta0/2) rounds to 1
-            (1, ("pendulum", "--theta0", "3.1415")),  # the elliptic route: its quadrature does not converge
+            (1, ("pendulum", "--theta0", "3.14159265")),  # the elliptic route, where sin(theta0/2) rounds to 1,
+            (1, ("pendulum", "--theta0", "3.1415")),  # and before: its quadrature does not converge
             *((1, (*shot, *extra)) for extra in ballistics_refusals),
             (1, ("ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-300")),  # range underflows
             (1, ("fn", "sin", "1e9", "--h", "100")),  # 10^7 steps, each split, are beyond the step budget
@@ -1011,7 +1018,8 @@ class TestErrorContract:
             "stepcalc deriv: usage error: argument --at: decimal exponent above the exact limit of 19728, "
             "got '1e9999999'\n")
         assert run(capsys, "pendulum", "--theta0", "3.14159265")[2] == (
-            "stepcalc: sin(theta0/2) rounds to 1 at theta0=3.14159265, too close to pi; use --method ode\n")
+            "stepcalc: elliptic integral did not converge to 1e-12 within 262144 steps at theta0=3.14159265, "
+            "too close to pi; use --method ode\n")
         assert run(capsys, "pendulum", "--theta0", "3.1415")[2] == (
             "stepcalc: elliptic integral did not converge to 1e-12 within 262144 steps at theta0=3.1415, "
             "too close to pi; use --method ode\n")

@@ -85,8 +85,9 @@ class TestGeneration:
             assert abs(v / RADIUS - s) <= 1e-15 * s, k
 
     def test_invalid_radius(self):
-        for radius in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        # one check and the records' wording: nan was "radius must be positive"
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^radius must be finite and positive, got {radius!r}$"):
                 generate_sine_table(radius)
 
     def test_step_budget_covers_the_whole_quadrant(self, monkeypatch):
