@@ -32,8 +32,9 @@ def exact_decimal(text: str):
 
 def generated(label: str, params: list[str], lines: list[str], names: dict):
     """``_generated(*params)``: ``lines``, a function body, compiled as ``<stepcalc label>`` in a
-    namespace of ``names`` alone, with no builtins.  The package's one ``exec``: the records' constructors, the
-    Euler and RK4 steps, the polynomial systems of ``solver.polynomial_ivp`` and ``rectify``'s polyline loops."""
+    namespace of ``names`` alone, with no builtins.  The package's one ``exec``: the records' constructors and
+    ``replace``, the Euler, RK4 and Taylor steps, the polynomial systems of ``solver.polynomial_ivp`` and
+    ``rectify``'s polyline loops."""
     source = "".join([f"def _generated({', '.join(params)}):\n", *(f"    {line}\n" for line in lines)])
     namespace = {**names, "__builtins__": {}}
     exec(compile(source, f"<stepcalc {label}>", "exec"), namespace)
@@ -67,8 +68,12 @@ class Record:
                                      {**defaults, "_set": object.__setattr__})
 
     def replace(self, **changes):
-        """A record of this class with the named fields changed, validated anew."""
-        return type(self)(**{name: getattr(self, name) for name in self.__slots__} | changes)
+        """A record of this class with the named fields changed (``TypeError`` for a name that is not a field), built
+        anew by its constructor on the slots in order, in code generated for the class at its first call."""
+        cls, args = type(self), "".join(f"self.{n} if {n} is _keep else {n}, " for n in self.__slots__)
+        cls.replace = generated(f"{cls.__qualname__}.replace", ["self", "*", *(f"{n}=_keep" for n in cls.__slots__)],
+                                [f"return _cls({args})"], {"_cls": cls, "_keep": object()})
+        return cls.replace(self, **changes)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compared)

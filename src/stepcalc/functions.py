@@ -10,6 +10,7 @@ system (``solver.polynomial_ivp``) and take Taylor steps by default.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -25,7 +26,7 @@ DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 class OdeFunction(Record):
     """A named, ODE-backed real function of one real argument: by default by Taylor
     steps of ``TAYLOR_H`` where the IVP declares a series, else by RK4 steps of
-    ``DEFAULT_H``.  An explicit small ``h`` keeps Taylor steps, at about 10 times
+    ``DEFAULT_H``.  An explicit small ``h`` keeps Taylor steps, at about 6 times
     the cost of RK4 steps of it.  ``trajectory`` is the run from the start to x, and
     ``__call__`` its streaming form; both refuse a start or x within ``POLE_STEPS``
     steps of +-``pole``, and a subnormal value (no double holds it to the budget)."""
@@ -54,20 +55,23 @@ class OdeFunction(Record):
         return traj
 
 
+@functools.cache
 def make_exp() -> OdeFunction:
     """exp as the solution of y' = y, y(0) = 1."""
     return OdeFunction("exp", polynomial_ivp(0.0, (1.0,), [(1, 0)]), 0)
 
 
+@functools.cache
 def make_sincos() -> tuple[OdeFunction, OdeFunction]:
     """sin and cos as the solution pair of y1' = y2, y2' = -y1, y(0) = (0, 1)."""
     ivp = polynomial_ivp(0.0, (0.0, 1.0), [(1, 1), (-1, 0)])
     return OdeFunction("sin", ivp, 0), OdeFunction("cos", ivp, 1)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def make_jacobi(k: float) -> tuple[OdeFunction, OdeFunction, OdeFunction]:
-    """Jacobi elliptic sn, cn, dn with modulus k as the polynomial system
-    sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn from (0, 1, 1)."""
+    """Jacobi elliptic sn, cn, dn with modulus k as the polynomial system sn' = cn dn, cn' = -sn dn,
+    dn' = -k^2 sn cn from (0, 1, 1), built once a modulus: -0.0 shares 0.0's -(k*k), an int k its own int one."""
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"modulus k must lie in [0, 1], got {k!r}")
     ivp = polynomial_ivp(0.0, (0.0, 1.0, 1.0), [(1, 1, 2), (-1, 0, 2), (-(k * k), 0, 1)])

@@ -7,10 +7,11 @@ stages once as straight-line Python around a stage emitter, which either
 calls the right-hand side (``rhs_step``, compiled once per method and
 dimension) or, for an IVP that declares its own ``steps``, inlines it; a spec
 file's inlined step takes a failing step again as ``rhs_step`` on the tree
-walker.  Both compile through ``stepcalc.generated``, as does the code that
-``polynomial_ivp`` writes for a polynomial system.  Steps are laid out on
-a uniform grid from ``t0`` toward ``t_end``; the final step is shortened so
-the last node lands on ``t_end`` bit-exactly.  A plan with a
+walker.  Both compile through ``stepcalc.generated``, as do the code that
+``polynomial_ivp`` writes for a polynomial system and the Taylor step's loop,
+straight-line per component and compiled once per dimension.  Steps are laid
+out on a uniform grid from ``t0`` toward ``t_end``; the final step is
+shortened so the last node lands on ``t_end`` bit-exactly.  A plan with a
 step count instead divides the span into that many equal steps
 (``StepPlan.divided``); the fixed-interval quadratures use it, because for a
 periodic integrand the equal-division grid converges geometrically where a
@@ -337,30 +338,42 @@ def _taylor_step(series: Series, y: Vector, h: float, spare: int, depth: int = 0
     may also be the orders that an accepted longer step from y computed, as a term small there is small here."""
     if not all(map(math.isfinite, y)):
         raise ArithmeticError(f"state is not finite: {y!r}")
-    cols, sizes = [y], None  # sizes: 2^-53 times each component's size, once a term is below 2^-53 max|y|
-    discard = TAYLOR_DISCARD * (top := max(map(abs, y)))
-    hk, below = 1.0, False  # |h|^k, and whether the last term was below the discard size
-    for k in range(TAYLOR_MAX_ORDER):
-        c = given[k + 1] if given else series(cols, k)
-        cols.append(c)
-        hk *= abs(h)
-        small = (largest := max(map(abs, c)) * hk) <= discard and math.isfinite(sum(c))  # max skips a later nan
-        if small and largest:
-            sizes = sizes or [TAYLOR_DISCARD * (min(max(abs(v), abs(h * d)), top) or top) for v, d in zip(y, cols[1])]
-            small = all(abs(ci) * hk <= size for ci, size in zip(c, sizes))
-        if small and below:
-            break
-        below = small
-    else:
-        if spare >= 2:
-            y, spare = _taylor_step(series, y, h / 2, spare - 2, depth + 1, cols)
-            return _taylor_step(series, y, h / 2, spare, depth + 1)
-        raise ArithmeticError(f"Taylor series at step h={h * 2**depth!r} has terms above the discard size at order "
-                              f"{TAYLOR_MAX_ORDER} after {depth} halvings, all its budget allows; take a smaller step")
-    total = cols.pop()
-    for c in reversed(cols):
-        total = [ci + h * ti for ci, ti in zip(c, total, strict=True)]
-    return tuple(total), spare
+    total = _taylor_factory(len(y))(series, cols := [y], h, given)  # cols: y and every order the step asked for
+    if total is not None:
+        return total, spare
+    if spare >= 2:
+        y, spare = _taylor_step(series, y, h / 2, spare - 2, depth + 1, cols)
+        return _taylor_step(series, y, h / 2, spare, depth + 1)
+    raise ArithmeticError(f"Taylor series at step h={h * 2**depth!r} has terms above the discard size at order "
+                          f"{TAYLOR_MAX_ORDER} after {depth} halvings, all its budget allows; take a smaller step")
+
+
+@functools.lru_cache(maxsize=64)
+def _taylor_factory(dim: int) -> Callable[[Series, list[Vector], float, Sequence[Vector]], Vector | None]:
+    """``step(series, cols, h, given)``: y(t + h) by one Taylor step from ``cols == [y]``, or None, ``cols`` then
+    holding every order, where its terms are not small by ``TAYLOR_MAX_ORDER``.  Each order is unpacked into locals
+    (a wrong length raises ``ValueError``), judged by one ``and`` chain on the components' sizes ``_s<i>`` and
+    summed by Horner's rule one statement a component; ``max`` skips a nan after the first component, ``sum`` not."""
+    y, c, d, t = ("".join(f"_{x}{i}, " for i in range(dim)) for x in "ycdt")  # each kind of local, as tuple items
+    ymax, cmax = (f"_max({', '.join(f'_abs(_{x}{i})' for i in range(dim))})" if dim > 1 else f"_abs(_{x}0)"
+                  for x in "yc")  # max(map(abs, v)) on the locals: max's comparisons, in its order
+    lines = [f"{y}= cols[0]", f"discard = _D * (top := {ymax})",
+             "hk, below, sized, ah = 1.0, False, False, _abs(h)",  # |h|^k, and whether the last term was small
+             "for k in range(_ORDER):",
+             "    c = given[k + 1] if given else series(cols, k)", f"    {c}= c", "    cols.append(c)", "    hk *= ah",
+             f"    small = (largest := {cmax} * hk) <= discard and _isfinite(_sum(c))",
+             "    if small and largest:",
+             "        if not sized:",  # 2^-53 times each component's size, once a term is below 2^-53 max|y|
+             f"            {d}= cols[1]", "            sized = True",
+             *(f"            _s{i} = _D * (_min(_max(_abs(_y{i}), _abs(h * _d{i})), top) or top)" for i in range(dim)),
+             f"        small = {' and '.join(f'_abs(_c{i}) * hk <= _s{i}' for i in range(dim))}",
+             "    if small and below:", "        break", "    below = small",
+             "else:", "    return None",
+             f"{t}= cols.pop()", f"for {c}in reversed(cols):", *(f"    _t{i} = _c{i} + h * _t{i}" for i in range(dim)),
+             f"return ({t})"]
+    return generated(f"solver.taylor_step {dim}", ["series", "cols", "h", "given"], lines,
+                     {"_D": TAYLOR_DISCARD, "_ORDER": TAYLOR_MAX_ORDER, "_max": max, "_min": min,
+                      "_abs": abs, "_sum": sum, "_isfinite": math.isfinite, "range": range, "reversed": reversed})
 
 
 def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[float, Vector]:

@@ -211,3 +211,12 @@ class TestRegistry:
         assert by_name("dn", k=0.3).name == "dn"
         with pytest.raises(ValueError):
             by_name("gamma")
+
+    def test_built_in_functions_are_built_once_per_declaration(self):
+        assert by_name("exp") is make_exp() and by_name("cos") is make_sincos()[1]
+        assert by_name("sn", k=0.6) is make_jacobi(0.6)[0] is not make_jacobi(0.3)[0]
+        # k enters as -(k*k): -0.0 gives 0.0's system, and dn' = -0.0 sn cn at (1, 1, 1);
+        # an int 0 gives the int 0, whose product with sn cn is +0.0, so it is kept apart
+        assert make_jacobi(-0.0) is make_jacobi(0.0) is not make_jacobi(0)
+        dn_term = [f[2].ivp.series([(1.0, 1.0, 1.0)], 0)[2] for f in (make_jacobi(-0.0), make_jacobi(0))]
+        assert [math.copysign(1.0, v) for v in dn_term] == [-1.0, 1.0]

@@ -101,8 +101,22 @@ def test_replace_validates_the_new_record():
     assert EXP.replace(t0=2.0, y0=(3,)) == IVP(rhs, 2.0, (3.0,))
     with pytest.raises(ValueError, match=r"^initial time t0 must be finite, got inf$"):
         EXP.replace(t0=math.inf)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="'t_end'"):
         EXP.replace(t_end=1.0)
+
+
+def test_replace_sets_the_named_fields_and_keeps_the_rest():
+    plan = StepPlan(0.1, 1.0)
+    assert plan.replace(t_end=2.0) == StepPlan(0.1, 2.0)
+    assert plan.replace(steps=4, h=0.5) == StepPlan(0.5, 1.0, 4)
+    assert plan.replace(steps=4).replace(steps=None) == plan  # None is a value like any other
+    series = object()
+    changed = EXP.replace(series=series, y0=(2,))
+    assert (changed.rhs, changed.t0, changed.y0, changed.series) == (rhs, 0.0, (2.0,), series)
+    with pytest.raises(TypeError):
+        EXP.replace(rhs, 1.0)  # fields are named
+    with pytest.raises(TypeError, match="'spare'"):
+        EXP.replace(t0=1.0, spare=2)
 
 
 def test_uncompared_fields_are_left_out_of_equality():

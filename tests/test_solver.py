@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -444,6 +445,163 @@ class TestTaylor:
         assert info.value.t == 0.0
 
 
+def hand_taylor_step(series, y, h, spare, depth=0, given=()):
+    """The Taylor step as the loop it was before it was generated per dimension,
+    kept as the reference of the generated one."""
+    if not all(map(math.isfinite, y)):
+        raise ArithmeticError(f"state is not finite: {y!r}")
+    cols, sizes = [y], None
+    discard = solver.TAYLOR_DISCARD * (top := max(map(abs, y)))
+    hk, below = 1.0, False
+    for k in range(solver.TAYLOR_MAX_ORDER):
+        c = given[k + 1] if given else series(cols, k)
+        cols.append(c)
+        hk *= abs(h)
+        small = (largest := max(map(abs, c)) * hk) <= discard and math.isfinite(sum(c))
+        if small and largest:
+            sizes = sizes or [solver.TAYLOR_DISCARD * (min(max(abs(v), abs(h * d)), top) or top)
+                              for v, d in zip(y, cols[1])]
+            small = all(abs(ci) * hk <= size for ci, size in zip(c, sizes))
+        if small and below:
+            break
+        below = small
+    else:
+        if spare >= 2:
+            y, spare = hand_taylor_step(series, y, h / 2, spare - 2, depth + 1, cols)
+            return hand_taylor_step(series, y, h / 2, spare, depth + 1)
+        raise ArithmeticError(f"Taylor series at step h={h * 2**depth!r} has terms above the discard size at order "
+                              f"{solver.TAYLOR_MAX_ORDER} after {depth} halvings, all its budget allows; "
+                              "take a smaller step")
+    total = cols.pop()
+    for c in reversed(cols):
+        total = [ci + h * ti for ci, ti in zip(c, total, strict=True)]
+    return tuple(total), spare
+
+
+def step_outcome(step, series, *args, **kwargs):
+    """The bits of a Taylor step's state and its attempts left, or its refusal,
+    with the orders it asked of ``series``."""
+    orders = []
+
+    def counted(cols, k):
+        orders.append(k)
+        return series(cols, k)
+
+    try:
+        y, spare = step(counted, *args, **kwargs)
+    except ArithmeticError as exc:
+        return type(exc), str(exc), orders
+    return [v.hex() for v in y], spare, orders
+
+
+def random_system(rng, dim):
+    """A random polynomial system of ``dim`` components: c y_j or c y_j y_l, c = +-1 or drawn."""
+    def c():
+        return rng.choice([1, -1, rng.uniform(-4.0, 4.0)])
+    return [(c(), *(rng.randrange(dim) for _ in range(rng.randint(1, 2)))) for _ in range(dim)]
+
+
+class TestGeneratedTaylorStep:
+    """The Taylor step generated per dimension gives the reference loop's bits."""
+
+    def test_random_systems_at_random_states(self):
+        rng = random.Random(38)
+        cases = {"ok": 0, "split": 0, "refused": 0}
+        for dim in range(1, 7):
+            for _ in range(40):
+                ivp = solver.polynomial_ivp(0.0, (0.0,) * dim, random_system(rng, dim))
+                y = tuple(rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0), rng.uniform(-1e-9, 1e-9)]) for _ in range(dim))
+                for h in (0.5, 0.05, 1.5, 3.0):
+                    for spare in (0, 6):
+                        got = step_outcome(solver._taylor_step, ivp.series, y, h, spare)
+                        assert got == step_outcome(hand_taylor_step, ivp.series, y, h, spare), (dim, y, h)
+                        key = "refused" if got[0] is ArithmeticError else "split" if got[1] < spare else "ok"
+                        cases[key] += 1
+        assert all(count >= 20 for count in cases.values()), cases
+
+    @pytest.mark.parametrize("y", [(0.0,), (-0.0, 0.0), (0.0, 0.0, 0.0), (1.0, -1.0, 0.5), (-3.0, 0.0, 2e-300),
+                                   (0.0, 3.0, 0.0), (-0.0, -3.0, -0.0), (2.0, -0.5, 0.0)])
+    def test_zero_and_mixed_sign_states(self, y):
+        # (sin, cos, 1 - cos) scaled: from (0, 3, 0) the last component's size is
+        # 0 and stands in for max|y| = 3; and a cycle y_i' = -y_(i+1)
+        circle = solver.polynomial_ivp(0.0, (0.0, 1.0, 0.0), [(1, 1), (-1, 0), (1, 0)])
+        cycle = solver.polynomial_ivp(0.0, y, [(-1, (i + 1) % len(y)) for i in range(len(y))])
+        for ivp in (circle, cycle) if len(y) == 3 else (cycle,):
+            for h in (*(0.05 * i for i in range(-20, 21) if i), 1e-3, 20.0):
+                assert step_outcome(solver._taylor_step, ivp.series, y, h, 8) == \
+                    step_outcome(hand_taylor_step, ivp.series, y, h, 8), (y, h)
+
+    def test_a_term_at_its_discard_size_is_small(self):
+        # from y = 1 at h = 1 with c_1 = 1: every later term is 2^-53, the discard
+        # size, so orders 2 and 3 end the step; judged by < it would be refused at 60
+        def series(cols, k):
+            orders.append(k)
+            return (1.0 if k == 0 else solver.TAYLOR_DISCARD,)
+
+        for step in (solver._taylor_step, hand_taylor_step):
+            orders = []
+            assert step(series, (1.0,), 1.0, 0) == ((1.0 + (1.0 + (2**-53 + 2**-53)),), 0), step
+            assert orders == [0, 1, 2], step
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("order", [0, 1, 2, 4, 15])
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("beside", [None, 0.0])
+    def test_a_nan_or_an_inf_term(self, bad, order, at, beside):
+        # beside a zero term, max(map(abs, c)) skips a nan after the first component
+        circle = functions.make_sincos()[0].ivp
+
+        def series(cols, k):
+            c = list(circle.series(cols, k))
+            if k == order:
+                c[at], c[1 - at] = bad, c[1 - at] if beside is None else beside
+            return tuple(c)
+
+        for h, spare in itertools.product((0.5, 1e-9), (0, 4)):  # at 1e-9 the third order ends the step
+            got = step_outcome(solver._taylor_step, series, (0.3, 0.9), h, spare)
+            assert got == step_outcome(hand_taylor_step, series, (0.3, 0.9), h, spare), (h, spare)
+
+    def test_given_coefficients(self):
+        problems = [functions.make_exp().ivp, functions.make_sincos()[0].ivp, functions.make_jacobi(0.7)[0].ivp,
+                    applications.pendulum_ivp(applications.PendulumSpec(1.0, theta0=3.0))]
+        for ivp in problems:
+            cols = coefficients(ivp.series, ivp.y0, solver.TAYLOR_MAX_ORDER)
+            for h in (0.5, 2.0, 1e-4, 40.0):
+                for spare in (0, 10):
+                    assert step_outcome(solver._taylor_step, ivp.series, ivp.y0, h, spare, given=cols) == \
+                        step_outcome(hand_taylor_step, ivp.series, ivp.y0, h, spare, given=cols), (ivp.y0, h)
+
+    def test_split_steps(self):
+        # exp at h = 100 takes 31 attempts (TestTaylor); sn at k = 1 and sin at h = 1e5 run out of attempts
+        problems = [(EXP_SERIES, 100.0), (functions.make_jacobi(1.0)[0].ivp, 12.0),
+                    (functions.make_sincos()[0].ivp, 40.0), (functions.make_sincos()[0].ivp, 1e5)]
+        for ivp, h in problems:
+            for spare in (0, 2, 30, solver.TAYLOR_SPLIT_STEPS):
+                assert step_outcome(solver._taylor_step, ivp.series, ivp.y0, h, spare) == \
+                    step_outcome(hand_taylor_step, ivp.series, ivp.y0, h, spare), (ivp.y0, h, spare)
+
+    @pytest.mark.parametrize("wrong", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_a_series_of_the_wrong_length_fails_at_its_step(self, wrong):
+        # right at the start node, wrong from the next: the second step fails at its t
+        circle = functions.make_sincos()[0].ivp
+
+        def series(cols, k):
+            return circle.series(cols, k) if cols[0] == circle.y0 else wrong
+
+        with pytest.raises(IntegrationError) as info:
+            integrate(circle.replace(series=series), StepPlan(0.5, 2.0), "taylor")
+        assert info.value.t == 0.5 and isinstance(info.value.cause, ValueError)
+
+    def test_a_wide_system_compiles_and_steps(self):
+        # 1000 pairs (sin t, cos t): one flat discard test and one Horner statement a
+        # component, which compile at any width, each pair taking the bits of sin and cos alone
+        dim = 2000
+        ivp = solver.polynomial_ivp(0.0, (0.0, 1.0) * (dim // 2),
+                                    [(1, i + 1) if i % 2 == 0 else (-1, i - 1) for i in range(dim)])
+        final = integrate_final(ivp, StepPlan(0.5, 2.0), "taylor")[1]
+        assert final == integrate_final(functions.make_sincos()[0].ivp, StepPlan(0.5, 2.0), "taylor")[1] * (dim // 2)
+
+
 def hand_systems(k2, ratio):
     """The hand right-hand sides and Taylor recurrences that exp, sin/cos, sn/cn/dn
     (k2 = k^2) and the pendulum (ratio = g/L) wrote before they were declared as
@@ -516,6 +674,7 @@ class TestPolynomialIvp:
             assert abs(c - 3**n / math.factorial(n)) <= 1e-15 * c, n
 
     def test_moduli_share_one_compiled_shape(self):
+        functions.make_jacobi.cache_clear()  # built once per modulus: build these two anew
         before = solver._polynomial_factory.cache_info()
         sn3, sn6 = functions.make_jacobi(0.3)[0].ivp, functions.make_jacobi(0.6)[0].ivp
         after = solver._polynomial_factory.cache_info()
