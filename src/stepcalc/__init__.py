@@ -4,6 +4,9 @@ Functions are defined as solutions of initial-value problems and evaluated
 by explicit fixed-step integration; derivatives of rational expressions are
 computed exactly in a non-Archimedean field of rational functions by
 discarding infinitesimals.
+
+The defaults that the CLI's options and help lines quote are stated here, each once, and each module imports
+its own: the full parser then reads them without importing an integration module.
 """
 
 import math
@@ -16,6 +19,27 @@ __version__ = "0.1.0"
 #: 2^16 bits.  A power of a non-constant base is bounded by ``expr.MAX_EXACT_DEGREE`` alone.
 MAX_EXACT_BITS = 2**16
 MAX_EXACT_EXPONENT = int(MAX_EXACT_BITS * math.log10(2))  # the largest |exponent| exact_decimal reads
+
+# The library's defaults, as the modules name them (solver.MAX_STEPS, functions.DEFAULT_H, ...).
+MAX_STEPS = 10**7  # step budget of one integration run (solver)
+FUNCTION_H = 1e-3  # RK4 step size of every ODE-defined function (functions.DEFAULT_H)
+TAYLOR_H = 0.5  # Taylor step size of the functions that declare a series
+DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
+TABLE_RADIUS = 1e7  # historical radius anchor of the R-sine table (tables.DEFAULT_RADIUS)
+#: RK4 and Euler step of the R-sine table, radians (tables.DEFAULT_H): the largest h of 1, 1.25, 1.5, 2, 2.5,
+#: 5 x 10^-3 whose RK4 table stays within 1e-14 relative of R*sin (8.7e-15; 1.25e-3 gives 2.0e-14).  Taylor
+#: steps default to ``TAYLOR_H``, longer than a segment: one step per segment, within 4.4e-16.
+TABLE_H = 1e-3
+STANDARD_GRAVITY = 9.80665
+EARTH_RADIUS = 6371000.0
+#: Default step sizes of the applications (Taylor steps for the pendulum and ballistics).
+PENDULUM_H = 0.1
+BALLISTICS_H = 0.1
+MERIDIONAL_H = 1e-4
+ELLIPTIC_TOL = 1e-12  # relative agreement of two passes of elliptic_F's step doubling
+DEFAULT_MAX_TERMS = 10**6  # cap on the terms a series discard policy sums
+DEFAULT_WIDTH = 640  # SVG plot size, px
+DEFAULT_HEIGHT = 480
 
 
 def exact_decimal(text: str):

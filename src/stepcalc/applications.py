@@ -10,24 +10,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
-from . import Record, generated
+from . import BALLISTICS_H, EARTH_RADIUS, ELLIPTIC_TOL, MERIDIONAL_H, PENDULUM_H, STANDARD_GRAVITY, Record, generated
 from .functions import make_inv_gudermannian
 from .solver import IVP, StepPlan, Trajectory, Vector, find_zero_crossings, integrate, integrate_final, polynomial_ivp
 
-STANDARD_GRAVITY = 9.80665
-EARTH_RADIUS = 6371000.0
-
-#: Default step sizes, read by the library and by the CLI (Taylor steps for the pendulum and ballistics).
-PENDULUM_H = 0.1
-BALLISTICS_H = 0.1
-MERIDIONAL_H = 1e-4
-
-#: Step doubling of elliptic_F: relative agreement of two passes, and the
-#: step budget of all passes together.
-ELLIPTIC_TOL = 1e-12
-ELLIPTIC_MAX_STEPS = 2**18
+ELLIPTIC_MAX_STEPS = 2**18  # step budget of all passes of elliptic_F's step doubling together
 
 
 class PendulumSpec(Record):

@@ -6,10 +6,11 @@ table), pi (series summation), pendulum, ballistics, lox, ellipk, rectify.
 
 A request builds only the subparser it names and imports only the modules
 that subparser and its handler use; any other argument list builds them all.
-A parser is built once per process for each tuple of names, from the library
-constants as they are at its first use, and is shared by every later request
-that names the same subcommand; callers must not add arguments or defaults
-to it.
+A parser is built once per process for each tuple of names, from the
+package's defaults (``stepcalc.MAX_STEPS``, ``stepcalc.TAYLOR_H``, ...) as
+they are at its first use, so that building even the full parser imports no
+integration module; it is shared by every later request that names the same
+subcommand, and callers must not add arguments or defaults to it.
 
 Exit codes: 0 success, 1 runtime/domain error, 2 usage/parse error.
 """
@@ -20,8 +21,12 @@ import argparse
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING
 
+from . import (BALLISTICS_H, DEFAULT_HEIGHT, DEFAULT_K, DEFAULT_MAX_TERMS, DEFAULT_WIDTH, EARTH_RADIUS, ELLIPTIC_TOL,
+               FUNCTION_H, MAX_STEPS, MERIDIONAL_H, PENDULUM_H, STANDARD_GRAVITY, TABLE_H, TABLE_RADIUS, TAYLOR_H,
+               exact_decimal)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from typing import Any, Callable, Sequence
 
@@ -166,12 +171,14 @@ def cmd_solve(args) -> int:
     from .solver import integrate
     ivp, plan, method = load_spec_file(args.spec)
     components = _plot_components(args.components, len(ivp.y0))
+    if args.svg:
+        from . import svgplot
+        svgplot.check_size(args.width, args.height)
     traj = integrate(ivp, plan, method)
     _write_text(args.out, traj.to_csv())
     if args.svg:
-        from .svgplot import Series, line_plot
-        curves = [Series(f"y{i + 1}", traj.times, traj.component(i)) for i in components]
-        _write_text(args.svg, line_plot(curves, width=args.width, height=args.height))
+        curves = [svgplot.Series(f"y{i + 1}", traj.times, traj.component(i)) for i in components]
+        _write_text(args.svg, svgplot.line_plot(curves, width=args.width, height=args.height))
     return 0
 
 
@@ -339,8 +346,9 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     """The parser with a subparser for each subcommand in ``names`` (a tuple).
 
     It is built once per process for each ``names``, with the defaults the
-    library constants have at that first call, and every later call returns
-    the same shared parser: add no arguments or defaults to it.
+    package's constants have at that first call, and imports no other module
+    of the package; every later call returns the same shared parser: add no
+    arguments or defaults to it.
     """
     parser = _Parser(
         prog="stepcalc",
@@ -358,7 +366,6 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
             return p
 
     if p := command("solve", cmd_solve, "integrate an IVP described by a spec file"):
-        from .svgplot import DEFAULT_HEIGHT, DEFAULT_WIDTH
         p.add_argument("spec", help="path to a key = value spec file")
         p.add_argument("--out", help="write CSV here instead of stdout")
         p.add_argument("--svg", help="also write a static SVG line plot to this path")
@@ -367,30 +374,26 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
 
     if p := command("deriv", cmd_deriv, "exact derivative of a rational expression"):
-        from . import exact_decimal
         p.add_argument("expr", help="rational expression in one variable, e.g. 'x^2'")
         p.add_argument("--at", required=True, type=_option_type(exact_decimal),
                        help="evaluation point, integer or p/q")
 
     if p := command("fn", cmd_fn, "evaluate an ODE-defined function"):
-        from . import functions
         p.add_argument("name", help="exp, sin, cos, sn, cn, dn or invgd")
         p.add_argument("x", type=float)
-        p.add_argument("--k", type=float, default=functions.DEFAULT_K, help="elliptic modulus for sn/cn/dn")
+        p.add_argument("--k", type=float, default=DEFAULT_K, help="elliptic modulus for sn/cn/dn")
         p.add_argument("--method", choices=("euler", "rk4", "taylor"), help="default: taylor, rk4 for invgd")
         p.add_argument("--h", type=float,
-                       help=f"step size; default {functions.TAYLOR_H:g} for taylor, else {functions.DEFAULT_H:g}")
+                       help=f"step size; default {TAYLOR_H:g} for taylor, else {FUNCTION_H:g}")
         p.add_argument("--out", help="write the CSV trajectory here")
 
     if p := command("table", cmd_table, "generate the 24-entry R-sine table as CSV"):
-        from . import tables
-        p.add_argument("--radius", type=float, default=tables.DEFAULT_RADIUS)
+        p.add_argument("--radius", type=float, default=TABLE_RADIUS)
         p.add_argument("--method", choices=("euler", "rk4", "taylor"), default="taylor")
-        p.add_argument("--h", type=float, help=f"step, radians (taylor {tables.TAYLOR_H:g}, else {tables.DEFAULT_H:g})")
+        p.add_argument("--h", type=float, help=f"step, radians (taylor {TAYLOR_H:g}, else {TABLE_H:g})")
         p.add_argument("--out", help="write CSV here instead of stdout")
 
     if p := command("pi", cmd_pi, "sum the alternating series for pi"):
-        from .series import DEFAULT_MAX_TERMS
         count = _option_type(int, positive=True, at_most=DEFAULT_MAX_TERMS)
         p.add_argument("--terms", type=count, default=1000, help="number of terms")
         p.add_argument("--corrected", action="store_true",
@@ -401,12 +404,11 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         p.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
 
     if p := command("pendulum", cmd_pendulum, "pendulum period versus amplitude"):
-        from . import applications
         p.add_argument("--theta0", type=float, required=True, help="amplitude, radians")
         p.add_argument("--length", type=float, default=1.0, help="length, meters")
-        p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
+        p.add_argument("--g", type=float, default=STANDARD_GRAVITY)
         p.add_argument("--method", choices=("ode", "elliptic"), default="elliptic")
-        p.add_argument("--h", type=float, default=applications.PENDULUM_H,
+        p.add_argument("--h", type=float, default=PENDULUM_H,
                        help="step size for the ode method")
         p.add_argument("--sweep", action="store_true",
                        help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0")
@@ -415,25 +417,22 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
         p.add_argument("--out", help="write sweep CSV here instead of stdout")
 
     if p := command("ballistics", cmd_ballistics, "range of a projectile with quadratic drag"):
-        from . import applications
         p.add_argument("--mass", type=float, required=True, help="kg")
         p.add_argument("--drag", type=float, default=0.0, help="quadratic drag coefficient, kg/m")
         p.add_argument("--v0", type=float, required=True, help="launch speed, m/s")
         p.add_argument("--alpha", type=float, required=True, help="launch angle, degrees")
-        p.add_argument("--g", type=float, default=applications.STANDARD_GRAVITY)
-        p.add_argument("--h", type=float, default=applications.BALLISTICS_H, help="step size, seconds")
+        p.add_argument("--g", type=float, default=STANDARD_GRAVITY)
+        p.add_argument("--h", type=float, default=BALLISTICS_H, help="step size, seconds")
         p.add_argument("--out", help="write the CSV trajectory here")
 
     if p := command("lox", cmd_lox, "rhumb-line bearing and distance on the sphere"):
-        from . import applications
         for option in ("--lat1", "--lon1", "--lat2", "--lon2"):
             p.add_argument(option, type=float, required=True, help="degrees")
-        p.add_argument("--radius", type=float, default=applications.EARTH_RADIUS)
-        p.add_argument("--h", type=float, default=applications.MERIDIONAL_H,
+        p.add_argument("--radius", type=float, default=EARTH_RADIUS)
+        p.add_argument("--h", type=float, default=MERIDIONAL_H,
                        help="step size for the meridional-parts integration")
 
     if p := command("ellipk", cmd_ellipk, "complete/incomplete elliptic integral, first kind"):
-        from .applications import ELLIPTIC_TOL
         p.add_argument("--k", type=float, required=True, help="modulus in [0, 1)")
         p.add_argument("--phi", type=float, default=math.pi / 2,
                        help="amplitude in [0, pi/2]; omit for the complete integral")
@@ -442,7 +441,6 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
                             f"count doubles until two passes agree to {ELLIPTIC_TOL:g}")
 
     if p := command("rectify", cmd_rectify, "polyline length of a parametric curve"):
-        from .solver import MAX_STEPS
         p.add_argument("--segments", "-n", type=_option_type(int, positive=True, at_most=MAX_STEPS),
                        default=1024)
         p.add_argument("--x-expr", help="x(t) expression; default is the unit circle")

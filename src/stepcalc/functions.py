@@ -14,13 +14,10 @@ import functools
 import math
 import sys
 
-from . import Record
+from . import DEFAULT_K, FUNCTION_H as DEFAULT_H, TAYLOR_H, Record
 from .solver import IVP, StepPlan, Trajectory, integrate, polynomial_ivp
 
-DEFAULT_H = 1e-3  # RK4 step size of every ODE-defined function
-TAYLOR_H = 0.5  # Taylor step size of the functions that declare a series
 POLE_STEPS = 16  # closest approach to a pole of the integrand, in steps
-DEFAULT_K = 0.5  # Jacobi modulus of sn, cn and dn when none is given
 
 
 class OdeFunction(Record):

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import Record
-
-DEFAULT_MAX_TERMS = 10**6  # cap on the terms a discard policy sums
+from . import DEFAULT_MAX_TERMS, Record
 
 
 class AlternationError(ValueError):

@@ -58,9 +58,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
-from . import Record, generated
+from . import MAX_STEPS, Record, generated
 
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
@@ -69,7 +69,6 @@ Step = Callable[[float, float, Vector], Vector]
 Stage = Callable[[list[str], str, list[str]], list[str]]
 
 CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
-MAX_STEPS = 10**7  # step budget of one integration run
 FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
 TAYLOR_MAX_ORDER = 60  # highest order of one Taylor step
 TAYLOR_SPLIT_STEPS = 256  # attempts a split Taylor step may add at most

@@ -5,9 +5,9 @@ One polyline per series, axes with linear ticks, deterministic output.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import Record
+from . import DEFAULT_HEIGHT, DEFAULT_WIDTH, Record
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -16,8 +16,6 @@ _MARGIN_RIGHT = 20
 _MARGIN_TOP = 20
 _MARGIN_BOTTOM = 45
 _TICKS = 5
-DEFAULT_WIDTH = 640
-DEFAULT_HEIGHT = 480
 
 
 class Series(Record):
@@ -35,9 +33,18 @@ def _bounds(values) -> tuple[float, float]:
     return lo, hi
 
 
+def check_size(width: int, height: int) -> None:
+    """``ValueError`` for a plot size that leaves a plot area under 1 px once the margins are taken."""
+    min_width, min_height = _MARGIN_LEFT + _MARGIN_RIGHT + 1, _MARGIN_TOP + _MARGIN_BOTTOM + 1
+    if width < min_width or height < min_height:
+        raise ValueError(f"SVG size {width}x{height} leaves no plot area; "
+                         f"width must be at least {min_width} and height at least {min_height}")
+
+
 def line_plot(series: Sequence[Series], width: int = DEFAULT_WIDTH,
               height: int = DEFAULT_HEIGHT) -> str:
     """Render series as an SVG 1.1 document string."""
+    check_size(width, height)
     if not series:
         raise ValueError("at least one series is required")
     for s in series:

@@ -10,23 +10,16 @@ as the comparison baseline.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
-from . import Record
+from . import TABLE_H as DEFAULT_H, TABLE_RADIUS as DEFAULT_RADIUS, TAYLOR_H, Record
 from .solver import StepPlan, integrate_final
-from .functions import TAYLOR_H, make_sincos
+from .functions import make_sincos
 
 #: Grid step in arcminutes (3 degrees 45 minutes) and in degrees.
 STEP_ARCMIN = 225.0
 STEP_DEG = STEP_ARCMIN / 60.0
 ENTRY_COUNT = 24
-
-#: Historical radius anchor.
-DEFAULT_RADIUS = 1e7
-#: RK4 and Euler step, radians: the largest h of 1, 1.25, 1.5, 2, 2.5, 5 x 10^-3 whose RK4 table
-#: stays within 1e-14 relative of R*sin (8.7e-15; 1.25e-3 gives 2.0e-14).  Taylor steps default
-#: to ``TAYLOR_H``, longer than a segment: one step per segment, within 4.4e-16.
-DEFAULT_H = 1e-3
 
 
 class SineTable(Record):

@@ -66,6 +66,9 @@ VECTORS = [
     (*PLOT, "1,0"),
     (*PLOT, "a"),
     (*PLOT, "1.5"),
+    ("solve", "specs/two.ivp", "--svg", "two.svg", "--width", "0"),
+    ("solve", "specs/two.ivp", "--svg", "two.svg", "--width", "-5"),
+    ("solve", "specs/two.ivp", "--svg", "two.svg", "--height", "65"),
     ("solve",),
     # deriv: exact answers, large degrees and every refusal
     ("deriv", "x^2", "--at", "3"),

@@ -112,6 +112,22 @@ class TestSolve:
             svgplot.line_plot(curves)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("width, height", [(80, 480), (640, 65), (0, 480), (-5, 480), (640, 1), (-1, -1)])
+    def test_svg_refuses_a_size_without_plot_area(self, capsys, exp_spec, tmp_path, width, height):
+        # the margins take 80 px across and 65 down; less than 1 px left is refused before any file is written
+        message = f"SVG size {width}x{height} leaves no plot area; width must be at least 81 and height at least 66"
+        with pytest.raises(ValueError) as err:
+            svgplot.line_plot([svgplot.Series("y1", [0.0, 1.0], [0.0, 1.0])], width=width, height=height)
+        assert str(err.value) == message
+        out, svg = tmp_path / "o.csv", tmp_path / "p.svg"
+        argv = ("solve", exp_spec, "--out", str(out), "--svg", str(svg), "--width", str(width), "--height", str(height))
+        assert run(capsys, *argv) == (1, "", f"stepcalc: {message}\n")
+        assert not out.exists() and not svg.exists()
+
+    def test_svg_of_the_smallest_size_has_a_one_pixel_plot_area(self):
+        text = svgplot.line_plot([svgplot.Series("y1", [0.0, 1.0], [0.0, 1.0])], width=81, height=66)
+        assert ET.fromstring(text).find(".//{http://www.w3.org/2000/svg}polyline").get("points") == "60.00,21.00 61.00,20.00"
+
     @pytest.mark.parametrize("old, new, where, message", [
         ("dim = 1", "dim 1", ":2: ", "expected 'key = value', got 'dim 1'"),
         ("h = 0.001", "h = 0.001\nt0 = 1", ":8: ", "duplicate key 't0'"),
@@ -1074,6 +1090,17 @@ class TestDefaults:
         for argv, defaults in expected:
             args = vars(parser.parse_args(argv))
             assert {key: args[key] for key in defaults} == defaults, argv
+
+
+    def test_help_lines_quote_the_library_constants(self, capsys):
+        quoted = {
+            ("fn", "--help"): f"step size; default {functions.TAYLOR_H:g} for taylor, else {functions.DEFAULT_H:g}",
+            ("table", "--help"): f"step, radians (taylor {tables.TAYLOR_H:g}, else {tables.DEFAULT_H:g})",
+            ("ellipk", "--help"): f"until two passes agree to {applications.ELLIPTIC_TOL:g}",
+        }
+        for argv, text in quoted.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and text in " ".join(out.split()), argv
 
 
 class TestFuzz:

@@ -53,20 +53,44 @@ def test_no_runtime_dependencies_declared():
 SLOW_IMPORTS = {"dataclasses", "inspect", "ast"}
 
 
-@pytest.mark.parametrize("calls, present, absent", [
-    ("cli.build_parser(); cli.main(['fn', 'sin', '1']); cli.main(['deriv', 'x^2', '--at=3'])",
-     {"stepcalc.functions"}, SLOW_IMPORTS),
-    ("cli.main(['fn', 'sin', '1'])", {"stepcalc.functions"}, SLOW_IMPORTS | {"fractions"}),
-    # a derivative loads no integrator
-    ("cli.main(['deriv', 'x^2', '--at=3'])", {"stepcalc.nonarch"},
-     SLOW_IMPORTS | {"stepcalc.solver", "stepcalc.functions", "stepcalc.applications"}),
-], ids=["full parser, fn and deriv", "fn", "deriv"])
-def test_requests_leave_slow_modules_unimported(calls, present, absent):
-    # -S: without site, only stepcalc's own imports reach sys.modules
+def loaded_modules(calls: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``from stepcalc import cli`` and ``calls``.  It runs with -S:
+    without site, only stepcalc's own imports reach sys.modules."""
     code = f"import sys; from stepcalc import cli; {calls}; print(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# one-shot requests, each with the module that does its work; none imports the slow modules, typing or fractions
+ONE_SHOT = {
+    "fn": (["fn", "sin", "1"], "stepcalc.functions"),
+    "pendulum": (["pendulum", "--theta0", "1"], "stepcalc.applications"),
+    "pendulum ode": (["pendulum", "--theta0", "1", "--method", "ode"], "stepcalc.applications"),
+    "ballistics": (["ballistics", "--mass", "1", "--v0", "40", "--alpha", "40"], "stepcalc.applications"),
+    "table": (["table"], "stepcalc.tables"),
+    "pi": (["pi"], "stepcalc.series"),
+    "lox": (["lox", "--lat1", "10", "--lon1", "0", "--lat2", "20", "--lon2", "5"], "stepcalc.applications"),
+    "ellipk": (["ellipk", "--k", "0.5"], "stepcalc.applications"),
+}
+
+
+@pytest.mark.parametrize("calls, present, absent", [
+    ("cli.build_parser(); cli.main(['fn', 'sin', '1']); cli.main(['deriv', 'x^2', '--at=3'])",
+     {"stepcalc.functions"}, SLOW_IMPORTS),
+    *((f"cli.main({argv!r})", {module}, SLOW_IMPORTS | {"typing", "fractions"}) for argv, module in ONE_SHOT.values()),
+    # a derivative loads no integrator
+    ("cli.main(['deriv', 'x^2', '--at=3'])", {"stepcalc.nonarch"},
+     SLOW_IMPORTS | {"stepcalc.solver", "stepcalc.functions", "stepcalc.applications"}),
+], ids=["full parser, fn and deriv", *ONE_SHOT, "deriv"])
+def test_requests_leave_slow_modules_unimported(calls, present, absent):
+    loaded = loaded_modules(calls)
     assert present <= loaded, sorted(present - loaded)
     assert absent.isdisjoint(loaded), sorted(absent & loaded)
+
+
+def test_the_full_parser_imports_only_the_package():
+    # its defaults and help lines read the package's constants; no integration module is imported
+    loaded = loaded_modules("cli.build_parser(); cli.main(['--help']); cli.main([]); cli.main(['frobnicate'])")
+    assert {name for name in loaded if name.startswith("stepcalc")} == {"stepcalc", "stepcalc.cli"}
