@@ -6,7 +6,7 @@ computed exactly in a non-Archimedean field of rational functions by
 discarding infinitesimals.
 
 The defaults that the CLI's options and help lines quote are stated here, each once, and each module imports
-its own: the full parser then reads them without importing an integration module.
+its own: the parser then reads them without importing an integration module.
 """
 
 import math

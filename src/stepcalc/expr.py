@@ -44,9 +44,14 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 
 from . import MAX_EXACT_BITS, Record, exact_decimal, generated
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from typing import Any
 
 
 class ExprError(ValueError):
@@ -83,10 +88,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+Token = namedtuple("Token", "kind text pos")
 
 
 def tokenize(source: str) -> list[Token]:

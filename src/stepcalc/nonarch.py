@@ -26,11 +26,11 @@ gcd is taken until the answer is reduced.  The command line uses this path;
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Sequence, Union
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 class NoStandardPartError(ArithmeticError):

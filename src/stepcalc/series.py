@@ -19,7 +19,7 @@ class AlternationError(ValueError):
 
 class SeriesSpec(Record):
     """A series given by its term function; ``alternating`` is asserted by the
-    caller and spot-checked during summation."""
+    caller and checked at every term during summation."""
 
     __slots__ = ("term", "alternating")
     _defaults = {"alternating": False}
@@ -60,36 +60,40 @@ def sum_until_discardable(spec: SeriesSpec, policy: DiscardPolicy) -> DiscardSum
     """Sum until the next term falls below the discard threshold.
 
     Stops before adding the first term whose magnitude is below the threshold
-    (absolute, or relative to the running sum, compensated (Kahan) for it);
-    that magnitude bounds the discarded tail for an alternating series with
-    shrinking terms.  Hitting ``max_terms`` first is reported, not raised.
+    (absolute, or relative to the running sum); that magnitude bounds the
+    discarded tail for an alternating series with shrinking terms.  The kept
+    terms are summed by ``math.fsum``.  Hitting ``max_terms`` first is
+    reported, not raised.
     """
     if not spec.alternating:
         raise ValueError("sum_until_discardable requires an alternating series "
                          "(the first omitted term must bound the tail)")
-    term = spec.term
-    s = 0.0
-    c = 0.0
-    prev: float | None = None
-    n = 0
-    while True:
-        a = term(n)
-        cutoff = policy.threshold if policy.mode == "absolute" else policy.threshold * abs(s)
-        if abs(a) < cutoff:
-            return DiscardSum(s, n, abs(a))
-        if n >= policy.max_terms:
-            return DiscardSum(s, n, abs(a), hit_cap=True)
-        if prev is not None:
-            if a * prev > 0.0:
-                raise AlternationError(f"terms {n - 1} and {n} have the same sign")
-            if abs(a) > abs(prev):
-                raise AlternationError(f"|term({n})| exceeds |term({n - 1})|")
-        y = a - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        prev = a
-        n += 1
+    term, threshold, relative = spec.term, policy.threshold, policy.mode == "relative"
+    n, a, hit_cap = 0, 0.0, False
+
+    def kept():
+        """The terms before the first one left out, each checked against the one before it."""
+        nonlocal n, a, hit_cap
+        s = prev = 0.0  # s: the plain running sum, read by the relative cutoff alone
+        while True:
+            a = term(n)
+            if abs(a) < (threshold * abs(s) if relative else threshold):
+                return
+            if n >= policy.max_terms:
+                hit_cap = True
+                return
+            if n:
+                if a * prev > 0.0:
+                    raise AlternationError(f"terms {n - 1} and {n} have the same sign")
+                if abs(a) > abs(prev):
+                    raise AlternationError(f"|term({n})| exceeds |term({n - 1})|")
+            yield a
+            s += a
+            prev = a
+            n += 1
+
+    value = math.fsum(kept())
+    return DiscardSum(value, n, abs(a), hit_cap)
 
 
 def leibniz_term(n: int) -> float:

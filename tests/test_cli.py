@@ -16,11 +16,14 @@ import pytest
 import oracles
 import stepcalc
 from stepcalc import applications, cli, expr, functions, series, solver, svgplot, tables
-from stepcalc.cli import COMMANDS, MAX_SWEEP_POINTS, build_parser, main
+from stepcalc.cli import MAX_SWEEP_POINTS, build_parser, main
 from stepcalc.expr import MAX_EXACT_BITS, MAX_EXACT_DEGREE
 from stepcalc.nonarch import EPSILON, RatFunc
 from stepcalc.series import LEIBNIZ, leibniz_term, partial_sum
 from stepcalc.solver import MAX_STEPS, StepPlan, Trajectory, find_zero_crossings, integrate_final
+
+# the subcommands, in the order --help lists them
+COMMANDS = tuple(re.findall(r"^    (\S+)", build_parser().format_help(), re.MULTILINE))
 
 EXP_SPEC = """\
 # exponential growth
@@ -835,43 +838,28 @@ class TestUsageErrors:
         assert code == 2
 
 
-class TestLeanParser:
-    """``main`` builds only the subparser a request names; every outcome
-    must be byte-identical to the one the full parser gives."""
+class TestParser:
+    """One parser serves every request; usage errors exit 2 with one stderr
+    line, and help is laid out for 80 columns whatever the terminal."""
 
     BAD_VALUE = {"solve": ["x.ivp", "--width", "w"], "deriv": ["x", "--at", "a"], "fn": ["exp", "x"],
                  "table": ["--h", "h"], "pi": ["--terms", "t"], "pendulum": ["--theta0", "t"],
                  "ballistics": ["--mass", "m"], "lox": ["--lat1", "l"], "ellipk": ["--k", "k"],
                  "rectify": ["-n", "n"]}
 
-    @staticmethod
-    def outcomes(capsys, monkeypatch, argv):
-        """(names main built, its outcome, the outcome with the full parser)."""
-        built = []
-        full_build = cli.build_parser
-        lean = run(capsys, *argv)
-        monkeypatch.setattr(cli, "build_parser", lambda names: built.append(list(names)) or full_build())
-        full = run(capsys, *argv)
-        monkeypatch.undo()
-        return built, lean, full
-
     @pytest.mark.parametrize("name", COMMANDS)
-    def test_subcommand_outcomes_match_the_full_parser(self, capsys, monkeypatch, name):
+    def test_subcommand_outcomes(self, capsys, name):
         for rest in (["--help"], [], ["--bogus"], self.BAD_VALUE[name], ["a", "b", "c", "d"]):
-            built, lean, full = self.outcomes(capsys, monkeypatch, [name, *rest])
-            assert built == [[name]], rest
-            assert lean == full, rest
-            assert lean[0] in (0, 2) and (lean[0] == 0) == (lean[2] == ""), rest
+            code, _, err = run(capsys, name, *rest)
+            assert code in (0, 2) and (code == 0) == (err == ""), rest
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"], ["--bogus", "deriv"], ["de", "x"]])
-    def test_other_requests_build_every_subparser(self, capsys, monkeypatch, argv):
-        built, lean, full = self.outcomes(capsys, monkeypatch, argv)
-        assert built == [list(COMMANDS)]
-        assert lean == full
+    def test_requests_naming_no_subcommand(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         if argv == ["--help"]:
-            assert lean[0] == 0 and all(name in lean[1] for name in COMMANDS)
+            assert code == 0 and all(name in out for name in COMMANDS)
         else:
-            assert lean[0] == 2 and "usage error: " in lean[2]
+            assert code == 2 and "usage error: " in err
 
     def test_shared_parsers_give_the_outcomes_of_fresh_ones(self, capsys, monkeypatch):
         sequence = [["pi", "--terms", "10", "--corrected"], ["pi", "--terms", "10"],
@@ -883,11 +871,23 @@ class TestLeanParser:
         assert shared == fresh
         assert [code for code, _, _ in shared[:len(sequence)]] == [0, 0, 0, 0, 2, 0, 1, 2]
         assert shared[:len(sequence)] == shared[len(sequence):]
-        assert build_parser(("fn",)) is build_parser(("fn",))
+        monkeypatch.undo()
+        assert build_parser() is build_parser()
 
-    def test_default_is_the_full_parser(self):
-        listed = re.findall(r"^    (\S+)", build_parser().format_help(), re.MULTILINE)
-        assert tuple(listed) == COMMANDS
+    def test_help_lists_the_subcommands_in_order(self):
+        assert COMMANDS == ("solve", "deriv", "fn", "table", "pi", "pendulum", "ballistics", "lox", "ellipk",
+                            "rectify")
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in COMMANDS)], ids=" ".join)
+    def test_help_is_laid_out_for_80_columns_on_any_terminal(self, capsys, monkeypatch, argv):
+        helps = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            helps.append(out)
+        assert helps[0] == helps[1]
+        assert max(map(len, helps[0].splitlines())) <= 80
 
 
 class TestImports:

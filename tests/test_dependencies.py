@@ -63,7 +63,8 @@ def loaded_modules(calls: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-# one-shot requests, each with the module that does its work; none imports the slow modules, typing or fractions
+# one-shot requests, each with the module that does its work; none imports the slow modules, typing, shutil
+# (which argparse imports to ask the terminal for its width) or fractions
 ONE_SHOT = {
     "fn": (["fn", "sin", "1"], "stepcalc.functions"),
     "pendulum": (["pendulum", "--theta0", "1"], "stepcalc.applications"),
@@ -73,16 +74,19 @@ ONE_SHOT = {
     "pi": (["pi"], "stepcalc.series"),
     "lox": (["lox", "--lat1", "10", "--lon1", "0", "--lat2", "20", "--lon2", "5"], "stepcalc.applications"),
     "ellipk": (["ellipk", "--k", "0.5"], "stepcalc.applications"),
+    "rectify": (["rectify", "--x-expr", "t", "--y-expr", "t", "--t0", "0", "--t1", "1"], "stepcalc.applications"),
+    "solve": (["solve", str(ROOT / "tests" / "golden" / "specs" / "exp.ivp")], "stepcalc.solver"),
 }
 
 
 @pytest.mark.parametrize("calls, present, absent", [
     ("cli.build_parser(); cli.main(['fn', 'sin', '1']); cli.main(['deriv', 'x^2', '--at=3'])",
      {"stepcalc.functions"}, SLOW_IMPORTS),
-    *((f"cli.main({argv!r})", {module}, SLOW_IMPORTS | {"typing", "fractions"}) for argv, module in ONE_SHOT.values()),
-    # a derivative loads no integrator
+    *((f"cli.main({argv!r})", {module}, SLOW_IMPORTS | {"typing", "shutil", "fractions"})
+      for argv, module in ONE_SHOT.values()),
+    # a derivative loads no integrator; its exact arithmetic is the one request that needs fractions
     ("cli.main(['deriv', 'x^2', '--at=3'])", {"stepcalc.nonarch"},
-     SLOW_IMPORTS | {"stepcalc.solver", "stepcalc.functions", "stepcalc.applications"}),
+     SLOW_IMPORTS | {"typing", "shutil", "stepcalc.solver", "stepcalc.functions", "stepcalc.applications"}),
 ], ids=["full parser, fn and deriv", *ONE_SHOT, "deriv"])
 def test_requests_leave_slow_modules_unimported(calls, present, absent):
     loaded = loaded_modules(calls)
@@ -91,6 +95,8 @@ def test_requests_leave_slow_modules_unimported(calls, present, absent):
 
 
 def test_the_full_parser_imports_only_the_package():
-    # its defaults and help lines read the package's constants; no integration module is imported
+    # its defaults and help lines read the package's constants; no integration module is imported,
+    # and its help, laid out for 80 columns, asks the terminal nothing
     loaded = loaded_modules("cli.build_parser(); cli.main(['--help']); cli.main([]); cli.main(['frobnicate'])")
     assert {name for name in loaded if name.startswith("stepcalc")} == {"stepcalc", "stepcalc.cli"}
+    assert "shutil" not in loaded
