@@ -65,12 +65,32 @@ def generated(label: str, params: list[str], lines: list[str], names: dict):
     return namespace["_generated"]
 
 
+class _SlotConstructor:
+    """A record class's ``__init__`` until its first use: looking it up, to construct a record or to read the
+    constructor's signature, compiles the constructor from the class's slots, which takes this stub's place."""
+
+    __slots__ = ("cls",)
+
+    def __init__(self, cls):
+        self.cls = cls
+
+    def __get__(self, instance, owner=None):
+        cls = self.cls
+        defaults = getattr(cls, "_defaults", {})  # a default is read by its field's name in the namespace
+        params = [f"{name}={name}" if name in defaults else name for name in cls.__slots__]
+        lines = [f"_set(self, {name!r}, {name})" for name in cls.__slots__]
+        lines += ["self._check()"] if hasattr(cls, "_check") else []
+        cls.__init__ = init = generated(f"{cls.__qualname__}.__init__", ["self", *params], lines,
+                                        {**defaults, "_set": object.__setattr__})
+        return init.__get__(instance, owner)
+
+
 class Record:
     """Base of the package's immutable records: plain classes, not dataclasses.
 
     A record's fields are its class's ``__slots__``, in constructor order.  A
     class that defines no ``__init__`` gets one generated from its slots, once,
-    when the class is made: its parameters are the slots, with defaults from
+    at its first use: its parameters are the slots, with defaults from
     the class's ``_defaults`` mapping, and it sets each field once by
     ``object.__setattr__``, then calls the class's ``_check`` if it has one.
     Setting or deleting a field later raises ``AttributeError``.  ``==`` and
@@ -84,12 +104,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._compared = tuple(name for name in cls.__slots__ if name not in uncompared)
         if "__init__" not in cls.__dict__:
-            defaults = getattr(cls, "_defaults", {})  # a default is read by its field's name in the namespace
-            params = [f"{name}={name}" if name in defaults else name for name in cls.__slots__]
-            lines = [f"_set(self, {name!r}, {name})" for name in cls.__slots__]
-            lines += ["self._check()"] if hasattr(cls, "_check") else []
-            cls.__init__ = generated(f"{cls.__qualname__}.__init__", ["self", *params], lines,
-                                     {**defaults, "_set": object.__setattr__})
+            cls.__init__ = _SlotConstructor(cls)
 
     def replace(self, **changes):
         """A record of this class with the named fields changed (``TypeError`` for a name that is not a field), built

@@ -4,21 +4,35 @@ Subcommands: solve (spec-file IVP integration with CSV/SVG output), deriv
 (exact rational derivative), fn (ODE-defined function values), table (R-sine
 table), pi (series summation), pendulum, ballistics, lox, ellipk, rectify.
 
-One parser is built per process, at its first use, from the package's
-defaults (``stepcalc.MAX_STEPS``, ``stepcalc.TAYLOR_H``, ...), so that it
-imports no integration module; a request imports only the modules its
-handler uses.  Every later request shares the parser, and callers must not
-add arguments or defaults to it.  Help wraps at 80 columns on any terminal.
+The parser is one table of subcommands and their options, built once per
+process at its first use from the package's defaults (``stepcalc.MAX_STEPS``,
+``stepcalc.TAYLOR_H``, ...), so that it imports no integration module; a
+request imports only the modules its handler uses.  Every later request shares
+the table, and callers must not change it.  Arguments are read left to right:
+
+- an option is named in full (``--theta0``; ``--the`` names no option) and
+  takes its value from the next word or after ``=`` (``--at=3``, ``-n=4``; a
+  short option takes no attached value, so ``-n4`` names no option);
+- a word led by ``-`` that names no option is a value when it contains a space
+  or ``float`` reads it (``-1``, ``-1.5``, ``-1e-05``, ``-(x + 1)``), and
+  otherwise an unrecognized argument;
+- ``--`` ends the options: every later word, a later ``--`` too, is a value;
+- a repeated option takes its last value, and a flag given ``=value`` is a
+  usage error;
+- ``-h``/``--help`` writes the help of the command it follows when it is read,
+  unless a word before it was refused.
+
+Help is laid out for 80 columns on any terminal and any Python version.
 
 Exit codes: 0 success, 1 runtime/domain error, 2 usage/parse error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 from . import (BALLISTICS_H, DEFAULT_HEIGHT, DEFAULT_K, DEFAULT_MAX_TERMS, DEFAULT_WIDTH, EARTH_RADIUS, ELLIPTIC_TOL,
                FUNCTION_H, MAX_STEPS, MERIDIONAL_H, PENDULUM_H, STANDARD_GRAVITY, TABLE_H, TABLE_RADIUS, TAYLOR_H,
@@ -312,136 +326,229 @@ def cmd_rectify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _option_type(convert, positive=False, at_most=None):
-    """An argparse ``type=``: a bad value is a usage error naming the option."""
-    def parse(text: str):
+def _wrap(first: str, words: list[str], indent: int) -> list[str]:
+    """``first`` then ``words``, joined by spaces in lines of at most 80 columns; later lines are indented."""
+    lines = [first]
+    for word in words:
+        if len(lines[-1]) + len(word) > 80 and lines[-1].strip():
+            lines.append(" " * indent)
+        lines[-1] += word + " "
+    return [line.rstrip() for line in lines]
+
+
+class _Option:
+    """A row of a parser's table.  ``names`` is "--name", "--name/-n" or a positional's name; ``convert`` reads the
+    value's text (None for a flag, which is False unless given), and a ``bound`` asks for a value in (0, bound]."""
+
+    __slots__ = ("names", "label", "dest", "convert", "default", "required", "choices", "bound", "help")
+
+    def __init__(self, names, convert=str, default=None, required=False, choices=(), bound=None, help=""):
+        self.names, self.label = names.split("/"), names
+        self.dest = self.names[0].lstrip("-").replace("-", "_").lower()
+        self.convert, self.choices, self.bound, self.help = convert, choices, bound, help
+        self.default = False if convert is None else default
+        self.required = required or names[0] != "-"
+
+    def read(self, text: str):
+        """The value that ``text`` gives; ``ValueError`` carries the usage error for one this option refuses."""
         try:
-            value = convert(text)
+            value = self.convert(text)
         except OverflowError as exc:  # exact_decimal's exponent bound
-            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+            raise ValueError(f"{exc}, got {text!r}") from None
         except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
-        if positive and not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-        if at_most is not None and value > at_most:
-            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {text!r}")
+            raise ValueError(f"invalid {self.convert.__name__} value: {text!r}") from None
+        if self.choices and value not in self.choices:
+            raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, self.choices))})")
+        if self.bound is not None and not 0 < value <= self.bound:
+            raise ValueError(f"must be at most {self.bound}, got {text!r}" if value > 0 else
+                             f"must be positive, got {text!r}")
         return value
-    return parse
+
+    def spelled(self, name: str) -> str:
+        """``name`` as help shows it, with a placeholder for the value."""
+        if name[0] != "-" or self.convert is None:
+            return name
+        return f"{name} {'{' + ','.join(self.choices) + '}' if self.choices else self.dest.upper()}"
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line and exits 2, and wraps help at
-    80 columns; subparsers inherit the class and its formatter."""
+_HELP = _Option("-h/--help", None, help="show this help message and exit")
 
-    def __init__(self, **kwargs):  # argparse's width on an 80-column terminal; asking the terminal imports shutil
-        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78), **kwargs)
 
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: usage error: {message}\n")
+class _Command:
+    """A parser: the table of one subcommand, or the top level's, whose one positional names the subcommand that
+    reads the words after it.  Its arguments are read as the module's docstring says."""
+
+    def __init__(self, prog, help, options, handler=None, commands=None):
+        self.prog, self.help, self.handler, self.commands = prog, help, handler, commands
+        self.options = [_HELP, *options]
+        self.named = {name: option for option in self.options for name in option.names if name[0] == "-"}
+        self.positionals = [option for option in options if option.names[0][0] != "-"]
+        self.defaults = {option.dest: option.default for option in options if not option.required}
+
+    def fail(self, message: str):
+        sys.stderr.write(f"{self.prog}: usage error: {message}\n")
+        raise SystemExit(2)
+
+    def _kind(self, word: str):
+        """The option that ``word`` names, None if it is a value, or False if it is neither."""
+        if word[:1] != "-" or word == "-":
+            return None
+        option = self.named.get(word.partition("=")[0])
+        if option is None and " " not in word:
+            try:
+                float(word)
+            except ValueError:
+                return False
+        return option
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        """The values of ``argv`` (``sys.argv[1:]`` by default) by name; help and usage errors raise ``SystemExit``."""
+        values, extras = self._read(iter(sys.argv[1:] if argv is None else argv))
+        if extras:
+            self.fail(f"unrecognized arguments: {' '.join(extras)}")
+        return SimpleNamespace(**values)
+
+    def _read(self, words) -> tuple[dict, list[str]]:
+        """The values that ``words``, an iterator, give by name, and the words that none of them takes."""
+        values, extras, positionals, options_end = dict(self.defaults), [], iter(self.positionals), False
+        for word in words:
+            if word == "--" and not options_end:
+                options_end = True
+                continue
+            option = None if options_end else self._kind(word)
+            if option is None:  # a value: the next positional's
+                option, text = next(positionals, None), word
+            elif option:
+                _, attached, text = word.partition("=")
+                if option.convert is None:  # a flag
+                    if attached:
+                        self.fail(f"argument {option.label}: ignored explicit argument {text!r}")
+                    if option is _HELP:
+                        sys.stdout.write(self.format_help())
+                        raise SystemExit(0)
+                    values[option.dest] = True
+                    continue
+                if not attached:
+                    text = next(words, None)
+                    if text is None or self._kind(text) is not None:
+                        self.fail(f"argument {option.label}: expected one argument")
+            if not option:
+                extras.append(word)
+                continue
+            try:
+                values[option.dest] = option.read(text)
+            except ValueError as exc:
+                self.fail(f"argument {option.label}: {exc}")
+            if self.commands:  # the top level's positional: its subcommand reads the words after it
+                command = self.commands[text]
+                more, more_extras = command._read(words)
+                values.update(more, handler=command.handler)
+                extras += more_extras
+        missing = [option.label for option in self.options if option.required and option.dest not in values]
+        if missing:
+            self.fail(f"the following arguments are required: {', '.join(missing)}")
+        return values, extras
+
+    def format_help(self) -> str:
+        """The help, laid out for 80 columns whatever the terminal's width."""
+        options = [option for option in self.options if option.names[0][0] == "-"]
+        usage = [option.spelled(option.names[0]) if option.required else f"[{option.spelled(option.names[0])}]"
+                 for option in options] + [option.label for option in self.positionals]
+        sections = [("positional arguments", [(f"  {option.label}", option.help) for option in self.positionals])]
+        if self.commands:
+            usage.append("...")
+            sections = [("commands", [(f"    {name}", command.help) for name, command in self.commands.items()])]
+        sections.append(("options", [("  " + ", ".join(map(option.spelled, option.names)), option.help)
+                                     for option in options]))
+        column = min(24, 2 + max(len(invocation) for _, rows in sections for invocation, _ in rows))
+        head = f"usage: {self.prog} "
+        lines = [*_wrap(head, usage, len(head)), "", *_wrap("", self.help.split(), 0), ""]
+        for title, rows in sections:
+            if rows:
+                lines.append(f"{title}:")
+                for invocation, text in rows:
+                    if len(invocation) + 2 > column and text:
+                        lines.append(invocation)
+                        invocation = ""
+                    lines += _wrap(invocation.ljust(column), text.split(), column)
+                lines.append("")
+        return "\n".join(lines)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser with a subparser for each subcommand, built once per process with the defaults the package's
-    constants have at that first call; it imports no other module of the package.  Every later call returns the
-    same shared parser: add no arguments or defaults to it."""
-    parser = _Parser(
-        prog="stepcalc",
-        description="Limit-free calculus toolkit: ODE-defined functions, exact "
-                    "infinitesimal derivatives, sine tables, series, and "
-                    "navigation computations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+def build_parser() -> _Command:
+    """The parser: the top level's table, which holds each subcommand's, built once per process with the defaults
+    the package's constants have at that first call; it imports no other module of the package.  Every later call
+    returns the same shared parser: change nothing in it."""
+    commands = {}
 
-    def command(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
+    def command(name, handler, help_text, *options):
+        commands[name] = _Command(f"stepcalc {name}", help_text, options, handler)
 
-    p = command("solve", cmd_solve, "integrate an IVP described by a spec file")
-    p.add_argument("spec", help="path to a key = value spec file")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.add_argument("--svg", help="also write a static SVG line plot to this path")
-    p.add_argument("--components", type=integer_list, help="1-based components to plot, e.g. 1,3")
-    p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
-
-    p = command("deriv", cmd_deriv, "exact derivative of a rational expression")
-    p.add_argument("expr", help="rational expression in one variable, e.g. 'x^2'")
-    p.add_argument("--at", required=True, type=_option_type(exact_decimal),
-                   help="evaluation point, integer or p/q")
-
-    p = command("fn", cmd_fn, "evaluate an ODE-defined function")
-    p.add_argument("name", help="exp, sin, cos, sn, cn, dn or invgd")
-    p.add_argument("x", type=float)
-    p.add_argument("--k", type=float, default=DEFAULT_K, help="elliptic modulus for sn/cn/dn")
-    p.add_argument("--method", choices=("euler", "rk4", "taylor"), help="default: taylor, rk4 for invgd")
-    p.add_argument("--h", type=float,
-                   help=f"step size; default {TAYLOR_H:g} for taylor, else {FUNCTION_H:g}")
-    p.add_argument("--out", help="write the CSV trajectory here")
-
-    p = command("table", cmd_table, "generate the 24-entry R-sine table as CSV")
-    p.add_argument("--radius", type=float, default=TABLE_RADIUS)
-    p.add_argument("--method", choices=("euler", "rk4", "taylor"), default="taylor")
-    p.add_argument("--h", type=float, help=f"step, radians (taylor {TAYLOR_H:g}, else {TABLE_H:g})")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-
-    p = command("pi", cmd_pi, "sum the alternating series for pi")
-    count = _option_type(int, positive=True, at_most=DEFAULT_MAX_TERMS)
-    p.add_argument("--terms", type=count, default=1000, help="number of terms")
-    p.add_argument("--corrected", action="store_true",
-                   help="average consecutive partial sums (end correction)")
-    p.add_argument("--discard", type=_option_type(float, positive=True), default=None,
-                   help="discard threshold; sum until the next term is below it")
-    p.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--max-terms", type=count, default=DEFAULT_MAX_TERMS)
-
-    p = command("pendulum", cmd_pendulum, "pendulum period versus amplitude")
-    p.add_argument("--theta0", type=float, required=True, help="amplitude, radians")
-    p.add_argument("--length", type=float, default=1.0, help="length, meters")
-    p.add_argument("--g", type=float, default=STANDARD_GRAVITY)
-    p.add_argument("--method", choices=("ode", "elliptic"), default="elliptic")
-    p.add_argument("--h", type=float, default=PENDULUM_H,
-                   help="step size for the ode method")
-    p.add_argument("--sweep", action="store_true",
-                   help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0")
-    p.add_argument("--sweep-points", type=_option_type(int, positive=True, at_most=MAX_SWEEP_POINTS),
-                   default=20)
-    p.add_argument("--out", help="write sweep CSV here instead of stdout")
-
-    p = command("ballistics", cmd_ballistics, "range of a projectile with quadratic drag")
-    p.add_argument("--mass", type=float, required=True, help="kg")
-    p.add_argument("--drag", type=float, default=0.0, help="quadratic drag coefficient, kg/m")
-    p.add_argument("--v0", type=float, required=True, help="launch speed, m/s")
-    p.add_argument("--alpha", type=float, required=True, help="launch angle, degrees")
-    p.add_argument("--g", type=float, default=STANDARD_GRAVITY)
-    p.add_argument("--h", type=float, default=BALLISTICS_H, help="step size, seconds")
-    p.add_argument("--out", help="write the CSV trajectory here")
-
-    p = command("lox", cmd_lox, "rhumb-line bearing and distance on the sphere")
-    for option in ("--lat1", "--lon1", "--lat2", "--lon2"):
-        p.add_argument(option, type=float, required=True, help="degrees")
-    p.add_argument("--radius", type=float, default=EARTH_RADIUS)
-    p.add_argument("--h", type=float, default=MERIDIONAL_H,
-                   help="step size for the meridional-parts integration")
-
-    p = command("ellipk", cmd_ellipk, "complete/incomplete elliptic integral, first kind")
-    p.add_argument("--k", type=float, required=True, help="modulus in [0, 1)")
-    p.add_argument("--phi", type=float, default=math.pi / 2,
-                   help="amplitude in [0, pi/2]; omit for the complete integral")
-    p.add_argument("--h", type=float, default=None,
-                   help="one pass of equal steps of at most this size; by default the step "
-                        f"count doubles until two passes agree to {ELLIPTIC_TOL:g}")
-
-    p = command("rectify", cmd_rectify, "polyline length of a parametric curve")
-    p.add_argument("--segments", "-n", type=_option_type(int, positive=True, at_most=MAX_STEPS),
-                   default=1024)
-    p.add_argument("--x-expr", help="x(t) expression; default is the unit circle")
-    p.add_argument("--y-expr", help="y(t) expression")
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-
-    return parser
+    methods = ("euler", "rk4", "taylor")
+    command("solve", cmd_solve, "integrate an IVP described by a spec file",
+            _Option("spec", help="path to a key = value spec file"),
+            _Option("--out", help="write CSV here instead of stdout"),
+            _Option("--svg", help="also write a static SVG line plot to this path"),
+            _Option("--components", integer_list, help="1-based components to plot, e.g. 1,3"),
+            _Option("--width", int, DEFAULT_WIDTH),
+            _Option("--height", int, DEFAULT_HEIGHT))
+    command("deriv", cmd_deriv, "exact derivative of a rational expression",
+            _Option("expr", help="rational expression in one variable, e.g. 'x^2'"),
+            _Option("--at", exact_decimal, required=True, help="evaluation point, integer or p/q"))
+    command("fn", cmd_fn, "evaluate an ODE-defined function",
+            _Option("name", help="exp, sin, cos, sn, cn, dn or invgd"),
+            _Option("x", float),
+            _Option("--k", float, DEFAULT_K, help="elliptic modulus for sn/cn/dn"),
+            _Option("--method", choices=methods, help="default: taylor, rk4 for invgd"),
+            _Option("--h", float, help=f"step size; default {TAYLOR_H:g} for taylor, else {FUNCTION_H:g}"),
+            _Option("--out", help="write the CSV trajectory here"))
+    command("table", cmd_table, "generate the 24-entry R-sine table as CSV",
+            _Option("--radius", float, TABLE_RADIUS),
+            _Option("--method", default="taylor", choices=methods),
+            _Option("--h", float, help=f"step, radians (taylor {TAYLOR_H:g}, else {TABLE_H:g})"),
+            _Option("--out", help="write CSV here instead of stdout"))
+    command("pi", cmd_pi, "sum the alternating series for pi",
+            _Option("--terms", int, 1000, bound=DEFAULT_MAX_TERMS, help="number of terms"),
+            _Option("--corrected", None, help="average consecutive partial sums (end correction)"),
+            _Option("--discard", float, bound=math.inf, help="discard threshold; sum until the next term is below it"),
+            _Option("--mode", default="absolute", choices=("absolute", "relative")),
+            _Option("--max-terms", int, DEFAULT_MAX_TERMS, bound=DEFAULT_MAX_TERMS))
+    command("pendulum", cmd_pendulum, "pendulum period versus amplitude",
+            _Option("--theta0", float, required=True, help="amplitude, radians"),
+            _Option("--length", float, 1.0, help="length, meters"),
+            _Option("--g", float, STANDARD_GRAVITY),
+            _Option("--method", default="elliptic", choices=("ode", "elliptic")),
+            _Option("--h", float, PENDULUM_H, help="step size for the ode method"),
+            _Option("--sweep", None, help="emit a theta0,period,ratio_to_small_angle CSV up to --theta0"),
+            _Option("--sweep-points", int, 20, bound=MAX_SWEEP_POINTS),
+            _Option("--out", help="write sweep CSV here instead of stdout"))
+    command("ballistics", cmd_ballistics, "range of a projectile with quadratic drag",
+            _Option("--mass", float, required=True, help="kg"),
+            _Option("--drag", float, 0.0, help="quadratic drag coefficient, kg/m"),
+            _Option("--v0", float, required=True, help="launch speed, m/s"),
+            _Option("--alpha", float, required=True, help="launch angle, degrees"),
+            _Option("--g", float, STANDARD_GRAVITY),
+            _Option("--h", float, BALLISTICS_H, help="step size, seconds"),
+            _Option("--out", help="write the CSV trajectory here"))
+    command("lox", cmd_lox, "rhumb-line bearing and distance on the sphere",
+            *(_Option(f"--{name}", float, required=True, help="degrees") for name in ("lat1", "lon1", "lat2", "lon2")),
+            _Option("--radius", float, EARTH_RADIUS),
+            _Option("--h", float, MERIDIONAL_H, help="step size for the meridional-parts integration"))
+    command("ellipk", cmd_ellipk, "complete/incomplete elliptic integral, first kind",
+            _Option("--k", float, required=True, help="modulus in [0, 1)"),
+            _Option("--phi", float, math.pi / 2, help="amplitude in [0, pi/2]; omit for the complete integral"),
+            _Option("--h", float, help="one pass of equal steps of at most this size; by default the step count "
+                                       f"doubles until two passes agree to {ELLIPTIC_TOL:g}"))
+    command("rectify", cmd_rectify, "polyline length of a parametric curve",
+            _Option("--segments/-n", int, 1024, bound=MAX_STEPS),
+            _Option("--x-expr", help="x(t) expression; default is the unit circle"),
+            _Option("--y-expr", help="y(t) expression"),
+            _Option("--t0", float),
+            _Option("--t1", float))
+    return _Command("stepcalc", "Limit-free calculus toolkit: ODE-defined functions, exact infinitesimal derivatives, "
+                    "sine tables, series, and navigation computations.",
+                    [_Option("COMMAND", choices=tuple(commands))], commands=commands)
 
 
 def main(argv=None) -> int:

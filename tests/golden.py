@@ -286,6 +286,10 @@ VECTORS = [
     # no or an unknown subcommand
     (),
     ("frobnicate",),
+    # help, laid out by the package for 80 columns on every Python version
+    ("--help",),
+    *((name, "--help") for name in ("solve", "deriv", "fn", "table", "pi", "pendulum", "ballistics", "lox", "ellipk",
+                                    "rectify")),
 ]
 
 

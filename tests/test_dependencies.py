@@ -13,24 +13,33 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "stepcalc").glob("*.py"))
 
 
-def non_stdlib_imports(source: str) -> list[str]:
-    """Top-level names of absolute imports outside the standard library."""
+def absolute_imports(source: str) -> list[str]:
+    """The modules that ``source`` imports by absolute name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        found += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+            found.append(node.module)
     return found
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of absolute imports outside the standard library."""
+    return [name for name in absolute_imports(source) if name.split(".")[0] not in sys.stdlib_module_names]
 
 
 def test_sources_import_only_the_standard_library():
     assert SOURCES
     for path in SOURCES:
         assert non_stdlib_imports(path.read_text()) == [], path.name
+
+
+def test_no_module_imports_argparse():
+    # the command line reads its arguments from its own table (cli.build_parser)
+    for path in SOURCES:
+        assert "argparse" not in [name.split(".")[0] for name in absolute_imports(path.read_text())], path.name
+    assert absolute_imports("import os, argparse\nfrom argparse import Namespace\n") == ["os", "argparse", "argparse"]
 
 
 def test_generated_code_compiles_in_one_place():
@@ -64,7 +73,7 @@ def loaded_modules(calls: str) -> set[str]:
 
 
 # one-shot requests, each with the module that does its work; none imports the slow modules, typing, shutil
-# (which argparse imports to ask the terminal for its width) or fractions
+# (which asks the terminal for its width) or fractions
 ONE_SHOT = {
     "fn": (["fn", "sin", "1"], "stepcalc.functions"),
     "pendulum": (["pendulum", "--theta0", "1"], "stepcalc.applications"),
@@ -92,6 +101,16 @@ def test_requests_leave_slow_modules_unimported(calls, present, absent):
     loaded = loaded_modules(calls)
     assert present <= loaded, sorted(present - loaded)
     assert absent.isdisjoint(loaded), sorted(absent & loaded)
+
+
+# what argparse loaded, which a request that parses no expression has no use for
+PARSER_IMPORTS = {"argparse", "re", "enum", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("route", ["fn", "pendulum", "ballistics", "table", "pi", "lox", "ellipk"])
+def test_requests_without_expressions_leave_the_parser_imports_unloaded(route):
+    loaded = loaded_modules(f"cli.main({ONE_SHOT[route][0]!r})")
+    assert PARSER_IMPORTS.isdisjoint(loaded), sorted(PARSER_IMPORTS & loaded)
 
 
 def test_the_full_parser_imports_only_the_package():

@@ -4,9 +4,14 @@ and compared, hashed, shown and copied field by field."""
 import copy
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stepcalc
 from stepcalc import Record, applications, expr, functions, series, svgplot, tables
 from stepcalc.solver import IVP, StepPlan, Trajectory, integrate
 
@@ -140,3 +145,17 @@ def test_constructor_parameters_and_defaults_stay(cls):
     parameters = inspect.signature(cls).parameters.values()
     assert [p.name if p.default is p.empty else (p.name, p.default) for p in parameters] == SIGNATURES[cls]
     assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_constructors_are_compiled_at_first_construction():
+    # a fresh interpreter, in which stepcalc.generated records the label of everything it compiles
+    code = ("import stepcalc; compiled = []; generated = stepcalc.generated\n"
+            "def recording(label, *args):\n    compiled.append(label)\n    return generated(label, *args)\n"
+            "stepcalc.generated = recording\n"
+            "from stepcalc import cli; cli.main(['pendulum', '--theta0', '1']); print(*compiled)")
+    env = {**os.environ, "PYTHONPATH": str(Path(stepcalc.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    compiled = proc.stdout.splitlines()[-1].split()
+    assert "PendulumSpec.__init__" in compiled
+    assert not {"BallisticsSpec.__init__", "GeoPoint.__init__", "OdeFunction.__init__"} & set(compiled)
