@@ -57,8 +57,8 @@ def exact_decimal(text: str):
 def generated(label: str, params: list[str], lines: list[str], names: dict):
     """``_generated(*params)``: ``lines``, a function body, compiled as ``<stepcalc label>`` in a
     namespace of ``names`` alone, with no builtins.  The package's one ``exec``: the records' constructors and
-    ``replace``, the Euler, RK4 and Taylor steps, the polynomial systems of ``solver.polynomial_ivp`` and
-    ``rectify``'s polyline loops."""
+    ``replace``, the run loops of ``solver.integrate`` and its Taylor steps, the polynomial systems of
+    ``solver.polynomial_ivp`` and ``rectify``'s polyline loops."""
     source = "".join([f"def _generated({', '.join(params)}):\n", *(f"    {line}\n" for line in lines)])
     namespace = {**names, "__builtins__": {}}
     exec(compile(source, f"<stepcalc {label}>", "exec"), namespace)

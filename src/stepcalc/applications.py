@@ -237,8 +237,8 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> tupl
     t, y = apex
     n = sum(s < t for s in rise.times)  # the nodes before the apex
     fall = integrate(ivp.replace(t0=t, y0=y), StepPlan(h, vacuum_time + 2.0 * h), "taylor", stop=1)
-    traj = Trajectory(rise.times[:n] + fall.times, rise.states[:n] + fall.states)
-    if not traj.states[-1][1] < 0.0:
+    traj = Trajectory(rise.nodes[:n * (rise.dim + 1)] + fall.nodes, rise.dim)
+    if not traj.final_state()[1] < 0.0:
         raise RuntimeError(f"projectile never landed within the window; the vacuum range is {vacuum_range(spec)!r}")
     return traj, find_zero_crossings(traj, 1, ivp, "taylor")[1]  # apex above ground, last node below
 

@@ -136,9 +136,8 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
         raise SpecFileError(f"unknown key {key!r}", entries[key][1])
 
     plan = solver.StepPlan(h, t_end)
-    known: dict[str, str] = {}  # shared by the stages, so a subtree on the same operands is computed once a step
 
-    def stage(lines: list[str], t: str, y: list[str]) -> list[str]:
+    def stage(lines: list[str], t: str, y: list[str], known: dict[str, str]) -> list[str]:
         return expr.emit_float(rhs_exprs, dict(zip(names, [t, *y])), lines, known)
 
     walk = expr.walker(rhs_exprs, names)
@@ -146,10 +145,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
         return walk(t, *y)
 
-    # on any failure the step is taken again on the walker, which raises the positioned error
-    step = expr.compile_guarded(f"cli.load_spec_file {method}", ["t", "h", "y"], solver.step_lines(method, dim, stage),
-                                "_walk(t, h, y)", {"_walk": solver.rhs_step(method, dim, rhs)})
-    return solver.IVP(rhs, t0, y0, steps={method: step}), plan, method
+    return solver.IVP(rhs, t0, y0, steps={method: stage}), plan, method
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -22,11 +22,11 @@ iterative, so operator chains such as ``x+x+...+x`` may be of any length.
 ``evaluate`` walks a tree over doubles and is the reference evaluator.
 ``emit_float`` writes trees as straight-line Python statements, for callers
 that evaluate the same trees many times: ``cli`` inlines them at each stage of
-a spec file's Euler or RK4 step (``solver.step_lines``) and at each node of
-``rectify``'s polyline loop (``applications.polyline_lines``).
-``compile_guarded`` compiles such code in one ``try``: on any failure it takes
-only the failing step or node again on ``evaluate``, so errors and their
-positions are the walker's.
+a spec file's Euler or RK4 step (``solver.step_lines``), in the run loop that
+``solver.integrate`` compiles around it, and at each node of ``rectify``'s
+polyline loop (``applications.polyline_lines``).  Each takes only the failing
+step or node again on ``evaluate`` (``compile_guarded`` compiles the polyline
+loop so), so errors and their positions are the walker's.
 
 ``evaluate_exact`` walks a tree over an exact field of rational functions
 of one variable: ``nonarch.RatFunc``, the reference, or ``nonarch.Jet``,
@@ -159,6 +159,9 @@ BUILTINS = {
     "abs": abs,
 }
 
+
+#: The names that ``emit_float``'s code reads besides its ``args``.
+EMITTED_NAMES = {"_float": float, **{f"_{name}": fn for name, fn in BUILTINS.items()}}
 
 MAX_DEPTH = 100  # nesting levels; keeps the recursive parser off Python's stack limit
 
@@ -364,7 +367,7 @@ def emit_float(trees: Sequence[Expr], args: Mapping[str, str], lines: list[str],
     results are bit-identical.  A power whose exponent is not an integral
     literal goes through ``_float``, which raises on a complex result; a name
     outside ``args`` becomes ``_unbound``, which nothing binds.  The lines
-    run in a function that ``compile_guarded`` compiles.
+    run in a function whose namespace holds ``EMITTED_NAMES``.
     """
     def emit(node: Expr, *operands: str) -> str:
         if isinstance(node, Num):
@@ -398,8 +401,7 @@ def compile_guarded(label: str, args: Sequence[str], lines: Sequence[str], walk:
     should it not, the exception is raised again.  The code reads ``names`` besides
     ``emit_float``'s; ``label`` names it in tracebacks."""
     body = ["try:", *(f"    {line}" for line in lines), "except _Exception:", f"    {walk}", "    raise"]
-    calls = {f"_{name}": fn for name, fn in BUILTINS.items()}
-    return generated(label, args, body, {"_float": float, "_Exception": Exception, **calls, **names})
+    return generated(label, args, body, {"_Exception": Exception, **EMITTED_NAMES, **names})
 
 
 #: Largest degree bound, of numerator or denominator, that exact evaluation

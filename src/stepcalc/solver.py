@@ -1,17 +1,19 @@
 """Fixed-step initial-value-problem integration.
 
 Three methods: the plain first-order step-by-step recurrence (Euler), the
-classical fourth-order Runge-Kutta update, and a Taylor-series step.  An
-Euler or RK4 step is generated code: ``step_lines`` writes the method's
-stages once as straight-line Python around a stage emitter, which either
-calls the right-hand side (``rhs_step``, compiled once per method and
-dimension) or, for an IVP that declares its own ``steps``, inlines it; a spec
-file's inlined step takes a failing step again as ``rhs_step`` on the tree
-walker.  Both compile through ``stepcalc.generated``, as do the code that
-``polynomial_ivp`` writes for a polynomial system and the Taylor step's loop,
-straight-line per component and compiled once per dimension.  Steps are laid
-out on a uniform grid from ``t0`` toward ``t_end``; the final step is
-shortened so the last node lands on ``t_end`` bit-exactly.  A plan with a
+classical fourth-order Runge-Kutta update, and a Taylor-series step.  A run
+is one generated loop, compiled once for each variant of its step, dimension,
+sink (every node, or the last) and stop test.  An Euler or RK4 step in it is
+``step_lines``' straight-line Python around a stage emitter, which either
+calls the right-hand side or, for an IVP that declares its own ``steps``,
+inlines it; such a loop takes a failing step again by calling the right-hand
+side, a spec file's tree walker.  The loops compile through
+``stepcalc.generated``, as do the code that ``polynomial_ivp`` writes for a
+polynomial system and the Taylor step's loop, straight-line per component and
+compiled once per dimension.  A run's nodes are one flat record, t, y1 .. ydim
+of each node in turn (``Trajectory``).  Steps are laid out on a uniform grid
+from ``t0`` toward ``t_end``; the final step is shortened so the last node
+lands on ``t_end`` bit-exactly.  A plan with a
 step count instead divides the span into that many equal steps
 (``StepPlan.divided``); the fixed-interval quadratures use it, because for a
 periodic integrand the equal-division grid converges geometrically where a
@@ -65,8 +67,7 @@ from . import MAX_STEPS, Record, generated
 Vector = tuple[float, ...]
 RHS = Callable[[float, Sequence[float]], Sequence[float]]
 Series = Callable[[list[Vector], int], Vector]
-Step = Callable[[float, float, Vector], Vector]
-Stage = Callable[[list[str], str, list[str]], list[str]]
+Stage = Callable[[list[str], str, list[str], dict[str, str]], list[str]]
 
 CROSSING_MAX_ITER = 60  # iterates of one zero-crossing search at most
 FINITE_CHECK_STEPS = 1024  # steps between checks that the state is finite
@@ -94,9 +95,11 @@ class IVP(Record, uncompared=("steps",)):
     from those of orders 0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor
     step calls it with k = 0, 1, 2, ... in order, so a series may keep the coefficients
     of an intermediate (ballistics' speed) from call to call, anew at k = 0.
-    ``steps`` maps "euler" or "rk4" to a step ``step(t, h, y)`` that computes
-    what ``rhs_step`` of ``rhs`` does, bit for bit, with ``rhs`` inlined; it is
-    ``rhs`` in another form, so ``==`` and ``hash`` leave it out.  ``y0`` is
+    ``steps`` maps "euler" or "rk4" to a stage emitter (see ``step_lines``) that
+    writes ``rhs`` inlined as ``expr.emit_float`` code computing what ``rhs``
+    does, bit for bit; the run loop around it is compiled once for the IVP, and
+    a step that fails there is taken again by calling ``rhs``.  It is ``rhs``
+    in another form, so ``==`` and ``hash`` leave it out.  ``y0`` is
     kept as a tuple of floats, and its length is the dimension.
     ``replace(t0=..., y0=...)`` restarts the problem from another node.
     """
@@ -105,7 +108,7 @@ class IVP(Record, uncompared=("steps",)):
 
     def __init__(self, rhs: RHS | None, t0: float, y0: Vector,
                  integrand: Callable[[float], float] | None = None, series: Series | None = None,
-                 steps: Mapping[str, Step] | None = None):
+                 steps: Mapping[str, Stage] | None = None):
         if not y0:
             raise ValueError("initial state y0 must not be empty")
         if integrand is not None and len(y0) != 1:
@@ -162,27 +165,33 @@ def _step_count(span: float, h: float) -> int:
 
 
 class Trajectory(Record):
-    """Node times and states recorded by an integrator."""
+    """Nodes recorded by an integrator, as one flat record: ``nodes`` holds t, y1 .. y``dim`` of each node in
+    turn, as ``integrate``'s run loop writes them."""
 
-    __slots__ = ("times", "states")
+    __slots__ = ("nodes", "dim")
 
     @property
-    def dim(self) -> int:
-        return len(self.states[0])
+    def times(self) -> tuple[float, ...]:
+        return self.nodes[::self.dim + 1]
+
+    @property
+    def states(self) -> tuple[Vector, ...]:
+        width = self.dim + 1
+        return tuple(zip(*[self.nodes[i::width] for i in range(1, width)]))
 
     def final_state(self) -> Vector:
-        return self.states[-1]
+        return self.nodes[-self.dim:]
 
-    def component(self, i: int) -> list[float]:
-        return [s[i] for s in self.states]
+    def component(self, i: int) -> tuple[float, ...]:
+        return self.nodes[i + 1::self.dim + 1]
 
     def to_csv(self) -> str:
-        """Render as CSV with round-trippable 17-significant-digit doubles."""
-        dim = self.dim
-        row = ",".join(["%.17g"] * (dim + 1))
-        lines = ["t," + ",".join(f"y{i + 1}" for i in range(dim))]
-        lines += [row % (t, *state) for t, state in zip(self.times, self.states)]
-        return "\n".join(lines) + "\n"
+        """Render as CSV with round-trippable 17-significant-digit doubles: the header, then one ``%`` over the
+        record."""
+        width = self.dim + 1
+        header = "t," + ",".join(f"y{i}" for i in range(1, width)) + "\n"
+        row = ",".join(["%.17g"] * width) + "\n"
+        return header + (row * (len(self.nodes) // width)) % self.nodes
 
 
 def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True,
@@ -195,19 +204,27 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     Simpson's rule on the grid's nodes, RK4's sum bit for bit only where t + h
     is the next node (see the module docstring).  Euler calls ``rhs``, and
     ``taylor`` only ``series`` (``ValueError`` if the IVP does not declare it).
+
+    The steps run in one generated loop (``_run_loop``), chosen once a call by its step, dimension, sink and
+    stop test and compiled once for each such variant, so no step tests which of them applies.
     """
     if method not in ("euler", "rk4", "taylor"):
         raise ValueError(f"unknown method {method!r}")
-    f = ivp.integrand if method == "rk4" else None
-    series = ivp.series if method == "taylor" else None
-    if (series if method == "taylor" else f or ivp.rhs) is None:
+    if method == "taylor":
+        kind, stage, fn = method, None, ivp.series
+    elif method == "rk4" and ivp.integrand:
+        kind, stage, fn = "simpson", None, ivp.integrand
+    else:
+        kind, stage, fn = method, ivp.steps.get(method) or _call_rhs, ivp.rhs
+    if fn is None:
         needs = "a series" if method == "taylor" else "a right-hand side"
         raise ValueError(f"method {method!r} needs an IVP that declares {needs}")
-    step = None if f or series else ivp.steps.get(method) or rhs_step(method, len(ivp.y0), ivp.rhs)
-    t0, t_end = ivp.t0, plan.t_end
-    t, y = t0, ivp.y0
+    if kind == "taylor":
+        fn = functools.partial(_taylor_step, fn)
+    t0, t_end, y = ivp.t0, plan.t_end, ivp.y0
+    nodes = [t0, *y]
     if t_end == t0:
-        return Trajectory((t0,), (y,))
+        return Trajectory(tuple(nodes), len(y))
     span = t_end - t0
     if plan.steps is None:
         n = _step_count(abs(span), plan.h)
@@ -215,57 +232,77 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     else:
         n = plan.steps
         hs = span / n
-    times = [t0]
-    states = [y]
-    spare = MAX_STEPS - n  # attempts the run's split steps may add
-    try:
-        d = f(t0) if f else None
-        for k in range(n):
-            t_next = t_end if k == n - 1 else t0 + (k + 1) * hs
-            h = t_next - t
-            if f:
-                a, b, d = d, f(t + h / 2), f(t_next)
-                y = (y[0] + h / 6 * (a + 2 * b + 2 * b + d),)
-            elif step:
-                y = step(t, h, y)
-            else:
-                y, left = _taylor_step(series, y, h, min(spare, TAYLOR_SPLIT_STEPS))
-                spare -= min(spare, TAYLOR_SPLIT_STEPS) - left
-            t = t_next
-            if record:
-                times.append(t)
-                states.append(y)
-            if k % FINITE_CHECK_STEPS == 0 and not all(map(math.isfinite, y)):
-                break
-            if stop is not None and y[stop] < 0.0:
-                break
-    except (ArithmeticError, ValueError) as exc:
-        raise IntegrationError(t, exc) from exc
+    loop = (_run_loop if stage in (None, _call_rhs) else _inlined_loop)(kind, stage, len(y), record, stop)
+    t, y = loop(fn, t0, y, hs, n, t_end, MAX_STEPS - n, nodes)  # spare: the attempts split Taylor steps may add
     if not all(map(math.isfinite, y)):
         raise IntegrationError(t, ArithmeticError(f"state is not finite: {y!r}"))
     if not record:
-        times.append(t)
-        states.append(y)
-    return Trajectory(tuple(times), tuple(states))
+        nodes.append(t)
+        nodes += y
+    return Trajectory(tuple(nodes), len(y))
+
+
+@functools.lru_cache(maxsize=64)
+def _run_loop(kind: str, stage: Stage | None, dim: int, record: bool, stop: int | None) -> Callable:
+    """``run(fn, t0, y, hs, n, t_end, spare, nodes) -> (t, y)``: the n steps of ``integrate`` from (t0, y), ``fn``
+    being the right-hand side, the integrand or ``_taylor_step`` on the series.  ``kind`` is "euler" or "rk4"
+    (``step_lines`` around ``stage``), "simpson" or "taylor" (within ``spare`` split attempts).  With ``record`` each
+    node is appended to ``nodes`` as t, y1 .. ydim.  A failing step of a ``stage`` other than ``_call_rhs`` is taken
+    again by the loop that calls ``fn``, so its errors are the right-hand side's.  An ``ArithmeticError`` or
+    ``ValueError`` raises ``IntegrationError`` at the failing step's start."""
+    names = {"_range": range, "_all": all, "_map": map, "_isfinite": math.isfinite, "_Error": IntegrationError,
+             "_ArithmeticError": ArithmeticError, "_ValueError": ValueError}
+    if kind == "taylor":
+        fn, step = "_step", ["y, left = _step(y, h, _min(spare, _SPLIT))", "spare -= _min(spare, _SPLIT) - left"]
+        names.update(_min=min, _SPLIT=TAYLOR_SPLIT_STEPS)
+    elif kind == "simpson":
+        fn, step = "_f", ["a, b, d = d, _f(t + h / 2), _f(t_next)", "y = (y[0] + h / 6 * (a + 2 * b + 2 * b + d),)"]
+    else:
+        fn, step = "_rhs", step_lines(kind, dim, stage)
+    loop = ["for k in _range(n):",
+            "    t_next = t_end if k == n - 1 else t0 + (k + 1) * hs",
+            "    h = t_next - t",
+            *(f"    {line}" for line in step),
+            "    t = t_next",
+            *(["    nodes.append(t)", "    nodes += y"] if record else []),
+            f"    if k % {FINITE_CHECK_STEPS} == 0 and not _all(_map(_isfinite, y)):",
+            "        break",
+            *([f"    if y[{stop}] < 0.0:", "        break"] if stop is not None else [])]
+    if kind == "simpson":
+        loop.insert(0, "d = _f(t)")
+    if stage not in (None, _call_rhs):
+        from .expr import EMITTED_NAMES  # the names an inlined right-hand side reads
+        names.update(EMITTED_NAMES, _Exception=Exception, _loop=_run_loop, _call_rhs=_call_rhs)
+        loop = ["try:", *(f"    {line}" for line in loop), "except _Exception:",
+                f"    _loop({kind!r}, _call_rhs, {dim}, False, None)(_rhs, t, y, 0.0, 1, t_next, 0, None)", "    raise"]
+    lines = ["t = t0", "try:", *(f"    {line}" for line in loop),
+             "except (_ArithmeticError, _ValueError) as exc:", "    raise _Error(t, exc) from exc", "return t, y"]
+    return generated(f"solver.run_loop {kind} {dim}", [fn, "t0", "y", "hs", "n", "t_end", "spare", "nodes"], lines,
+                     names)
+
+
+#: The loops around the stages that IVPs declare, one per spec file: each is compiled once, and only the last few are
+#: kept, as each holds its spec's code.
+_inlined_loop = functools.lru_cache(maxsize=4)(_run_loop.__wrapped__)
 
 
 def step_lines(method: str, dim: int, stage: Stage) -> list[str]:
-    """The body of ``step(t, h, y)``, one Euler or RK4 step, as statements
-    ending in ``return`` of the next state.  ``stage(lines, t, y)`` appends one
-    right-hand side evaluation at the time and state named by the codes it is
-    given and returns the code of each component.  The float operations and
-    their order are the textbook formulas', so every stage emitter gives the
-    same bits.  The step's own locals are ``_y<i> _b<i> _c<i> _d<i> _t2 _t1
-    _h2 _h6``; a stage names its locals otherwise."""
+    """The statements of one Euler or RK4 step from (t, y) by h, a tuple ``y`` unpacked at the start and
+    assigned the next state at the end.  ``stage(lines, t, y, known)`` appends one right-hand side evaluation at
+    the time and state named by the codes it is given and returns the code of each component; ``known`` is one
+    dict for all the stages of the step, which the stage may keep for itself.  The float operations and their
+    order are the textbook formulas', so every stage emitter gives the same bits.  The step's own locals are
+    ``_y<i> _b<i> _c<i> _d<i> _t2 _t1 _h2 _h6``; a stage names its locals otherwise."""
     y = [f"_y{i}" for i in range(dim)]
     lines = [f"{''.join(f'{yi}, ' for yi in y)}= y"]
+    known: dict[str, str] = {}
 
     def at(t: str, factor: str, k: list[str], name: str) -> list[str]:
         state = [f"_{name}{i}" for i in range(dim)]
         lines.extend(f"{si} = {yi} + {factor} * {ki}" for si, yi, ki in zip(state, y, k))
-        return stage(lines, t, state)
+        return stage(lines, t, state, known)
 
-    a = stage(lines, "t", y)
+    a = stage(lines, "t", y, known)
     if method == "euler":
         new = [f"{yi} + h * {ai}" for yi, ai in zip(y, a)]
     else:
@@ -276,27 +313,15 @@ def step_lines(method: str, dim: int, stage: Stage) -> list[str]:
         d = at("_t1", "h", c, "d")
         lines.append("_h6 = h / 6")
         new = [f"{yi} + _h6 * ({ai} + 2 * {bi} + 2 * {ci} + {di})" for yi, ai, bi, ci, di in zip(y, a, b, c, d)]
-    lines.append(f"return ({''.join(f'{v}, ' for v in new)})")
+    lines.append(f"y = ({''.join(f'{v}, ' for v in new)})")
     return lines
 
 
-def _call_rhs(lines: list[str], t: str, y: list[str]) -> list[str]:
+def _call_rhs(lines: list[str], t: str, y: list[str], known: dict[str, str]) -> list[str]:
     # unpacking a value of the wrong length raises ValueError
     k = [f"_k{len(lines)}_{i}" for i in range(len(y))]
     lines.append(f"{''.join(f'{ki}, ' for ki in k)}= _rhs({t}, ({''.join(f'{yi}, ' for yi in y)}))")
     return k
-
-
-@functools.lru_cache(maxsize=64)
-def _rhs_step_factory(method: str, dim: int) -> Callable[[RHS], Step]:
-    step = [f"    {line}" for line in step_lines(method, dim, _call_rhs)]
-    return generated(f"solver.rhs_step {method} {dim}", ["_rhs"], ["def _step(t, h, y):", *step, "return _step"], {})
-
-
-def rhs_step(method: str, dim: int, rhs: RHS) -> Step:
-    """One Euler or RK4 step ``step(t, h, y)`` of ``step_lines`` that calls
-    ``rhs`` at each stage; the code is generated once per (method, dim)."""
-    return _rhs_step_factory(method, dim)(rhs)
 
 
 def polynomial_ivp(t0: float, y0: Vector, system: Sequence[tuple]) -> IVP:
@@ -378,7 +403,7 @@ def _taylor_factory(dim: int) -> Callable[[Series, list[Vector], float, Sequence
 def integrate_final(ivp: IVP, plan: StepPlan, method: str = "rk4") -> tuple[float, Vector]:
     """Final node only; O(1) memory."""
     traj = integrate(ivp, plan, method, record=False)
-    return traj.times[-1], traj.states[-1]
+    return traj.nodes[-traj.dim - 1], traj.final_state()
 
 
 def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP, method: str = "rk4") -> tuple[float, Vector] | None:
@@ -397,14 +422,16 @@ def find_zero_crossings(traj: Trajectory, component: int, ivp: IVP, method: str 
     """
     if not 0 <= component < traj.dim:
         raise ValueError(f"component {component} out of range for dim {traj.dim}")
-    states = traj.states
-    for i in range(1, len(states)):
-        a, b = states[i - 1][component], states[i][component]
+    nodes, width = traj.nodes, traj.dim + 1
+    values = traj.component(component)
+    for i in range(1, len(values)):
+        a, b = values[i - 1], values[i]
+        at = i * width
         if b == 0.0:
-            return traj.times[i], states[i]
+            return nodes[at], nodes[at + 1:at + width]
         if a != 0.0 and (a < 0.0) != (b < 0.0):
-            local = ivp.replace(t0=traj.times[i - 1], y0=states[i - 1])
-            return _refine_crossing(local, component, traj.times[i], states[i], method)
+            local = ivp.replace(t0=nodes[at - width], y0=nodes[at - width + 1:at])
+            return _refine_crossing(local, component, nodes[at], nodes[at + 1:at + width], method)
     return None
 
 

@@ -105,6 +105,34 @@ class TestSolve:
         assert {point.split(",")[1] for point in polyline.get("points").split()} == {f"{middle:.2f}"}
         assert ">4<" in text and ">6<" in text  # the lowest and highest y tick labels
 
+    def test_svg_of_a_range_whose_span_overflows(self, capsys, tmp_path):
+        # 1.7e308 - -1.7e308 overflows: the range is plotted at half scale, its ends on the plot's edges
+        spec = tmp_path / "wide.ivp"
+        spec.write_text("dim = 2\nrhs_1 = 0\nrhs_2 = 0\nt0 = 0\ny0 = 1.7e308, -1.7e308\nt_end = 1\nh = 0.25\n"
+                        "method = euler\n")
+        svg = tmp_path / "wide.svg"
+        assert run(capsys, "solve", str(spec), "--out", str(tmp_path / "wide.csv"), "--svg", str(svg)) == (0, "", "")
+        root = ET.fromstring(svg.read_text())
+        points = [line.get("points") for line in root.findall(".//{http://www.w3.org/2000/svg}polyline")]
+        xs = ["60.00", "200.00", "340.00", "480.00", "620.00"]
+        assert points == [" ".join(f"{x},{y}" for x in xs) for y in ("20.00", "435.00")]
+        labels = [text.text for text in root.findall(".//{http://www.w3.org/2000/svg}text")]
+        assert labels[1:10:2] == ["-1.7e+308", "-8.5e+307", "0", "8.5e+307", "1.7e+308"]
+
+    def test_svg_points_are_the_per_point_format(self):
+        # one % over every point formats each value as f"{value:.2f}" did, overflow and rounding ties included
+        rng = random.Random(20261022)
+        for _ in range(50):
+            n = rng.randint(1, 40)
+            xs = sorted(rng.uniform(-10.0, 10.0) for _ in range(n))
+            ys = [rng.choice([0.0, -0.0, 1e-300, 1.0 / 3.0, 2.5, -1e300, 1e300, rng.gauss(0.0, 1e3)]) for _ in range(n)]
+            text = svgplot.line_plot([svgplot.Series("y1", xs, ys)])
+            (x_lo, x_hi), (y_lo, y_hi) = ((min(v), max(v)) if min(v) < max(v) else (min(v) - 1.0, max(v) + 1.0)
+                                          for v in (xs, ys))
+            points = " ".join(f"{60 + (x - x_lo) / (x_hi - x_lo) * 560:.2f},{435 - (y - y_lo) / (y_hi - y_lo) * 415:.2f}"
+                              for x, y in zip(xs, ys))
+            assert f'points="{points}"' in text
+
     @pytest.mark.parametrize("curves, message", [
         ([], "at least one series is required"),
         ([svgplot.Series("y1", [0.0, 1.0], [0.0])], "series 'y1' needs equally many xs and ys"),
@@ -530,7 +558,7 @@ class TestBallistics:
         assert starts[:launch] == [0.0] * launch and launch == (2 if extra == ("--v0", "1e-3") else 1)
         assert run(capsys, *shot) == (0, out, "")
         rows = [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
-        traj = Trajectory(tuple(row[0] for row in rows), tuple(row[1:] for row in rows))
+        traj = Trajectory(sum(rows, ()), 4)
         args = cli.build_parser().parse_args(shot)
         spec = applications.BallisticsSpec(args.mass, args.drag, args.v0, math.radians(args.alpha), args.g)
         landing = find_zero_crossings(traj, 1, applications.ballistics_ivp(spec), "taylor")[1]
@@ -816,12 +844,12 @@ class TestRectifyLoop:
         assert compiled[0]() is not None and compiled[1]() is None and compiled[2]() is None
 
     def test_globals_hold_no_builtins(self, tmp_path):
-        # every generated function: the loops of rectify, and the steps of solve around a call and inlined
+        # every generated function: the loops of rectify, and the run loops of solve around a call and inlined
         path = tmp_path / "pendulum.ivp"
         path.write_text("dim = 2\nrhs_1 = y2\nrhs_2 = -sin(y1)\nt0 = 0\ny0 = 1, 0\nt_end = 1\nh = 0.1\nmethod = rk4\n")
         ivp, _, method = cli.load_spec_file(str(path))
-        rhs_step = solver.rhs_step("rk4", 2, lambda t, y: (y[1], -y[0]))
-        for code in (cli._circle()[1], applications.curve_polyline(), rhs_step, ivp.steps[method]):
+        loops = [solver._run_loop(method, stage, 2, True, None) for stage in (solver._call_rhs, ivp.steps[method])]
+        for code in (cli._circle()[1], applications.curve_polyline(), *loops):
             namespace = code.__globals__
             assert namespace["__builtins__"] == {}
             assert all(name.startswith("_") for name in namespace)

@@ -43,7 +43,7 @@ def test_no_module_imports_argparse():
 
 
 def test_generated_code_compiles_in_one_place():
-    # stepcalc.generated: the records' constructors, the Euler and RK4 steps and the polyline loops
+    # stepcalc.generated: the records' constructors, the run loops, the Taylor steps and the polyline loops
     assert sum(path.read_text().count("exec(") for path in SOURCES) == 1
 
 

@@ -29,7 +29,7 @@ CASES = [
     (IVP, (rhs, 0.0, (1.0,)),
      dict(rhs=rhs, t0=0.0, y0=(1.0,), integrand=None, series=None, steps={})),
     (StepPlan, (0.1, 1.0), dict(h=0.1, t_end=1.0, steps=None)),
-    (Trajectory, ((0.0, 1.0), ((1.0,), (2.0,))), dict(times=(0.0, 1.0), states=((1.0,), (2.0,)))),
+    (Trajectory, ((0.0, 1.0, 1.0, 2.0), 1), dict(nodes=(0.0, 1.0, 1.0, 2.0), dim=1)),
     (functions.OdeFunction, ("exp", EXP, 0), dict(name="exp", ivp=EXP, output=0, pole=None)),
     (applications.PendulumSpec, (1.0,),
      dict(length=1.0, gravity=applications.STANDARD_GRAVITY, theta0=0.5)),
@@ -56,7 +56,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 SIGNATURES = {
     IVP: ["rhs", "t0", "y0", ("integrand", None), ("series", None), ("steps", None)],
     StepPlan: ["h", "t_end", ("steps", None)],
-    Trajectory: ["times", "states"],
+    Trajectory: ["nodes", "dim"],
     functions.OdeFunction: ["name", "ivp", "output", ("pole", None)],
     applications.PendulumSpec: ["length", ("gravity", 9.80665), ("theta0", 0.5)],
     applications.BallisticsSpec: ["mass", "drag", "v0", "alpha", ("gravity", 9.80665)],

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import integrate_reference
 import oracles
+from integrate_reference import reference_step
 from stepcalc import applications, cli, expr, functions, solver
 from stepcalc.solver import (
     IVP,
@@ -763,8 +765,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: IVP(EXP_IVP.rhs, 0.0, ()), "initial state y0 must not be empty"),
-        (lambda: find_zero_crossings(Trajectory((0.0,), ((1.0,),)), 1, EXP_IVP), "component 1 out of range for dim 1"),
-        (lambda: find_zero_crossings(Trajectory((0.0,), ((1.0,),)), -1, EXP_IVP),
+        (lambda: find_zero_crossings(Trajectory((0.0, 1.0), 1), 1, EXP_IVP), "component 1 out of range for dim 1"),
+        (lambda: find_zero_crossings(Trajectory((0.0, 1.0), 1), -1, EXP_IVP),
          "component -1 out of range for dim 1"),
     ], ids=["dim 0", "component 1", "component -1"])
     def test_bad_arguments_are_refused(self, call, message):
@@ -806,7 +808,7 @@ class TestZeroCrossings:
         traj = integrate(ivp, StepPlan(0.25, 2.0), "rk4")
         t, state = find_zero_crossings(traj, 0, ivp)
         assert (t, state) == (1.0, (0.0,))
-        assert state is traj.states[4]
+        assert [v.hex() for v in state] == [v.hex() for v in traj.states[4]]
 
     def test_trailing_zero_node_counts(self):
         # y = 1 - t ending on its zero: the last node is the crossing
@@ -823,10 +825,10 @@ class TestStop:
         ivp = sin_fn.ivp.replace(y0=(1.0, 0.0))
         full = integrate(ivp, StepPlan(0.1, 10.0))
         stopped = integrate(ivp, StepPlan(0.1, 10.0), stop=0)
-        assert stopped == Trajectory(full.times[:17], full.states[:17])
+        assert stopped == Trajectory(full.nodes[:17 * 3], 2)
         assert stopped.states[-1][0] < 0.0 < stopped.states[-2][0]
         streamed = integrate(ivp, StepPlan(0.1, 10.0), record=False, stop=0)
-        assert streamed == Trajectory((0.0, full.times[16]), (ivp.y0, full.states[16]))
+        assert streamed == Trajectory((0.0, *ivp.y0, *full.nodes[16 * 3:17 * 3]), 2)
 
     def test_a_zero_node_does_not_stop_the_run(self):
         ivp = IVP(lambda t, y: (-1.0,), 0.0, (1.0,))
@@ -926,7 +928,7 @@ class TestCsv:
     def test_rows_format_each_value_as_17_significant_digits(self, dim):
         values = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1 / 3, 0.1, -2.5e-300]
         rows = [values[i:i + dim + 1] for i in range(len(values) - dim)]
-        traj = Trajectory(tuple(r[0] for r in rows), tuple(tuple(r[1:]) for r in rows))
+        traj = Trajectory(tuple(v for row in rows for v in row), dim)
         expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
         assert traj.to_csv().split("\n")[1:] == [*expected, ""]
 
@@ -955,21 +957,20 @@ def walker_rhs(sources, calls=None):
     return rhs
 
 
-def reference_step(rhs, method, t, h, y):
-    """Euler's and RK4's textbook formulas."""
-    k1 = rhs(t, y)
-    if method == "euler":
-        return tuple(yi + h * a for yi, a in zip(y, k1))
-    k2 = rhs(t + h / 2, [yi + h / 2 * a for yi, a in zip(y, k1)])
-    k3 = rhs(t + h / 2, [yi + h / 2 * b for yi, b in zip(y, k2)])
-    k4 = rhs(t + h, [yi + h * c for yi, c in zip(y, k3)])
-    return tuple(yi + h / 6 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+def loop_step(stage, method, rhs, t, t_next, y):
+    """The state one step of the run loop around ``stage`` takes from (t, y) to ``t_next``; a failure raises the
+    cause of the loop's ``IntegrationError``, which names t."""
+    try:
+        return solver._run_loop(method, stage, len(y), False, None)(rhs, t, y, 0.0, 1, t_next, 0, None)[1]
+    except IntegrationError as exc:
+        assert exc.t == t
+        raise exc.cause
 
 
 class TestGeneratedStep:
-    """A spec file's step, generated with its right-hand sides inlined, and the
-    step generated around a Python right-hand side, against the textbook step
-    on the walker: the same bits, or the same exception and message."""
+    """A spec file's run loop, generated with its right-hand sides inlined, and
+    the loop generated around a Python right-hand side, one step at a time against
+    the textbook step on the walker: the same bits, or the same exception and message."""
 
     VALUES = TestEmitFloat.VALUES
 
@@ -991,13 +992,12 @@ class TestGeneratedStep:
             ivp = spec_ivp(tmp_path, sources, method)
             assert set(ivp.steps) == {method}
             rhs = walker_rhs(sources)
-            python_step = solver.rhs_step(method, dim, rhs)
             for _ in range(5):
                 t, h = rng.choice(self.VALUES), rng.choice([0.1, -0.1, 0.5, -2.0, 1e-3])
                 y = tuple(rng.choice(self.VALUES) for _ in range(dim))
-                want = outcome(reference_step, rhs, method, t, h, y)
-                assert outcome(ivp.steps[method], t, h, y) == want, (sources, t, h, y)
-                assert outcome(python_step, t, h, y) == want, (sources, t, h, y)
+                want = outcome(reference_step, rhs, method, t, (t + h) - t, y)
+                assert outcome(loop_step, ivp.steps[method], method, ivp.rhs, t, t + h, y) == want, (sources, t, h, y)
+                assert outcome(loop_step, solver._call_rhs, method, rhs, t, t + h, y) == want, (sources, t, h, y)
                 if isinstance(want[0], type):
                     failures += 1
                 else:
@@ -1020,12 +1020,17 @@ class TestGeneratedStep:
             assert [v.hex() for v in state] == [v.hex() for v in y]
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
-    def test_a_long_rhs_is_inlined(self, tmp_path, method):
-        # 482 nodes: a spec of any size declares the generated step
+    def test_a_long_rhs_is_inlined(self, tmp_path, method, monkeypatch):
+        # 482 nodes: a spec of any size declares its stages, and its run loop walks no tree
         sources = [" + ".join(f"{k}e-3 * sin(t * y1)" for k in range(1, 70))]
         ivp = spec_ivp(tmp_path, sources, method)
         assert set(ivp.steps) == {method}
+        walked = []
+        evaluate = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda *args: walked.append(args) or evaluate(*args))
         traj = integrate(ivp, StepPlan(0.3, 1.0), method)
+        assert walked == []
+        monkeypatch.undo()
         rhs = walker_rhs(sources)
         for t, t_next, y, state in zip(traj.times, traj.times[1:], traj.states, traj.states[1:]):
             assert [v.hex() for v in state] == [v.hex() for v in reference_step(rhs, method, t, t_next - t, y)]
@@ -1056,3 +1061,65 @@ class TestGeneratedStep:
         t, _ = find_zero_crossings(traj, 0, ivp)  # 0.5 + sin t = 0
         assert abs(t - 7 * oracles.PI / 6) < 1e-6
         assert calls == []
+
+
+class TestRunLoop:
+    """``integrate``'s generated run loops against the Python loop they replaced (``integrate_reference``) on
+    seeded problems of every variant: the same nodes bit for bit, or the same failure, at the same t."""
+
+    @staticmethod
+    def outcome(run, ivp, plan, method, record, stop):
+        try:
+            result = run(ivp, plan, method, record, stop)
+        except IntegrationError as exc:
+            return exc.t.hex(), type(exc.cause), str(exc.cause)
+        if isinstance(result, Trajectory):
+            return [v.hex() for v in result.nodes]
+        times, states = result
+        return [v.hex() for t, state in zip(times, states) for v in (t, *state)]
+
+    @staticmethod
+    def problem(rng, tmp_path):
+        """An IVP and a method: a spec file's, inlined or called, an integrand or a Taylor series."""
+        kind = rng.choice(["inlined", "called", "integrand", "taylor"])
+        if kind == "integrand":
+            tree = random_float_tree(rng, 3)
+            while expr.variables(tree) - {"t"}:
+                tree = random_float_tree(rng, 3)
+            sources = ["cos(t)", "1 / (1 + t^2)", "sqrt(1 - t)", "ln(t + 2)", "exp(t) * sin(3 * t)"]
+            walk = expr.walker([rng.choice([tree, *map(expr.parse, sources)])], ["t"])
+            return IVP(None, 0.0, (rng.uniform(-1.0, 1.0),), integrand=lambda t: walk(t)[0]), "rk4"
+        if kind == "taylor":
+            ivp = rng.choice([EXP_SERIES, functions.make_sincos()[0].ivp, functions.make_jacobi(0.6)[0].ivp,
+                              applications.pendulum_ivp(applications.PendulumSpec(1.0, theta0=2.0))])
+            return ivp, "taylor"
+        dim, method = rng.randint(1, 4), rng.choice(["euler", "rk4"])
+        family = rng.choice(["random", "random", "smooth", "overflowing", "linear"])
+        if family == "random":
+            sources = TestGeneratedStep().random_sources(rng, dim)
+        elif family == "smooth":
+            sources = ["y2", "-y1 + cos(t)", "t * y3 - sin(t)^2", "exp(-t) / (1 + y4^2)"][:dim]
+            sources[-1] = sources[-1].replace(f"y{dim + 1}", "y1")
+        else:  # infinite within a step from 1; or 0 on a node, from 1 at t = 0 by steps of 0.25
+            sources = ["1e300 * y1 * y1" if family == "overflowing" else "-1"] * dim
+        ivp = spec_ivp(tmp_path, sources, method, y0=[rng.choice([1.0, rng.uniform(-2.0, 2.0)]) for _ in range(dim)])
+        return (ivp if kind == "inlined" else ivp.replace(steps={})), method
+
+    def test_matches_the_python_loop(self, tmp_path):
+        rng = random.Random(20261022)
+        failures = successes = 0
+        for _ in range(300):
+            ivp, method = self.problem(rng, tmp_path)
+            t0 = rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+            ivp = ivp.replace(t0=t0)
+            h = rng.choice([0.05, 0.1, 0.25, 0.3] if method != "taylor" else [0.5, 2.0, 100.0, 1e300])
+            t_end = t0 + rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.2, 3.0) * (1.0 if h < 100.0 else h)
+            plan = StepPlan.divided(t0, t_end, h) if t_end != t0 and rng.random() < 0.3 else StepPlan(h, t_end)
+            record, stop = rng.random() < 0.5, rng.choice([None, rng.randrange(len(ivp.y0))])
+            want = self.outcome(integrate_reference.integrate, ivp, plan, method, record, stop)
+            assert self.outcome(integrate, ivp, plan, method, record, stop) == want, (ivp, plan, method, record, stop)
+            if isinstance(want, tuple):
+                failures += 1
+            else:
+                successes += 1
+        assert failures > 30 and successes > 150
