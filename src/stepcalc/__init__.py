@@ -10,6 +10,7 @@ its own: the parser then reads them without importing an integration module.
 """
 
 import math
+import sys
 
 __version__ = "0.1.0"
 
@@ -54,6 +55,14 @@ def exact_decimal(text: str):
     return Fraction(text)
 
 
+def refuse_subnormal(value: float, what: str) -> float:
+    """``value``, or ``ArithmeticError`` naming it as ``what`` where it is subnormal: so few bits hold it that
+    no double is within the budget of the answer.  0 is an answer."""
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise ArithmeticError(f"{what} = {value!r} is subnormal: no double holds it to the budget")
+    return value
+
+
 def generated(label: str, params: list[str], lines: list[str], names: dict):
     """``_generated(*params)``: ``lines``, a function body, compiled as ``<stepcalc label>`` in a
     namespace of ``names`` alone, with no builtins.  The package's one ``exec``: the records' constructors and
@@ -88,11 +97,12 @@ class _SlotConstructor:
 class Record:
     """Base of the package's immutable records: plain classes, not dataclasses.
 
-    A record's fields are its class's ``__slots__``, in constructor order.  A
-    class that defines no ``__init__`` gets one generated from its slots, once,
-    at its first use: its parameters are the slots, with defaults from
-    the class's ``_defaults`` mapping, and it sets each field once by
-    ``object.__setattr__``, then calls the class's ``_check`` if it has one.
+    A record's fields are its class's ``__slots__``, in constructor order.
+    Each class's constructor is generated from its slots, once, at its first
+    use: its parameters are the slots, with defaults from the class's
+    ``_defaults`` mapping, and it sets each field once by
+    ``object.__setattr__``, then calls the class's ``_check`` if it has one,
+    which may refuse the values or store a field in a canonical form.
     Setting or deleting a field later raises ``AttributeError``.  ``==`` and
     ``hash`` hold between records of one class and use every field but those
     the class names in its ``uncompared`` keyword; ``repr`` shows them all.
@@ -103,8 +113,7 @@ class Record:
     def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
         cls._compared = tuple(name for name in cls.__slots__ if name not in uncompared)
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _SlotConstructor(cls)
+        cls.__init__ = _SlotConstructor(cls)
 
     def replace(self, **changes):
         """A record of this class with the named fields changed (``TypeError`` for a name that is not a field), built

@@ -12,7 +12,8 @@ import math
 import sys
 from collections.abc import Callable, Sequence
 
-from . import BALLISTICS_H, EARTH_RADIUS, ELLIPTIC_TOL, MERIDIONAL_H, PENDULUM_H, STANDARD_GRAVITY, Record, generated
+from . import (BALLISTICS_H, EARTH_RADIUS, ELLIPTIC_TOL, MERIDIONAL_H, PENDULUM_H, STANDARD_GRAVITY, Record, generated,
+               refuse_subnormal)
 from .functions import make_inv_gudermannian
 from .solver import IVP, StepPlan, Trajectory, Vector, find_zero_crossings, integrate, integrate_final, polynomial_ivp
 
@@ -129,12 +130,13 @@ def _pendulum_period_bound(spec: PendulumSpec) -> float:
 
 def elliptic_F(phi: float, k: float, h: float | None = None) -> float:
     """Incomplete elliptic integral of the first kind, by the quadrature of ``_elliptic_quadrature`` on
-    k^2 and k'^2 = (1 - k)(1 + k)."""
+    k^2 and k'^2 = (1 - k)(1 + k); a subnormal value is refused (``refuse_subnormal``)."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus k must lie in [0, 1), got {k!r}")
     if not 0.0 <= phi <= math.pi / 2:
         raise ValueError(f"amplitude must lie in [0, pi/2], got {phi!r}")
-    return _elliptic_quadrature(phi, k * k, (1.0 - k) * (1.0 + k), h, f"k={k!r}")
+    value = _elliptic_quadrature(phi, k * k, (1.0 - k) * (1.0 + k), h, f"k={k!r}")
+    return refuse_subnormal(value, f"F({phi!r}, k={k!r})")
 
 
 def _elliptic_quadrature(phi: float, k2: float, kc2: float, h: float | None, at: str) -> float:
@@ -225,6 +227,7 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> tupl
     shortens ascent and flight: the runs end two steps past their vacuum
     times.  The step is at most 4/3 of the shortest ascent drag allows
     (ln(1 + u)/u vy0/g, u = cm v0 vy0/g), so heavy drag splits few steps.
+    A landing x that is subnormal is refused (``refuse_subnormal``).
     """
     vacuum_time = 2.0 * spec.v0 * math.sin(spec.alpha) / spec.gravity
     u = spec.drag / spec.mass * spec.v0 * vacuum_time / 2.0
@@ -240,7 +243,9 @@ def ballistics_trajectory(spec: BallisticsSpec, h: float = BALLISTICS_H) -> tupl
     traj = Trajectory(rise.nodes[:n * (rise.dim + 1)] + fall.nodes, rise.dim)
     if not traj.final_state()[1] < 0.0:
         raise RuntimeError(f"projectile never landed within the window; the vacuum range is {vacuum_range(spec)!r}")
-    return traj, find_zero_crossings(traj, 1, ivp, "taylor")[1]  # apex above ground, last node below
+    landing = find_zero_crossings(traj, 1, ivp, "taylor")[1]  # apex above ground, last node below
+    refuse_subnormal(landing[0], "landing x")
+    return traj, landing
 
 
 def ballistics_range(spec: BallisticsSpec, h: float = BALLISTICS_H) -> float:
@@ -338,7 +343,8 @@ def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
     The meridional-parts difference dm is one integration of sec t, from the first
     latitude to the second.  The bearing is atan2 of the wrapped longitude difference
     against dm; the run along the course is R |dlat| hypot(dlon, dm) / |dm|, free of the
-    cosine of an atan2 near pi/2.  Equal latitudes are parallel sailing (0/0 there).
+    cosine of an atan2 near pi/2.  Equal latitudes are parallel sailing (0/0 there).  A subnormal
+    distance is refused (``refuse_subnormal``).
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
@@ -347,9 +353,10 @@ def loxodrome(p1: GeoPoint, p2: GeoPoint, radius: float = EARTH_RADIUS,
     if dlat == 0.0:
         if dlon == 0.0:
             return 0.0, 0.0
-        bearing = math.copysign(math.pi / 2.0, dlon)
-        return bearing, radius * abs(dlon) * math.cos(p1.lat)
-    dm = make_inv_gudermannian(p1.lat)(p2.lat, h=h)
-    if not min(abs(dlat), abs(dm)) >= sys.float_info.min:
-        raise ValueError(f"latitude difference {dlat!r} rad or meridional parts difference {dm!r} is subnormal")
-    return math.atan2(dlon, dm), radius * abs(dlat) * math.hypot(dlon, dm) / abs(dm)
+        bearing, distance = math.copysign(math.pi / 2.0, dlon), radius * abs(dlon) * math.cos(p1.lat)
+    else:
+        dm = make_inv_gudermannian(p1.lat)(p2.lat, h=h)
+        if not min(abs(dlat), abs(dm)) >= sys.float_info.min:
+            raise ValueError(f"latitude difference {dlat!r} rad or meridional parts difference {dm!r} is subnormal")
+        bearing, distance = math.atan2(dlon, dm), radius * abs(dlat) * math.hypot(dlon, dm) / abs(dm)
+    return bearing, refuse_subnormal(distance, "distance")

@@ -145,7 +145,7 @@ def load_spec_file(path: str) -> tuple[IVP, StepPlan, str]:
     def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
         return walk(t, *y)
 
-    return solver.IVP(rhs, t0, y0, steps={method: stage}), plan, method
+    return solver.IVP(rhs, t0, y0, stage=stage), plan, method
 
 
 def _write_text(path: str | None, text: str) -> None:

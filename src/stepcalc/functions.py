@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 
-from . import DEFAULT_K, FUNCTION_H as DEFAULT_H, TAYLOR_H, Record
+from . import DEFAULT_K, FUNCTION_H as DEFAULT_H, TAYLOR_H, Record, refuse_subnormal
 from .solver import IVP, StepPlan, Trajectory, integrate, polynomial_ivp
 
 POLE_STEPS = 16  # closest approach to a pole of the integrand, in steps
@@ -46,9 +45,7 @@ class OdeFunction(Record):
                 raise ValueError(f"{self.name}: x={end!r} lies closer than {POLE_STEPS} steps of h={h!r} "
                                  f"to the pole at +-{self.pole!r}")
         traj = integrate(self.ivp, plan, method, record)
-        value = traj.final_state()[self.output]
-        if 0.0 < abs(value) < sys.float_info.min:
-            raise ArithmeticError(f"{self.name}({x!r}) = {value!r} is subnormal: no double holds it to the budget")
+        refuse_subnormal(traj.final_state()[self.output], f"{self.name}({x!r})")
         return traj
 
 

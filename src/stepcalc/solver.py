@@ -5,9 +5,10 @@ classical fourth-order Runge-Kutta update, and a Taylor-series step.  A run
 is one generated loop, compiled once for each variant of its step, dimension,
 sink (every node, or the last) and stop test.  An Euler or RK4 step in it is
 ``step_lines``' straight-line Python around a stage emitter, which either
-calls the right-hand side or, for an IVP that declares its own ``steps``,
-inlines it; such a loop takes a failing step again by calling the right-hand
-side, a spec file's tree walker.  The loops compile through
+calls the right-hand side or, for an IVP that declares its own ``stage``,
+inlines it under either method; such a loop compiles through
+``expr.compile_guarded``, which takes a failing step again by calling the
+right-hand side, a spec file's tree walker.  The other loops compile through
 ``stepcalc.generated``, as do the code that ``polynomial_ivp`` writes for a
 polynomial system and the Taylor step's loop, straight-line per component and
 compiled once per dimension.  A run's nodes are one flat record, t, y1 .. ydim
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 
 from . import MAX_STEPS, Record, generated
 
@@ -86,7 +87,7 @@ class IntegrationError(RuntimeError):
         self.cause = cause
 
 
-class IVP(Record, uncompared=("steps",)):
+class IVP(Record, uncompared=("stage",)):
     """An initial-value problem y' = rhs(t, y), y(t0) = y0.
 
     It declares ``rhs`` (for Euler and RK4), a ``series`` (for Taylor steps),
@@ -95,35 +96,28 @@ class IVP(Record, uncompared=("steps",)):
     from those of orders 0..k in ``cols``; ``cols[0]`` is the state there.  A Taylor
     step calls it with k = 0, 1, 2, ... in order, so a series may keep the coefficients
     of an intermediate (ballistics' speed) from call to call, anew at k = 0.
-    ``steps`` maps "euler" or "rk4" to a stage emitter (see ``step_lines``) that
-    writes ``rhs`` inlined as ``expr.emit_float`` code computing what ``rhs``
-    does, bit for bit; the run loop around it is compiled once for the IVP, and
-    a step that fails there is taken again by calling ``rhs``.  It is ``rhs``
-    in another form, so ``==`` and ``hash`` leave it out.  ``y0`` is
-    kept as a tuple of floats, and its length is the dimension.
+    ``stage`` is a stage emitter (see ``step_lines``) that writes ``rhs``
+    inlined as ``expr.emit_float`` code computing what ``rhs`` does, bit for
+    bit; Euler and RK4 alike run in a loop compiled around it once for the
+    IVP, and a step that fails there is taken again by calling ``rhs``.  It
+    is ``rhs`` in another form, so ``==`` and ``hash`` leave it out.  ``y0``
+    is kept as a tuple of floats, and its length is the dimension.
     ``replace(t0=..., y0=...)`` restarts the problem from another node.
     """
 
-    __slots__ = ("rhs", "t0", "y0", "integrand", "series", "steps")
+    __slots__ = ("rhs", "t0", "y0", "integrand", "series", "stage")
+    _defaults = {"integrand": None, "series": None, "stage": None}
 
-    def __init__(self, rhs: RHS | None, t0: float, y0: Vector,
-                 integrand: Callable[[float], float] | None = None, series: Series | None = None,
-                 steps: Mapping[str, Stage] | None = None):
-        if not y0:
+    def _check(self):
+        if not self.y0:
             raise ValueError("initial state y0 must not be empty")
-        if integrand is not None and len(y0) != 1:
-            raise ValueError(f"an integrand needs dim 1, got dim {len(y0)}")
-        y0 = tuple(float(v) for v in y0)
-        if not math.isfinite(t0):
-            raise ValueError(f"initial time t0 must be finite, got {t0!r}")
+        if self.integrand is not None and len(self.y0) != 1:
+            raise ValueError(f"an integrand needs dim 1, got dim {len(self.y0)}")
+        object.__setattr__(self, "y0", y0 := tuple(map(float, self.y0)))
+        if not math.isfinite(self.t0):
+            raise ValueError(f"initial time t0 must be finite, got {self.t0!r}")
         if not all(map(math.isfinite, y0)):
             raise ValueError(f"initial state y0 must be finite, got {y0!r}")
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "integrand", integrand)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "steps", {} if steps is None else steps)
 
 
 class StepPlan(Record):
@@ -215,7 +209,7 @@ def integrate(ivp: IVP, plan: StepPlan, method: str = "rk4", record: bool = True
     elif method == "rk4" and ivp.integrand:
         kind, stage, fn = "simpson", None, ivp.integrand
     else:
-        kind, stage, fn = method, ivp.steps.get(method) or _call_rhs, ivp.rhs
+        kind, stage, fn = method, ivp.stage or _call_rhs, ivp.rhs
     if fn is None:
         needs = "a series" if method == "taylor" else "a right-hand side"
         raise ValueError(f"method {method!r} needs an IVP that declares {needs}")
@@ -270,15 +264,14 @@ def _run_loop(kind: str, stage: Stage | None, dim: int, record: bool, stop: int 
             *([f"    if y[{stop}] < 0.0:", "        break"] if stop is not None else [])]
     if kind == "simpson":
         loop.insert(0, "d = _f(t)")
-    if stage not in (None, _call_rhs):
-        from .expr import EMITTED_NAMES  # the names an inlined right-hand side reads
-        names.update(EMITTED_NAMES, _Exception=Exception, _loop=_run_loop, _call_rhs=_call_rhs)
-        loop = ["try:", *(f"    {line}" for line in loop), "except _Exception:",
-                f"    _loop({kind!r}, _call_rhs, {dim}, False, None)(_rhs, t, y, 0.0, 1, t_next, 0, None)", "    raise"]
     lines = ["t = t0", "try:", *(f"    {line}" for line in loop),
              "except (_ArithmeticError, _ValueError) as exc:", "    raise _Error(t, exc) from exc", "return t, y"]
-    return generated(f"solver.run_loop {kind} {dim}", [fn, "t0", "y", "hs", "n", "t_end", "spare", "nodes"], lines,
-                     names)
+    label, params = f"solver.run_loop {kind} {dim}", [fn, "t0", "y", "hs", "n", "t_end", "spare", "nodes"]
+    if stage in (None, _call_rhs):
+        return generated(label, params, lines, names)
+    from . import expr  # the step of an inlined right-hand side that fails is taken again by calling it
+    walk = f"_loop({kind!r}, _call_rhs, {dim}, False, None)(_rhs, t, y, 0.0, 1, t_next, 0, None)"
+    return expr.compile_guarded(label, params, lines, walk, {**names, "_loop": _run_loop, "_call_rhs": _call_rhs})
 
 
 #: The loops around the stages that IVPs declare, one per spec file: each is compiled once, and only the last few are

@@ -6,6 +6,7 @@ One polyline per series, axes with linear ticks, deterministic output.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
 from . import DEFAULT_HEIGHT, DEFAULT_WIDTH, Record
@@ -27,12 +28,13 @@ class Series(Record):
 
 def _bounds(values) -> tuple[float, float, float]:
     """The low end and the span of the axis range of ``values``, at the scale they are plotted at, and that scale:
-    1, or 1/2 where the span overflows (the range's ends are then far from 0 and halve exactly)."""
+    1, or 1/2 where the span overflows (the range's ends are then far from 0 and halve exactly).  A constant
+    range is widened by 1 on either side, or by an ulp where 1 is lost (|value| >= 2^53), within the doubles."""
     lo = min(values)
     hi = max(values)
     if lo == hi:
-        lo -= 1.0
-        hi += 1.0
+        width = max(1.0, math.ulp(lo))
+        lo, hi = max(lo - width, -sys.float_info.max), min(hi + width, sys.float_info.max)
     scale = 1.0 if math.isfinite(hi - lo) else 0.5
     return lo * scale, hi * scale - lo * scale, scale
 

@@ -41,6 +41,7 @@ VECTORS = [
     ("solve", "specs/two.ivp", "--svg", "two.svg", "--components", "2", "--width", "320", "--height", "200"),
     ("solve", "specs/two.ivp", "--out", "two.csv", "--svg", "-", "--components", "1,2"),
     ("solve", "specs/two.ivp", "--svg", "two.svg", "--components", ""),
+    ("solve", "specs/constant_big.ivp", "--svg", "big.svg"),
     ("solve", "specs/long.ivp", "--out", "long.csv"),
     ("solve", "specs/long_euler.ivp", "--out", "long.csv"),
     ("solve", "specs/midpoint.ivp"),
@@ -216,6 +217,7 @@ VECTORS = [
     ("ballistics", "--mass", "10", "--drag", "1", "--v0", "100", "--alpha", "1", "--g", "1.62"),
     ("ballistics", "--mass", "0.01", "--drag", "1e4", "--v0", "100", "--alpha", "45"),
     ("ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-300"),
+    ("ballistics", "--mass", "1", "--v0", "1e-160", "--alpha", "45"),
     (*SHOT, "--drag", "nan"),
     (*SHOT, "--g", "inf"),
     (*SHOT, "--v0", "inf"),
@@ -245,6 +247,7 @@ VECTORS = [
     (*LOX, "--lon2", "30", "--radius", "0"),
     ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "10", "--lon2", "30", "--radius", "-1"),
     ("lox", "--lat1", "1.2748734119735194e-306", "--lon1", "0", "--lat2", "1.27487341197352e-306", "--lon2", "1"),
+    ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "10", "--lon2", "1e-320", "--radius", "1"),
     LOX,
     # ellipk: complete and incomplete, a given step, near k = 1 and the refusals
     ("ellipk", "--k", "0.8"),
@@ -258,6 +261,7 @@ VECTORS = [
     ("ellipk", "--k", "0.999999999999"),
     ("ellipk", "--k", "1"),
     ("ellipk", "--k", "0.5", "--phi", "2"),
+    ("ellipk", "--k", "0.5", "--phi", "1e-320"),
     ("ellipk", "--k", "0.5", "--h", "inf"),
     # rectify: the circle, explicit curves and every refusal
     ("rectify",),

@@ -638,3 +638,16 @@ class TestLoxodrome:
         for lat1, lat2 in ((0.0, 1e-309), (3e-308, 3.001e-308), (1e-309, 0.0)):
             with pytest.raises(ArithmeticError, match="subnormal"):
                 loxodrome(GeoPoint(lat1, 0.0), GeoPoint(lat2, 1.0))
+
+
+def test_subnormal_answers_are_refused_and_zero_is_an_answer():
+    # printed before: F = -1.2e-322 (the nodes overshot phi), a range 0.3 % above v0^2/g and a distance 2.3 % below
+    # R |dlon| cos(lat)
+    with pytest.raises(ArithmeticError, match=r"^F\(1e-320, k=0\.5\) = .* is subnormal"):
+        elliptic_F(1e-320, 0.5)
+    with pytest.raises(ArithmeticError, match=r"^landing x = .* is subnormal"):
+        ballistics_trajectory(BallisticsSpec(1.0, 0.0, 1e-160, math.pi / 4))
+    here = GeoPoint(math.radians(10.0), 0.0)
+    with pytest.raises(ArithmeticError, match=r"^distance = .* is subnormal"):
+        loxodrome(here, GeoPoint(here.lat, math.radians(1e-320)), 1.0)
+    assert elliptic_F(0.0, 0.5) == 0.0 and loxodrome(here, here) == (0.0, 0.0)

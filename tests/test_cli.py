@@ -105,6 +105,17 @@ class TestSolve:
         assert {point.split(",")[1] for point in polyline.get("points").split()} == {f"{middle:.2f}"}
         assert ">4<" in text and ">6<" in text  # the lowest and highest y tick labels
 
+    @pytest.mark.parametrize("y0", ["1e17", "-1.7976931348623157e308", "1.7976931348623157e308"])
+    def test_svg_of_a_constant_series_beyond_2_53(self, capsys, tmp_path, y0):
+        # 1 is lost at |y| >= 2^53, where the range is widened by an ulp instead; the largest double's stays finite
+        spec = tmp_path / "big.ivp"
+        spec.write_text(f"dim = 1\nrhs_1 = 0\nt0 = 0\ny0 = {y0}\nt_end = 1\nh = 0.25\nmethod = euler\n")
+        svg = tmp_path / "big.svg"
+        assert run(capsys, "solve", str(spec), "--out", str(tmp_path / "big.csv"), "--svg", str(svg)) == (0, "", "")
+        points = ET.fromstring(svg.read_text()).find(".//{http://www.w3.org/2000/svg}polyline").get("points")
+        assert all(math.isfinite(float(v)) for point in points.split() for v in point.split(","))
+        assert len(points.split()) == 5
+
     def test_svg_of_a_range_whose_span_overflows(self, capsys, tmp_path):
         # 1.7e308 - -1.7e308 overflows: the range is plotted at half scale, its ends on the plot's edges
         spec = tmp_path / "wide.ivp"
@@ -848,7 +859,7 @@ class TestRectifyLoop:
         path = tmp_path / "pendulum.ivp"
         path.write_text("dim = 2\nrhs_1 = y2\nrhs_2 = -sin(y1)\nt0 = 0\ny0 = 1, 0\nt_end = 1\nh = 0.1\nmethod = rk4\n")
         ivp, _, method = cli.load_spec_file(str(path))
-        loops = [solver._run_loop(method, stage, 2, True, None) for stage in (solver._call_rhs, ivp.steps[method])]
+        loops = [solver._run_loop(method, stage, 2, True, None) for stage in (solver._call_rhs, ivp.stage)]
         for code in (cli._circle()[1], applications.curve_polyline(), *loops):
             namespace = code.__globals__
             assert namespace["__builtins__"] == {}
@@ -1032,6 +1043,10 @@ class TestErrorContract:
             (1, ("pendulum", "--theta0", "3.1415")),  # and before: its quadrature does not converge
             *((1, (*shot, *extra)) for extra in ballistics_refusals),
             (1, ("ballistics", "--mass", "1", "--alpha", "40", "--v0", "1e-300")),  # range underflows
+            # subnormal answers: a negative F past overshooting nodes, a range 0.3 % high, a distance 2.3 % low
+            (1, ("ellipk", "--k", "0.5", "--phi", "1e-320")),
+            (1, ("ballistics", "--mass", "1", "--v0", "1e-160", "--alpha", "45")),
+            (1, ("lox", "--lat1", "10", "--lon1", "0", "--lat2", "10", "--lon2", "1e-320", "--radius", "1")),
             (1, ("fn", "sin", "1e9", "--h", "100")),  # 10^7 steps, each split, are beyond the step budget
             (1, (*plot, "3")),
             (1, (*plot, "1,0")),

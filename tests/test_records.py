@@ -27,7 +27,7 @@ X = expr.Var("x")
 # where it has them, and the same one by keyword with every field named
 CASES = [
     (IVP, (rhs, 0.0, (1.0,)),
-     dict(rhs=rhs, t0=0.0, y0=(1.0,), integrand=None, series=None, steps={})),
+     dict(rhs=rhs, t0=0.0, y0=(1.0,), integrand=None, series=None, stage=None)),
     (StepPlan, (0.1, 1.0), dict(h=0.1, t_end=1.0, steps=None)),
     (Trajectory, ((0.0, 1.0, 1.0, 2.0), 1), dict(nodes=(0.0, 1.0, 1.0, 2.0), dim=1)),
     (functions.OdeFunction, ("exp", EXP, 0), dict(name="exp", ivp=EXP, output=0, pole=None)),
@@ -54,7 +54,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 # each record class's constructor parameters in order, with a default where one is given:
 # the public signatures, which a constructor generated from the slots keeps
 SIGNATURES = {
-    IVP: ["rhs", "t0", "y0", ("integrand", None), ("series", None), ("steps", None)],
+    IVP: ["rhs", "t0", "y0", ("integrand", None), ("series", None), ("stage", None)],
     StepPlan: ["h", "t_end", ("steps", None)],
     Trajectory: ["nodes", "dim"],
     functions.OdeFunction: ["name", "ivp", "output", ("pole", None)],
@@ -129,7 +129,7 @@ def test_uncompared_fields_are_left_out_of_equality():
     assert hash(expr.parse("1 + x")) == hash(expr.parse("1+x"))
     assert repr(expr.parse("1 + x")) != repr(expr.parse("1+x"))
     assert expr.Num(1.0, "1.0", 3) == expr.Num(1.0, "1e0", 7) != expr.Num(2.0, "1.0", 3)
-    assert IVP(rhs, 0.0, (1.0,), steps={"rk4": None}) == EXP
+    assert IVP(rhs, 0.0, (1.0,), stage=rhs) == EXP
     assert expr.Var("x") != expr.Call("x", X) and expr.Var("x") != "x"
 
 

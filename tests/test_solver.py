@@ -990,13 +990,13 @@ class TestGeneratedStep:
             dim, method = rng.randint(1, 4), rng.choice(["euler", "rk4"])
             sources = self.random_sources(rng, dim)
             ivp = spec_ivp(tmp_path, sources, method)
-            assert set(ivp.steps) == {method}
+            assert ivp.stage is not None
             rhs = walker_rhs(sources)
             for _ in range(5):
                 t, h = rng.choice(self.VALUES), rng.choice([0.1, -0.1, 0.5, -2.0, 1e-3])
                 y = tuple(rng.choice(self.VALUES) for _ in range(dim))
                 want = outcome(reference_step, rhs, method, t, (t + h) - t, y)
-                assert outcome(loop_step, ivp.steps[method], method, ivp.rhs, t, t + h, y) == want, (sources, t, h, y)
+                assert outcome(loop_step, ivp.stage, method, ivp.rhs, t, t + h, y) == want, (sources, t, h, y)
                 assert outcome(loop_step, solver._call_rhs, method, rhs, t, t + h, y) == want, (sources, t, h, y)
                 if isinstance(want[0], type):
                     failures += 1
@@ -1024,7 +1024,7 @@ class TestGeneratedStep:
         # 482 nodes: a spec of any size declares its stages, and its run loop walks no tree
         sources = [" + ".join(f"{k}e-3 * sin(t * y1)" for k in range(1, 70))]
         ivp = spec_ivp(tmp_path, sources, method)
-        assert set(ivp.steps) == {method}
+        assert ivp.stage is not None
         walked = []
         evaluate = expr.evaluate
         monkeypatch.setattr(expr, "evaluate", lambda *args: walked.append(args) or evaluate(*args))
@@ -1034,6 +1034,20 @@ class TestGeneratedStep:
         rhs = walker_rhs(sources)
         for t, t_next, y, state in zip(traj.times, traj.times[1:], traj.states, traj.states[1:]):
             assert [v.hex() for v in state] == [v.hex() for v in reference_step(rhs, method, t, t_next - t, y)]
+
+    @pytest.mark.parametrize("declared, method", [("euler", "rk4"), ("rk4", "euler")])
+    def test_a_spec_run_under_its_other_method_is_inlined(self, tmp_path, declared, method, monkeypatch):
+        # a spec declares one stage, which Euler and RK4 alike inline: a run under either walks no tree
+        ivp = spec_ivp(tmp_path, ["y2", "-9.8 * sin(y1) - 0.1 * y2"], declared, y0=[1.0, 0.0])
+        plan = StepPlan(0.01, 1.0)
+        walked = []
+        evaluate = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda *args: walked.append(args) or evaluate(*args))
+        traj = integrate(ivp, plan, method)
+        assert walked == []
+        monkeypatch.undo()
+        times, states = integrate_reference.integrate(ivp, plan, method)
+        assert [v.hex() for v in traj.nodes] == [v.hex() for t, y in zip(times, states) for v in (t, *y)]
 
     @pytest.mark.parametrize("source, stage", [
         ("sqrt(0.01 - t)", 2),  # t + h / 2 is the first time past 0.01
@@ -1103,7 +1117,7 @@ class TestRunLoop:
         else:  # infinite within a step from 1; or 0 on a node, from 1 at t = 0 by steps of 0.25
             sources = ["1e300 * y1 * y1" if family == "overflowing" else "-1"] * dim
         ivp = spec_ivp(tmp_path, sources, method, y0=[rng.choice([1.0, rng.uniform(-2.0, 2.0)]) for _ in range(dim)])
-        return (ivp if kind == "inlined" else ivp.replace(steps={})), method
+        return (ivp if kind == "inlined" else ivp.replace(stage=None)), method
 
     def test_matches_the_python_loop(self, tmp_path):
         rng = random.Random(20261022)
